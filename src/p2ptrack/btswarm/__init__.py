@@ -8,7 +8,7 @@ from .dht import (DhtError, DhtNetwork, DhtNode, KrpcClient, LookupResult,
                   unpack_nodes, unpack_peers, xor_distance)
 from .swarm import (BtClient, CrawlRound, CrawlSnapshot, HandshakeClient,
                     HandshakeProbe, MatchCandidate, ScrapeEntry,
-                    ScrapeResult, SwarmError, SwarmPeer, SwarmRegistry,
+                    ScrapeResult, SwarmError, SwarmRegistry,
                     bt_handshake, build_handshake, build_scrape, match_ips,
                     parse_handshake, parse_scrape, run_crawl, top_k)
 

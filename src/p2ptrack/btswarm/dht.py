@@ -156,13 +156,6 @@ class DhtNetwork:
     def bootstrap_node(self) -> DhtNode:
         return self.nodes[min(self.nodes)]
 
-    def total_stored_peers(self, infohash: bytes) -> set:
-        """Exhaustive scan over every node's store (test oracle)."""
-        found = set()
-        for node in self.nodes.values():
-            found.update(node.store.get(infohash, ()))
-        return found
-
     # -- server side -----------------------------------------------------
 
     def _server(self, sim, host_id, pkt, payload):

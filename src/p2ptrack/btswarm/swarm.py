@@ -89,14 +89,6 @@ def top_k(entries, k: int) -> list:
 
 # -- swarm membership ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwarmPeer:
-    ip: int
-    port: int
-    infohash: bytes
-    host: str               # ground truth, hidden from attacker views
-
-
 @dataclass
 class BtClient:
     host_id: str
@@ -162,20 +154,6 @@ class SwarmRegistry:
         if t_leave is not None:
             self.dht.withdraw_peer(infohash, client.external_ip,
                                    client.external_port, t_leave)
-
-    def members(self, infohash: bytes, t: float) -> set:
-        """Ground-truth membership (ip, port) set at time t."""
-        return {(c.external_ip, c.external_port)
-                for c in self.clients.values()
-                if c.participates(infohash, t)}
-
-    def peers(self, infohash: bytes, t: float) -> list:
-        return sorted(
-            SwarmPeer(c.external_ip, c.external_port, infohash, c.host_id)
-            for c in self.clients.values() if c.participates(infohash, t))
-
-    def owner_host(self, ip: int, port: int) -> Optional[str]:
-        return self.by_endpoint.get((ip, port))
 
     def _serve_handshake(self, sim, host_id, pkt, payload):
         client = self.clients[host_id]

@@ -41,7 +41,8 @@ def _cmd_run(args) -> int:
         return 2
     report = run(scenario, args.pipeline)
     paths = write_report(report, args.out)
-    print(open(paths["summary"]).read(), end="")
+    with open(paths["summary"]) as fh:
+        print(fh.read(), end="")
     if not report.ok():
         print("one or more pipeline checks FAILED", file=sys.stderr)
         return 1

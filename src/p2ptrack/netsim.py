@@ -12,9 +12,11 @@ given (topology, seed) always produces byte-identical traces.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 IPID_MOD = 1 << 16
@@ -70,14 +72,6 @@ class SimClock:
     now: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    t: float
-    kind: str  # "deliver" | "drop" | "send"
-    detail: str
-    packet: Optional[SimPacket] = None
-
-
 class Host:
     """A network endpoint with its own IP-ID generator and packet handler.
 
@@ -87,21 +81,19 @@ class Host:
     behave."""
 
     __slots__ = (
-        "host_id", "ip", "nat", "ipid_model", "os_label", "handler",
+        "host_id", "ip", "nat", "ipid_model", "handler",
         "port_handlers", "egress_filters", "ingress_filters",
         "_counter", "_flow_counters", "_flow_start", "_rng",
     )
 
     def __init__(self, host_id: str, ip: int, nat: Optional[str],
-                 ipid_model: str, ipid_start: Optional[int],
-                 os_label: str, seed):
+                 ipid_model: str, ipid_start: Optional[int], seed):
         if ipid_model not in IPID_MODELS:
             raise NetsimError(f"unknown ipid model {ipid_model!r}")
         self.host_id = host_id
         self.ip = ip
         self.nat = nat
         self.ipid_model = ipid_model
-        self.os_label = os_label
         self.handler: Optional[Callable] = None
         self.port_handlers: dict = {}
         self.egress_filters: list = []
@@ -189,6 +181,9 @@ class NatBox:
         return port
 
 
+_OBS_T = itemgetter(0)
+
+
 class CaptureTap:
     """Ordered packet capture at one attach point."""
 
@@ -204,19 +199,23 @@ class CaptureTap:
             self._sorted = False
         self._entries.append((obs_t, pkt.src_ip, pkt.src_port, emit_seq, pkt))
 
+    def _ordered(self) -> list:
+        if not self._sorted:
+            self._entries.sort(key=lambda e: e[:4])
+            self._sorted = True
+        return self._entries
+
     def trace(self) -> list:
         """Packets ordered by observation time, ties by (src ip, src port,
         emission sequence)."""
-        if not self._sorted:
-            self._entries.sort(key=lambda e: e[:4])
-            self._sorted = True
-        return [e[4] for e in self._entries]
+        return [e[4] for e in self._ordered()]
 
-    def entries(self) -> list:
-        if not self._sorted:
-            self._entries.sort(key=lambda e: e[:4])
-            self._sorted = True
-        return list(self._entries)
+    def window(self, t_lo: float, t_hi: float) -> list:
+        """The packets of trace() observed in [t_lo, t_hi]."""
+        entries = self._ordered()
+        lo = bisect.bisect_left(entries, t_lo, key=_OBS_T)
+        hi = bisect.bisect_right(entries, t_hi, lo, key=_OBS_T)
+        return [e[4] for e in entries[lo:hi]]
 
     def clear(self) -> None:
         self._entries.clear()
@@ -245,7 +244,6 @@ class Simulator:
         self._ip_nat: dict = {}        # public ip -> nat_id
         self._nat_members: dict = {}   # nat_id -> {priv_ip: host_id}
         self._taps: dict = {}          # attach key -> CaptureTap
-        self._links: dict = {}         # frozenset({a, b}) -> (latency, jitter)
         self._jitter_rng = random.Random(f"{seed}:netsim:jitter")
 
     @property
@@ -270,8 +268,7 @@ class Simulator:
 
     def add_host(self, host_id: str, ip, nat: Optional[str] = None,
                  ipid_model: str = IPID_SEQUENTIAL_GLOBAL,
-                 ipid_start: Optional[int] = None,
-                 os_label: str = "windows7") -> Host:
+                 ipid_start: Optional[int] = None) -> Host:
         if isinstance(ip, str):
             ip = parse_ip(ip)
         if host_id in self.hosts:
@@ -286,17 +283,13 @@ class Simulator:
             if ip in members:
                 raise NetsimError(
                     f"private IP {ip_str(ip)} duplicated behind NAT {nat}")
-        host = Host(host_id, ip, nat, ipid_model, ipid_start, os_label,
-                    self.seed)
+        host = Host(host_id, ip, nat, ipid_model, ipid_start, self.seed)
         self.hosts[host_id] = host
         if nat is None:
             self._ip_host[ip] = host_id
         else:
             self._nat_members[nat][ip] = host_id
         return host
-
-    def set_link(self, a: str, b: str, latency: float, jitter: float = 0.0):
-        self._links[frozenset((a, b))] = (latency, jitter)
 
     def set_handler(self, host_id: str, handler: Callable) -> None:
         self.hosts[host_id].handler = handler
@@ -351,38 +344,21 @@ class Simulator:
             at, lambda: self._emit(src, src_port, dst_ip, dst_port, proto,
                                    size, fl, payload))
 
-    def advance(self, until: float, collect: bool = False) -> list:
-        """Run all events with time <= until; returns executed-event records
-        when collect is set (kept off in bulk runs to avoid huge lists)."""
+    def advance(self, until: float) -> None:
+        """Run all events with time <= until."""
         if until < self.clock.now:
             raise NetsimError(
                 f"cannot advance to {until} before now {self.clock.now}")
-        events = [] if collect else None
-        self._collect = events
         while self._heap and self._heap[0][0] <= until:
             t, _, fn = heapq.heappop(self._heap)
             self.clock.now = t
             fn()
         self.clock.now = until
-        self._collect = None
-        return events if events is not None else []
 
     # -- datapath ---------------------------------------------------------
 
-    def _note(self, kind: str, detail: str, pkt: Optional[SimPacket]) -> None:
-        collect = getattr(self, "_collect", None)
-        if collect is not None:
-            collect.append(Event(self.clock.now, kind, detail, pkt))
-
     def _drop(self, reason: str, pkt: SimPacket) -> None:
         self.drops.append((self.clock.now, reason, pkt))
-        self._note("drop", reason, pkt)
-
-    def _link_params(self, src_id: str, dst_end: str) -> tuple:
-        link = self._links.get(frozenset((src_id, dst_end)))
-        if link is None:
-            return (self.default_latency, self.default_jitter)
-        return link
 
     def _emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
               proto: str, size: int, flags: frozenset,
@@ -398,8 +374,7 @@ class Simulator:
         dst_host_id = self._ip_host.get(dst_ip)
         dst_nat_id = self._ip_nat.get(dst_ip) if dst_host_id is None else None
         dst_end = dst_host_id if dst_host_id is not None else dst_nat_id
-        latency, jitter = self._link_params(src, dst_end) if dst_end \
-            else (self.default_latency, self.default_jitter)
+        latency, jitter = self.default_latency, self.default_jitter
         if jitter:
             latency += self._jitter_rng.uniform(-jitter, jitter)
         t_recv = now + latency
@@ -410,7 +385,6 @@ class Simulator:
         tap = self._taps.get(("host", src))
         if tap is not None:
             tap.record(now, emit_seq, local_view)
-        self._note("send", src, local_view)
 
         for filt in host.egress_filters:
             if filt(self, local_view):
@@ -467,7 +441,6 @@ class Simulator:
         tap = self._taps.get(("host", dst_host_id))
         if tap is not None:
             tap.record(pkt.t_recv, emit_seq, pkt)
-        self._note("deliver", dst_host_id, pkt)
 
         for filt in host.ingress_filters:
             if filt(self, pkt):
@@ -477,39 +450,3 @@ class Simulator:
         if handler is not None:
             handler(self, dst_host_id, pkt, payload)
 
-
-# -- trace line format ----------------------------------------------------
-
-TRACE_FIELDS = ("t_send", "t_recv", "src_ip", "src_port", "dst_ip",
-                "dst_port", "proto", "flags", "size", "ip_id")
-
-
-def format_packet(pkt: SimPacket) -> str:
-    flags = ",".join(sorted(pkt.tcp_flags)) if pkt.tcp_flags else "-"
-    return (f"{pkt.t_send:.6f} {pkt.t_recv:.6f} {ip_str(pkt.src_ip)} "
-            f"{pkt.src_port} {ip_str(pkt.dst_ip)} {pkt.dst_port} "
-            f"{pkt.proto} {flags} {pkt.size} {pkt.ip_id}")
-
-
-def parse_packet(line: str) -> SimPacket:
-    parts = line.split()
-    if len(parts) != 10:
-        raise NetsimError(f"bad trace line: {line!r}")
-    flags = frozenset() if parts[7] == "-" else frozenset(parts[7].split(","))
-    return SimPacket(
-        t_send=float(parts[0]), t_recv=float(parts[1]),
-        src_ip=parse_ip(parts[2]), src_port=int(parts[3]),
-        dst_ip=parse_ip(parts[4]), dst_port=int(parts[5]),
-        proto=parts[6], tcp_flags=flags, size=int(parts[8]),
-        ip_id=int(parts[9]))
-
-
-def write_trace(packets, path) -> None:
-    with open(path, "w") as fh:
-        for pkt in packets:
-            fh.write(format_packet(pkt) + "\n")
-
-
-def read_trace(path) -> list:
-    with open(path) as fh:
-        return [parse_packet(line) for line in fh if line.strip()]

@@ -16,11 +16,12 @@ import re
 from dataclasses import dataclass, field
 
 from .btswarm.swarm import match_ips, run_crawl
-from .netsim import parse_ip
+from .netsim import NetsimError, parse_ip
+from .rtcdir import DEFENSES
 from .scenario import Scenario
 from .tracker import disambiguate, ip_token, mobility_report
 from .verifier import VERDICT_UNVERIFIABLE, VERDICT_VERIFIED
-from .worldgen import BT_SAME_HOST, build_world
+from .worldgen import ADDRESS_PLAN, BT_SAME_HOST, build_world
 
 PIPELINES = ("mobility", "linkage", "defense-eval", "all")
 
@@ -278,9 +279,8 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
 
 
 def run_defense_eval(scenario: Scenario, report: RunReport) -> None:
-    modes = ("none", "reveal_after_accept", "relay_all")
     out = {}
-    for mode in modes:
+    for mode in DEFENSES:
         scn = copy.deepcopy(scenario)
         scn.rtc.defense_mode = mode
         world = build_world(scn)
@@ -407,23 +407,29 @@ _DOTTED = re.compile(r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b")
 _HEX40 = re.compile(r"\b[0-9a-fA-F]{40}\b")
 
 
+def _in_address_plan(ip: int) -> bool:
+    return any(ip >> (32 - plen) == net >> (32 - plen)
+               for net, plen in ADDRESS_PLAN)
+
+
 def scan_privacy(out_dir) -> list:
-    """Flag any scenario-range dotted quad or 40-hex infohash string in
-    the emitted artifacts."""
+    """Flag any dotted quad in the world's address plan, or 40-hex
+    infohash string, in the emitted artifacts."""
     violations = []
     for root, _, files in os.walk(out_dir):
         for name in files:
             path = os.path.join(root, name)
             try:
-                text = open(path, errors="replace").read()
+                with open(path, errors="replace") as fh:
+                    text = fh.read()
             except OSError:
                 continue
             for m in _DOTTED.finditer(text):
                 try:
                     ip = parse_ip(m.group(0))
-                except Exception:
+                except NetsimError:
                     continue
-                if (ip >> 24) == 10 or (ip >> 16) == (192 << 8 | 168):
+                if _in_address_plan(ip):
                     violations.append(f"{name}: address {m.group(0)}")
             if _HEX40.search(text):
                 violations.append(f"{name}: infohash-like hex string")

@@ -40,6 +40,12 @@ NAT_TAIL_COUNT = 3
 NAT_TAIL_GAP = 1.0
 LAST_SEEN_WINDOW = 259200.0     # 72 hours
 PRESENCE_REFRESH = 60.0
+# emitter parameters that no scenario sets
+START_DELAY = (0.3, 2.2)        # call request to first pattern packet
+VARYING_SIZES = (30, 120)
+VARYING_COUNT = (4, 8)
+NOISE_WINDOW = 12.0             # supernode chatter after the call request
+KEEPALIVE_SIZE = 52
 
 SYN_SIZE = 44
 SYNACK_SIZE = 44
@@ -329,15 +335,12 @@ class PlacedCall:
 @dataclass
 class RtcConfig:
     defense_mode: str = DEFENSE_NONE
+    supernodes: int = 20
+    relays: int = 4
     noise_flows: tuple = (10, 14)
     noise_packets: tuple = (5, 20)
     noise_sizes: tuple = (20, 120)
-    noise_window: float = 12.0
     pattern_jitter: float = 0.05
-    start_delay: tuple = (0.3, 2.2)
-    varying_sizes: tuple = (30, 120)
-    varying_count: tuple = (4, 8)
-    keepalive_size: int = 52
 
 
 class _TcpAttempt:
@@ -470,7 +473,7 @@ class RtcOverlay:
         self._next_call += 1
         rng = random.Random(f"{self.seed}:call:{call_id}")
         if start_delay is None:
-            start_delay = rng.uniform(*self.config.start_delay)
+            start_delay = rng.uniform(*START_DELAY)
 
         online = self.presence.online_sessions(req.callee, req.t_start)
         true_ips = frozenset(self._endpoint(s.host_id)[0] for s in online)
@@ -608,8 +611,8 @@ class RtcOverlay:
                               callee, callee_host)
 
         # varying-size exchange, both directions
-        lo, hi = self.config.varying_sizes
-        n = rng.randint(*self.config.varying_count)
+        lo, hi = VARYING_SIZES
+        n = rng.randint(*VARYING_COUNT)
         t = base + rng.uniform(0.4, 0.7)
         for k in range(n):
             size = rng.randint(lo, hi)
@@ -643,7 +646,7 @@ class RtcOverlay:
             sn_port = self._ports[sn]
             ips.append(sn_ip)
             for _ in range(rng.randint(*cfg.noise_packets)):
-                at = t_start + rng.uniform(0.0, cfg.noise_window)
+                at = t_start + rng.uniform(0.0, NOISE_WINDOW)
                 if rng.random() < 0.08:
                     size = rng.choice(MARKER_SIZES)
                 else:
@@ -660,12 +663,12 @@ class RtcOverlay:
         home = self._home_supernode.get(caller_host)
         if home is not None:
             sn_ip = self.sim.public_ip_of(home)
-            at = t_start + rng.uniform(0.5, cfg.noise_window)
+            at = t_start + rng.uniform(0.5, NOISE_WINDOW)
             self._send(caller_host, sn_ip, self._ports[home], "TCP",
-                       cfg.keepalive_size, flags=("ACK",), at=at,
+                       KEEPALIVE_SIZE, flags=("ACK",), at=at,
                        src_port=caller_port)
             self._send(home, caller_ip, caller_port, "TCP",
-                       cfg.keepalive_size, flags=("ACK",),
+                       KEEPALIVE_SIZE, flags=("ACK",),
                        at=at + rng.uniform(0.05, 0.4),
                        src_port=self._ports[home])
         return frozenset(ips)
@@ -715,7 +718,7 @@ class RtcOverlay:
                                        pkt.dst_port))
         elif pkt.size in MARKER_SIZES and self._host_active(host_id, now):
             rng = self._resp_rng[host_id]
-            lo, hi = self.config.varying_sizes
+            lo, hi = VARYING_SIZES
             size = rng.randint(lo, hi)
             while size in (NAT_FIRST_SIZE, NAT_TAIL_SIZE) or \
                     size in MARKER_SIZES:
@@ -724,8 +727,3 @@ class RtcOverlay:
                 now + 0.05,
                 lambda: self._emit_now(host_id, pkt.src_ip, pkt.src_port,
                                        "UDP", size, (), pkt.dst_port))
-
-    # -- notification queries ---------------------------------------------
-
-    def notifications_for(self, call_id: int) -> list:
-        return [n for n in self.notifications if n.call_id == call_id]

@@ -14,8 +14,10 @@ from typing import Optional
 
 import yaml
 
+from .rtcdir import DEFENSES, RtcConfig
 from .sniffer import ClassifierConfig
-from .verifier import VerifierConfig
+from .tracker import SchedulerConfig
+from .verifier import VerifierConfig, VerifierError
 
 
 class ScenarioError(Exception):
@@ -23,6 +25,8 @@ class ScenarioError(Exception):
 
 
 def _section(cls, data, path):
+    """Build section cls from a mapping; a key cls does not declare, or a
+    value its constructor rejects, is a ScenarioError naming the path."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -38,24 +42,16 @@ def _section(cls, data, path):
             if isinstance(value, list):
                 value = tuple(value)
             kwargs[f.name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (ValueError, VerifierError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 @dataclass
 class NetSection:
     default_latency: float = 0.05
     default_jitter: float = 0.01
-
-
-@dataclass
-class RtcSection:
-    defense_mode: str = "none"
-    supernodes: int = 20
-    relays: int = 4
-    noise_flows: tuple = (10, 14)
-    noise_packets: tuple = (5, 20)
-    noise_sizes: tuple = (20, 120)
-    pattern_jitter: float = 0.05
 
 
 @dataclass
@@ -70,29 +66,6 @@ class PopulationSection:
     whitelist_fraction: float = 0.0  # callees allowing contacts only
     random_ipid_fraction: float = 0.0
     volunteers: int = 0
-
-
-@dataclass
-class ClassifierSection:
-    timing_tolerance: float = 0.25
-    min_score: float = 0.8
-    pattern_window: float = 20.0
-
-    def to_config(self) -> ClassifierConfig:
-        return ClassifierConfig(self.timing_tolerance, self.min_score,
-                                self.pattern_window)
-
-
-@dataclass
-class TrackerSection:
-    clients: int = 2
-    s: float = 3.0
-    round_period: float = 3600.0
-    rounds: int = 2
-    validation_every: int = 100
-    reorders: int = 0                # planted late-start calls, total
-    salt: Optional[str] = None       # hex; derived from the seed if unset
-    classifier: ClassifierSection = field(default_factory=ClassifierSection)
 
 
 @dataclass
@@ -122,32 +95,17 @@ class BtSection:
 
 
 @dataclass
-class VerifierSection:
-    threshold: int = 1000
-    min_rounds: int = 10
-    round_spacing: float = 60.0
-    call_gap: float = 3.0
-    clients: int = 10
-
-    def to_config(self) -> VerifierConfig:
-        return VerifierConfig(threshold=self.threshold,
-                              min_rounds=self.min_rounds,
-                              round_spacing=self.round_spacing,
-                              call_gap=self.call_gap)
-
-
-@dataclass
 class Scenario:
     name: str = "scenario"
     seed: int = 0
     directory_fixture: Optional[str] = None   # extra profiles, TSV format
     net: NetSection = field(default_factory=NetSection)
-    rtc: RtcSection = field(default_factory=RtcSection)
+    rtc: RtcConfig = field(default_factory=RtcConfig)
     population: PopulationSection = field(default_factory=PopulationSection)
-    tracker: TrackerSection = field(default_factory=TrackerSection)
+    tracker: SchedulerConfig = field(default_factory=SchedulerConfig)
     mobility: Optional[MobilitySection] = None
     bt: Optional[BtSection] = None
-    verifier: VerifierSection = field(default_factory=VerifierSection)
+    verifier: VerifierConfig = field(default_factory=VerifierConfig)
 
     def salt_bytes(self) -> bytes:
         if self.tracker.salt is not None:
@@ -174,8 +132,7 @@ class Scenario:
             bad.append("population.cities must be a multiple of 4, >= 8")
         if pop.hosts_per_nat < 1:
             bad.append("population.hosts_per_nat must be >= 1")
-        if self.rtc.defense_mode not in ("none", "reveal_after_accept",
-                                         "relay_all"):
+        if self.rtc.defense_mode not in DEFENSES:
             bad.append(f"rtc.defense_mode unknown: {self.rtc.defense_mode}")
         if self.rtc.supernodes < self.rtc.noise_flows[1]:
             bad.append("rtc.supernodes smaller than the noise flow maximum")
@@ -219,15 +176,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
     tracker_data = dict(data.get("tracker") or {})
     classifier_data = tracker_data.pop("classifier", None)
-    tracker = _section(TrackerSection, tracker_data, "tracker")
-    tracker.classifier = _section(ClassifierSection, classifier_data,
+    tracker = _section(SchedulerConfig, tracker_data, "tracker")
+    tracker.classifier = _section(ClassifierConfig, classifier_data,
                                   "tracker.classifier")
     return Scenario(
         name=str(data.get("name", "scenario")),
         seed=int(data.get("seed", 0)),
         directory_fixture=data.get("directory_fixture"),
         net=_section(NetSection, data.get("net"), "net"),
-        rtc=_section(RtcSection, data.get("rtc"), "rtc"),
+        rtc=_section(RtcConfig, data.get("rtc"), "rtc"),
         population=_section(PopulationSection, data.get("population"),
                             "population"),
         tracker=tracker,
@@ -235,7 +192,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                   if data.get("mobility") is not None else None),
         bt=(_section(BtSection, data["bt"], "bt")
             if data.get("bt") is not None else None),
-        verifier=_section(VerifierSection, data.get("verifier"), "verifier"),
+        verifier=_section(VerifierConfig, data.get("verifier"), "verifier"),
     )
 
 

@@ -16,20 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .netsim import Simulator, ip_str, parse_ip
+from .netsim import Simulator
+# the signatures are the nominal sizes and gaps the emitter uses
+from .rtcdir import (MARKER_GAPS, MARKER_SIZES, NAT_FIRST_SIZE,
+                     NAT_TAIL_DELAY, NAT_TAIL_GAP, NAT_TAIL_SIZE,
+                     SYN_TIMEOUT_FIRST, SYN_TIMEOUT_SECOND)
 
 KIND_I = "I"
 KIND_II = "II"
 KIND_III = "III"
 
-# nominal gaps of the signatures
-SYN_GAPS = (3.0, 1.0)
-MARKER_GAPS = (2.0, 4.0)
-MARKER_SIZES = (59, 58)
-NAT_FIRST_SIZE = 28
-NAT_TAIL_SIZE = 3
-NAT_TAIL_DELAY = 10.0
-NAT_TAIL_GAP = 1.0
 ECHO_WINDOW = 2.0
 
 
@@ -95,8 +91,10 @@ def _score_syn_udp(entries, tol: float) -> float:
               if outbound and p.proto == "UDP" and p.size in MARKER_SIZES]
     checks = (
         len(syn_t) >= 3,
-        len(syn_t) >= 2 and _within(syn_t[1] - syn_t[0], SYN_GAPS[0], tol),
-        len(syn_t) >= 3 and _within(syn_t[2] - syn_t[1], SYN_GAPS[1], tol),
+        len(syn_t) >= 2 and _within(syn_t[1] - syn_t[0], SYN_TIMEOUT_FIRST,
+                                    tol),
+        len(syn_t) >= 3 and _within(syn_t[2] - syn_t[1], SYN_TIMEOUT_SECOND,
+                                    tol),
         len(mark_t) >= 3,
         len(mark_t) >= 2 and _within(mark_t[1] - mark_t[0],
                                      MARKER_GAPS[0], tol),
@@ -184,6 +182,13 @@ def classify_trace(trace, cfg: ClassifierConfig,
     return matches
 
 
+def slot_matches(matches, t: float, length: float) -> list:
+    """The matches attributed to the call placed at t: a pattern belongs to
+    the call whose slot [t, t+length) holds its first packet."""
+    end = t + length
+    return [m for m in matches if t <= m.t_first_packet < end]
+
+
 def extract_callee_ips(matches) -> list:
     """Candidate addresses ranked by score, ties by earliest first packet;
     kind III results are flagged stale (last-seen, not current)."""
@@ -197,18 +202,3 @@ def extract_callee_ips(matches) -> list:
                 m.t_first_packet)
     return sorted(best.values(), key=lambda e: (-e.score, e.t_first, e.ip))
 
-
-# -- match line format -------------------------------------------------------
-
-def format_match(call_id, m: PatternMatch) -> str:
-    stale = 1 if m.kind == KIND_III else 0
-    return (f"{call_id} {m.kind} {ip_str(m.candidate_ip)} {m.score:.4f} "
-            f"{m.t_first_packet:.6f} {stale}")
-
-
-def parse_match(line: str):
-    parts = line.split()
-    if len(parts) != 6:
-        raise ValueError(f"bad match line: {line!r}")
-    return (parts[0], PatternMatch(parts[1], parse_ip(parts[2]),
-                                   float(parts[4]), float(parts[3]), ()))

@@ -14,16 +14,16 @@ identifying is persisted.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .netsim import Simulator, ip_str, parse_ip
 from .rtcdir import CallRequest, RtcOverlay
-from .sniffer import ClassifierConfig, classify_trace, extract_callee_ips
+from .sniffer import (ClassifierConfig, classify_trace, extract_callee_ips,
+                      slot_matches)
 
 STATUS_ONLINE = "online"
 STATUS_STALE = "stale"
@@ -32,10 +32,14 @@ STATUS_OFFLINE = "offline"
 
 @dataclass
 class SchedulerConfig:
+    clients: int = 2
     s: float = 3.0                 # gap between successive calls of a client
-    clients: int = 1
     round_period: float = 3600.0
+    rounds: int = 2
     validation_every: int = 100    # a volunteer call every N calls
+    reorders: int = 0              # planted late-start calls, total
+    salt: Optional[str] = None     # hex; derived from the seed if unset
+    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,6 @@ class RoundResult:
 @dataclass
 class StudyResult:
     rounds: list
-
-    def sample_rounds(self) -> list:
-        return [r.samples for r in self.rounds]
 
 
 # -- geo lookup and anonymization ------------------------------------------
@@ -175,8 +176,8 @@ def ip_token(ip: int, salt: bytes) -> str:
 
 class Tracker:
     def __init__(self, sim: Simulator, overlay: RtcOverlay, clients,
-                 sched: SchedulerConfig, classifier: ClassifierConfig,
-                 geo: GeoTable, salt: bytes, volunteers=(),
+                 sched: SchedulerConfig, geo: GeoTable, salt: bytes,
+                 volunteers=(),
                  reorder_plan=frozenset(), seed=0):
         """clients: list of (host_id, rtc_id) tracking client pairs with
         SYN filters already installed.  reorder_plan holds (round_index,
@@ -188,7 +189,6 @@ class Tracker:
         self.overlay = overlay
         self.clients = list(clients)[:sched.clients]
         self.sched = sched
-        self.classifier = classifier
         self.geo = geo
         self.salt = salt
         self.volunteers = list(volunteers)
@@ -214,9 +214,10 @@ class Tracker:
         self._counts[client] = count
         return out
 
-    def run_round(self, ids, round_start: float, round_index: int = 0,
-                  clear_taps: bool = True) -> RoundResult:
+    def run_round(self, ids, round_start: float,
+                  round_index: int = 0) -> RoundResult:
         s = self.sched.s
+        classifier = self.sched.classifier
         n = len(self.clients)
         per_client = [list(ids[i::n]) for i in range(n)]
         calls: list = []
@@ -236,28 +237,17 @@ class Tracker:
                                          validation, placed))
                 last_t = max(last_t, t_call)
 
-        horizon = last_t + self.classifier.pattern_window + 5.0
-        self.sim.advance(horizon)
+        window = classifier.pattern_window
+        self.sim.advance(last_t + window + 5.0)
 
         samples: list = []
         observations: list = []
-        window = self.classifier.pattern_window
-        entry_cache = {}
         for call in calls:
-            entries = entry_cache.get(call.client)
-            if entries is None:
-                raw = self._taps[call.client].entries()
-                entries = ([e[0] for e in raw], [e[4] for e in raw])
-                entry_cache[call.client] = entries
-            times, pkts = entries
-            lo = bisect.bisect_left(times, call.t - window)
-            hi = bisect.bisect_right(times, call.t + window)
-            matches = classify_trace(pkts[lo:hi], self.classifier,
+            trace = self._taps[call.client].window(call.t - window,
+                                                   call.t + window)
+            matches = classify_trace(trace, classifier,
                                      observer_ip=self._observer_ips[call.client])
-            slot_end = call.t + s
-            attributed = [m for m in matches
-                          if call.t <= m.t_first_packet < slot_end]
-            extracted = extract_callee_ips(attributed)
+            extracted = extract_callee_ips(slot_matches(matches, call.t, s))
             call.extracted = tuple(extracted)
             ambiguous = len(extracted) > 1
             if not extracted:
@@ -284,10 +274,9 @@ class Tracker:
             span = (mine[-1].t - mine[0].t) + s
             throughput.append(len(mine) * 3600.0 / span if span > 0 else 0.0)
 
-        if clear_taps:
-            for tap in self._taps:
-                tap.clear()
-            self.sim.drops.clear()
+        for tap in self._taps:
+            tap.clear()
+        self.sim.drops.clear()
         return RoundResult(round_index, round_start, samples, observations,
                            calls, throughput)
 

@@ -11,15 +11,14 @@ NAT neighbors sharing the public address.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .btswarm.swarm import HandshakeClient, MatchCandidate
+from .btswarm.swarm import MatchCandidate
 from .netsim import Simulator
 from .rtcdir import CallRequest, RtcOverlay
-from .sniffer import KIND_III, ClassifierConfig, classify_trace
+from .sniffer import KIND_III, ClassifierConfig, classify_trace, slot_matches
 
 RING_MODULUS = 1 << 16
 
@@ -53,15 +52,15 @@ def percentile_nearest_rank(values, p: float):
 
 @dataclass
 class VerifierConfig:
-    ring_modulus: int = RING_MODULUS
     threshold: int = 1000
     min_rounds: int = 10
     round_spacing: float = 60.0
     call_gap: float = 3.0          # slot spacing when batching candidates
+    clients: int = 10              # client pairs the world builds
 
     def __post_init__(self):
-        if self.threshold >= self.ring_modulus // 2:
-            raise VerifierError("threshold must be below ring_modulus/2")
+        if self.threshold >= RING_MODULUS // 2:
+            raise VerifierError("threshold must be below RING_MODULUS/2")
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,6 @@ class Verifier:
         self._taps = [sim.tap(h) for h, _, _ in self.clients]
         self._observers = [sim.hosts[h].ip for h, _, _ in self.clients]
 
-    def probe(self, candidate: MatchCandidate, t0: float) -> VerificationResult:
-        return self.verify_candidates([candidate], t0)[0]
-
     def verify_candidates(self, candidates, t0: float) -> list:
         pool = len(self.clients)
         gap = self.cfg.call_gap
@@ -132,26 +128,17 @@ class Verifier:
                 probes.append((j, t_call, probe))
             self.sim.advance(base + slots * gap + window + 5.0)
 
-            entry_cache: dict = {}
             for j, t_call, probe in probes:
                 state = states[j]
                 client_idx = j % pool
-                cached = entry_cache.get(client_idx)
-                if cached is None:
-                    raw = self._taps[client_idx].entries()
-                    cached = ([e[0] for e in raw], [e[4] for e in raw])
-                    entry_cache[client_idx] = cached
-                times, pkts = cached
-                lo = bisect.bisect_left(times, t_call - window)
-                hi = bisect.bisect_right(times, t_call + window)
-                matches = classify_trace(pkts[lo:hi], self.classifier,
+                trace = self._taps[client_idx].window(t_call - window,
+                                                      t_call + window)
+                matches = classify_trace(trace, self.classifier,
                                          observer_ip=self._observers[client_idx])
                 ipid_rtc = None
-                for m in matches:
+                for m in slot_matches(matches, t_call, gap):
                     if m.candidate_ip != state.candidate.ip or \
                             m.kind == KIND_III:
-                        continue
-                    if not t_call <= m.t_first_packet < t_call + gap:
                         continue
                     inbound = [p for p in m.packets
                                if p.src_ip == state.candidate.ip]
@@ -168,8 +155,7 @@ class Verifier:
                     continue   # round skipped
                 state.rounds.append(ProbeRound(
                     t_call, ipid_rtc, ipid_bt,
-                    ring_distance(ipid_rtc, ipid_bt,
-                                  self.cfg.ring_modulus)))
+                    ring_distance(ipid_rtc, ipid_bt)))
             for tap in self._taps:
                 tap.clear()
             self.sim.drops.clear()
@@ -192,9 +178,3 @@ class Verifier:
                                   state.handshake_replies,
                                   state.call_matches)
 
-
-# -- result line format --------------------------------------------------------
-
-def format_result(candidate_id: str, result: VerificationResult) -> str:
-    p90 = result.p90 if result.p90 is not None else -1
-    return f"{candidate_id} {len(result.rounds)} {p90} {result.verdict}"

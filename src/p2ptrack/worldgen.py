@@ -18,12 +18,11 @@ from typing import Optional
 from .btswarm.dht import DhtNetwork, KrpcClient
 from .btswarm.swarm import (HandshakeClient, ScrapeEntry, SwarmRegistry,
                             build_scrape, parse_scrape, top_k)
-from .netsim import IPID_RANDOM, IPID_SEQUENTIAL_GLOBAL, Simulator
-from .rtcdir import (Directory, PresenceBook, RtcConfig, RtcOverlay,
-                     UserProfile)
+from .netsim import IPID_RANDOM, IPID_SEQUENTIAL_GLOBAL, Simulator, ip_str
+from .rtcdir import Directory, PresenceBook, RtcOverlay, UserProfile
 from .scenario import Scenario, ScenarioError
 from .sniffer import SynFilterPolicy, apply_syn_filter
-from .tracker import GeoTable, SchedulerConfig, Tracker
+from .tracker import GeoTable, Tracker
 from .verifier import Verifier
 
 BASE_T = 266400.0          # first round start: 74 h into simulated time
@@ -39,6 +38,12 @@ BT_SAME_HOST = "same_host"
 BT_DISTINCT_HOST = "distinct_host"
 BT_UNVERIFIABLE = "unverifiable"
 
+# The address plan as (network, prefix length) blocks: every address a
+# world hands out lies in one of them.
+CITY_BLOCK = (10 << 24, 8)                          # city c: 10.c.0.0/16
+NAT_PRIVATE_BLOCK = ((192 << 24) | (168 << 16), 16)  # behind every NAT
+ADDRESS_PLAN = (CITY_BLOCK, NAT_PRIVATE_BLOCK)
+
 
 def load_name_lists():
     pkg = resources.files("p2ptrack.data")
@@ -51,7 +56,7 @@ class _CityAllocator:
     """Sequential public-address allocator inside one city /16."""
 
     def __init__(self, city: int):
-        self.base = (10 << 24) | (city << 16)
+        self.base = CITY_BLOCK[0] | (city << 16)
         self.next = 1
 
     def alloc(self) -> int:
@@ -105,11 +110,8 @@ class World:
     base_t: float = BASE_T
 
     def make_tracker(self) -> Tracker:
-        t = self.scenario.tracker
         return Tracker(self.sim, self.overlay, self.tracker_clients,
-                       SchedulerConfig(t.s, t.clients, t.round_period,
-                                       t.validation_every),
-                       t.classifier.to_config(), self.geo, self.salt,
+                       self.scenario.tracker, self.geo, self.salt,
                        volunteers=self.volunteers,
                        reorder_plan=self.reorder_plan,
                        seed=self.scenario.seed)
@@ -118,19 +120,17 @@ class World:
         if self.bt is None:
             raise ScenarioError("scenario has no bt section")
         return Verifier(self.sim, self.overlay, self.verifier_clients,
-                        self.scenario.tracker.classifier.to_config(),
-                        self.scenario.verifier.to_config())
-
-    def expected_ips(self, user: str, t: float) -> frozenset:
-        return self.overlay.user_session_ips(user, t)
+                        self.scenario.tracker.classifier,
+                        self.scenario.verifier)
 
 
 def build_geo(cities: int) -> GeoTable:
     rows = []
     for c in range(cities):
-        rows.append((f"10.{c}.0.0/16", f"city{c:02d}", f"country{c // 4}",
-                     64500 + c // 2))
-    rows.append(("192.168.0.0/16", "rfc1918", "private", 64999))
+        rows.append((f"{ip_str(CITY_BLOCK[0] | c << 16)}/16", f"city{c:02d}",
+                     f"country{c // 4}", 64500 + c // 2))
+    net, plen = NAT_PRIVATE_BLOCK
+    rows.append((f"{ip_str(net)}/{plen}", "rfc1918", "private", 64999))
     return GeoTable(rows)
 
 
@@ -157,13 +157,7 @@ def build_world(scenario: Scenario) -> World:
                     scenario.net.default_jitter)
     directory = Directory()
     presence = PresenceBook()
-    overlay = RtcOverlay(sim, directory, presence,
-                         RtcConfig(defense_mode=scenario.rtc.defense_mode,
-                                   noise_flows=scenario.rtc.noise_flows,
-                                   noise_packets=scenario.rtc.noise_packets,
-                                   noise_sizes=scenario.rtc.noise_sizes,
-                                   pattern_jitter=scenario.rtc.pattern_jitter),
-                         seed=seed)
+    overlay = RtcOverlay(sim, directory, presence, scenario.rtc, seed=seed)
     geo = build_geo(cities)
     alloc = [_CityAllocator(c) for c in range(cities)]
     first_names, last_names = load_name_lists()
@@ -269,7 +263,7 @@ def build_world(scenario: Scenario) -> World:
             nat_id = f"nat{nat_count:05d}"
             nat_count += 1
             sim.add_nat(nat_id, alloc[city].alloc())
-            sim.add_host(host, (192 << 24) | (168 << 16) | 2, nat=nat_id,
+            sim.add_host(host, NAT_PRIVATE_BLOCK[0] | 2, nat=nat_id,
                          ipid_model=ipid)
         elif rng.random() < pop.nat_fraction:
             if current_nat is None or nat_members >= pop.hosts_per_nat or \
@@ -279,7 +273,7 @@ def build_world(scenario: Scenario) -> World:
                 sim.add_nat(nat_id, alloc[city].alloc())
                 current_nat = (nat_id, city)
                 nat_members = 0
-            sim.add_host(host, (192 << 24) | (168 << 16) | (nat_members + 2),
+            sim.add_host(host, NAT_PRIVATE_BLOCK[0] | (nat_members + 2),
                          nat=current_nat[0], ipid_model=ipid)
             nat_members += 1
         else:
@@ -442,7 +436,7 @@ def _materialize_bt(scenario, sim, rng, alloc, registry_users, user_home):
         sibling_idx += 1
         k = nat_siblings.get(home_host.nat, 0)
         nat_siblings[home_host.nat] = k + 1
-        sim.add_host(sib, (192 << 24) | (168 << 16) | (1 << 8) | (k + 2),
+        sim.add_host(sib, NAT_PRIVATE_BLOCK[0] | (1 << 8) | (k + 2),
                      nat=home_host.nat, ipid_model=IPID_RANDOM)
         return registry.add_client(sib)
 

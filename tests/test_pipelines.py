@@ -1,8 +1,12 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import p2ptrack
 from p2ptrack.cli import main
 from p2ptrack.pipelines import (PipelineError, emit_series, run, scan_privacy,
                                 write_report)
@@ -92,6 +96,9 @@ def test_privacy_scan_flags_violations(tmp_path):
     assert any("10.3.0.17" in v for v in violations)
     assert any("infohash" in v for v in violations)
     with open(bad / "leak.txt", "w") as fh:
+        fh.write("NATed host 192.168.1.2 behind its box\n")
+    assert any("192.168.1.2" in v for v in scan_privacy(bad))
+    with open(bad / "leak.txt", "w") as fh:
         fh.write("8.8.8.8 is not in the scenario range; 1.5 2.5 floats\n")
     # only scenario-range addresses are violations
     assert not any("8.8.8.8" in v for v in scan_privacy(bad))
@@ -129,6 +136,15 @@ def test_cli_validate(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "exceed" in err
+    # values a component rejects fail both commands before anything runs
+    for text, section in (
+            ("tracker:\n  classifier:\n    timing_tolerance: 0.7\n",
+             "tracker.classifier"),
+            ("verifier:\n  threshold: 40000\n", "verifier")):
+        bad.write_text(text)
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert main(argv + ["--scenario", str(bad)]) == 2
+            assert section in capsys.readouterr().err
 
 
 def test_cli_tracker_overrides(tmp_path, capsys):
@@ -159,3 +175,18 @@ def test_bundled_scenarios_are_valid():
     assert len(paths) >= 3
     for path in paths:
         assert load_scenario(path).validate() == []
+
+
+def test_report_byte_identical_across_hash_seeds(tmp_path):
+    src = os.path.dirname(os.path.dirname(p2ptrack.__file__))
+    digests = set()
+    for hash_seed in ("0", "1", "2"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "p2ptrack", "run",
+                        "--scenario", SMOKE, "--pipeline", "all",
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        digests.add(hashlib.sha256(
+            (out / "report.json").read_bytes()).hexdigest())
+    assert len(digests) == 1

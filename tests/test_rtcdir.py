@@ -288,11 +288,13 @@ def test_notifications_fire_only_without_filter():
     c2 = w.overlay.place_call(CallRequest(w.tracker_user, nat, 200.0))
     c3 = w.overlay.place_call(CallRequest(w.tracker_user, off, 300.0))
     w.sim.advance(340.0)
-    assert sorted(n.kind for n in w.overlay.notifications_for(c1.call_id)) \
-        == ["popup", "ring"]
-    assert sorted(n.kind for n in w.overlay.notifications_for(c2.call_id)) \
-        == ["popup", "ring"]
-    assert w.overlay.notifications_for(c3.call_id) == []
+
+    def kinds(call):
+        return sorted(n.kind for n in w.overlay.notifications
+                      if n.call_id == call.call_id)
+    assert kinds(c1) == ["popup", "ring"]
+    assert kinds(c2) == ["popup", "ring"]
+    assert kinds(c3) == []
 
 
 def test_filter_suppresses_all_notifications(mini):

@@ -1,6 +1,5 @@
 import pytest
 
-from p2ptrack.netsim import format_packet
 from p2ptrack.scenario import (Scenario, ScenarioError, load_scenario,
                                scenario_from_dict)
 from p2ptrack.worldgen import build_world
@@ -22,6 +21,12 @@ def test_unknown_keys_rejected():
         scenario_from_dict({"nonsense": 1})
     with pytest.raises(ScenarioError, match="rtc"):
         scenario_from_dict({"rtc": {"warp_drive": True}})
+    # a value the component rejects is a scenario error naming the section
+    with pytest.raises(ScenarioError, match="tracker.classifier"):
+        scenario_from_dict({"tracker": {"classifier":
+                                        {"timing_tolerance": 0.7}}})
+    with pytest.raises(ScenarioError, match="verifier"):
+        scenario_from_dict({"verifier": {"threshold": 40000}})
 
 
 def test_validation_catches_bad_fractions():
@@ -79,8 +84,7 @@ def test_world_generation_deterministic():
         w.overlay.place_call(CallRequest(w.tracker_clients[0][1],
                                          w.target_ids[0], w.base_t))
         w.sim.advance(w.base_t + 30.0)
-    assert [format_packet(p) for p in t1.trace()] == \
-        [format_packet(p) for p in t2.trace()]
+    assert t1.trace() == t2.trace()
 
 
 def test_bt_endpoint_uniqueness_in_generated_world():

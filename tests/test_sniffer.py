@@ -5,7 +5,7 @@ from p2ptrack.rtcdir import CallRequest
 from p2ptrack.sniffer import (KIND_I, KIND_II, KIND_III, ClassifierConfig,
                               PatternMatch, SynFilterPolicy, apply_syn_filter,
                               classify_trace, extract_callee_ips,
-                              format_match, infer_observer, parse_match)
+                              infer_observer)
 CFG = ClassifierConfig()
 
 
@@ -84,7 +84,6 @@ def test_noise_only_windows_never_match(mini):
     # dark callee: present in the directory, last seen long ago, so a call
     # emits supernode noise and nothing else (generator ground truth);
     # 10000 Monte-Carlo windows must stay below the match threshold
-    import bisect
     user, _ = mini.add_public_user(online=(0.0, 10.0))
     mini.start(at=300000.0)
     n_windows = 10000
@@ -99,14 +98,9 @@ def test_noise_only_windows_never_match(mini):
                 CallRequest(mini.tracker_user, user, base + 20.0 * k))
         # every window's noise (12 s span) completes within its 20 s slot
         mini.sim.advance(base + 20.0 * batch)
-        entries = mini.tap.entries()
-        times = [e[0] for e in entries]
-        pkts = [e[4] for e in entries]
         for k in range(batch):
             t0 = base + 20.0 * k
-            lo = bisect.bisect_left(times, t0)
-            hi = bisect.bisect_right(times, t0 + 20.0)
-            hits += len(classify_trace(pkts[lo:hi], CFG,
+            hits += len(classify_trace(mini.tap.window(t0, t0 + 20.0), CFG,
                                        observer_ip=obs_ip))
     assert hits == 0
 
@@ -128,16 +122,6 @@ def test_extract_empty():
 
 def test_classify_empty_trace():
     assert classify_trace([], CFG) == []
-
-
-def test_match_line_format():
-    m = PatternMatch(KIND_III, parse_ip("9.9.9.9"), 12.5, 0.8333, ())
-    line = format_match("call7", m)
-    assert line == "call7 III 9.9.9.9 0.8333 12.500000 1"
-    call_id, parsed = parse_match(line)
-    assert call_id == "call7"
-    assert parsed.kind == KIND_III
-    assert parsed.candidate_ip == parse_ip("9.9.9.9")
 
 
 def test_infer_observer():

@@ -198,7 +198,7 @@ def test_round_extracts_all_online_users():
     assert {s.user for s in online_samples} == set(world.target_ids)
     # observations carry the true addresses
     for obs in result.observations:
-        want = world.expected_ips(obs.user, obs.t)
+        want = world.overlay.user_session_ips(obs.user, obs.t)
         assert obs.ip in want
 
 
@@ -249,7 +249,7 @@ def test_reorder_plant_causes_false_positive_then_vote_removes_it():
                 marked = [s for s in rnd.samples if s.user == call.callee]
                 assert all(s.ambiguous for s in marked)
     assert fp == 1
-    assignment = disambiguate(study.sample_rounds())
+    assignment = disambiguate([r.samples for r in study.rounds])
     # every assigned token maps back to a user that truly owns the address
     truth = {}
     for user in world.target_ids:

@@ -221,15 +221,6 @@ def test_false_verify_probability_negligible_analytically():
     assert false_verify < 1e-12
 
 
-def test_result_line_format():
-    from p2ptrack.verifier import VerificationResult, format_result
-    cand = MatchCandidate("u1", 1, 2, b"\x00" * 20, 0)
-    res = VerificationResult(cand, [object()] * 10, 42, VERDICT_VERIFIED)
-    assert format_result("c0", res) == "c0 10 42 verified"
-    res = VerificationResult(cand, [], None, VERDICT_UNVERIFIABLE)
-    assert format_result("c1", res) == "c1 0 -1 unverifiable"
-
-
 def test_verdict_monotone_in_threshold():
     world, cands = _verify_world(5, 5, seed=306)
     results = world.make_verifier().verify_candidates(cands, world.base_t)
