@@ -3,13 +3,16 @@
 Encode accepts ints, bytes, str (encoded utf-8), lists and dicts whose
 keys are str/bytes; dict keys are emitted in ascending byte order.
 Decode is strict: it rejects trailing bytes, leading-zero integers and
-lengths, and reports the byte offset of any malformed input.  Unsorted
-dict keys on decode warn by default (configurable).
+lengths, and reports the byte offset of any malformed input, including
+lists and dicts nested deeper than MAX_DEPTH.  Unsorted dict keys on decode
+warn by default (configurable).
 """
 
 from __future__ import annotations
 
 import warnings
+
+MAX_DEPTH = 256
 
 
 class BencodeError(ValueError):
@@ -63,25 +66,27 @@ def bdecode(data: bytes, on_unsorted: str = "warn"):
         raise TypeError("bdecode expects bytes")
     if on_unsorted not in ("warn", "error", "ignore"):
         raise ValueError(f"bad on_unsorted {on_unsorted!r}")
-    value, end = _decode(bytes(data), 0, on_unsorted)
+    value, end = _decode(bytes(data), 0, on_unsorted, 0)
     if end != len(data):
         raise BencodeError("trailing bytes after value", end)
     return value
 
 
-def _decode(data: bytes, i: int, on_unsorted: str):
+def _decode(data: bytes, i: int, on_unsorted: str, depth: int):
     if i >= len(data):
         raise BencodeError("unexpected end of input", i)
     ch = data[i:i + 1]
     if ch == b"i":
         return _decode_int(data, i)
+    if ch in b"ld" and depth == MAX_DEPTH:
+        raise BencodeError(f"nested deeper than {MAX_DEPTH}", i)
     if ch == b"l":
         i += 1
         items = []
         while data[i:i + 1] != b"e":
             if i >= len(data):
                 raise BencodeError("unterminated list", i)
-            item, i = _decode(data, i, on_unsorted)
+            item, i = _decode(data, i, on_unsorted, depth + 1)
             items.append(item)
         return items, i + 1
     if ch == b"d":
@@ -92,7 +97,7 @@ def _decode(data: bytes, i: int, on_unsorted: str):
             if i >= len(data):
                 raise BencodeError("unterminated dict", i)
             key_off = i
-            key, i = _decode(data, i, on_unsorted)
+            key, i = _decode(data, i, on_unsorted, depth + 1)
             if not isinstance(key, bytes):
                 raise BencodeError("dict key is not a byte string", key_off)
             if prev_key is not None and key <= prev_key:
@@ -104,7 +109,7 @@ def _decode(data: bytes, i: int, on_unsorted: str):
                         f"bencode dict keys out of order at offset {key_off}",
                         stacklevel=3)
             prev_key = key
-            value, i = _decode(data, i, on_unsorted)
+            value, i = _decode(data, i, on_unsorted, depth + 1)
             result[key] = value
         return result, i + 1
     if ch.isdigit():

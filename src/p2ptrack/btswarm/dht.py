@@ -21,6 +21,7 @@ from .bencode import BencodeError, bdecode, bencode
 KRPC_PORT = 6881
 BUCKET_CAP = 8
 CLOSEST_RETURNED = 8
+PROTOCOL_ERROR = 203     # BEP 5 error code for a malformed query
 
 
 class DhtError(Exception):
@@ -70,11 +71,35 @@ def krpc_response(txn: bytes, body: dict) -> bytes:
     return bencode({"t": txn, "y": "r", "r": body})
 
 
+def krpc_error(txn: bytes, code: int, message: str) -> bytes:
+    return bencode({"t": txn, "y": "e", "e": [code, message]})
+
+
 def parse_krpc(data: bytes) -> dict:
     msg = bdecode(data)
     if not isinstance(msg, dict) or b"t" not in msg or b"y" not in msg:
         raise DhtError("not a KRPC message")
     return msg
+
+
+def _query_args_ok(args) -> bool:
+    """BEP 5 argument types: 20-byte ids, targets and infohashes, and a
+    port that fits 16 bits."""
+    if not isinstance(args, dict):
+        return False
+    for key in (b"id", b"target", b"info_hash"):
+        value = args.get(key)
+        if value is not None and \
+                not (isinstance(value, bytes) and len(value) == 20):
+            return False
+    port = args.get(b"port", 0)
+    return type(port) is int and 0 <= port < 1 << 16
+
+
+def _response_ok(body) -> bool:
+    return isinstance(body, dict) and \
+        isinstance(body.get(b"nodes", b""), bytes) and \
+        isinstance(body.get(b"values", []), list)
 
 
 # -- nodes --------------------------------------------------------------------
@@ -109,6 +134,7 @@ class DhtNetwork:
         self.port = port
         self.nodes: dict = {}        # node_id -> DhtNode
         self.by_host: dict = {}
+        self.rejected = 0            # malformed queries
         self._rng = random.Random(f"{seed}:dht")
 
     def add_node(self, host_id: str, node_id: Optional[bytes] = None) -> DhtNode:
@@ -171,6 +197,14 @@ class DhtNetwork:
         txn = msg[b"t"]
         args = msg.get(b"a", {})
         method = msg.get(b"q")
+        if not isinstance(txn, bytes):
+            self.rejected += 1
+            return   # no transaction id to answer under
+        if not _query_args_ok(args):
+            self.rejected += 1
+            self._reply(host_id, pkt, krpc_error(txn, PROTOCOL_ERROR,
+                                                 "malformed arguments"))
+            return
         if method == b"find_node":
             target = args.get(b"target", b"\x00" * 20)
             body = {"id": node.node_id,
@@ -193,20 +227,21 @@ class DhtNetwork:
             body = {"id": node.node_id}
         else:
             return
-        reply = krpc_response(txn, body)
-        sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "UDP",
-                          len(reply), at=sim.now, src_port=self.port,
-                          payload=reply)
+        self._reply(host_id, pkt, krpc_response(txn, body))
+
+    def _reply(self, host_id: str, pkt, reply: bytes) -> None:
+        self.sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "UDP",
+                               len(reply), src_port=self.port, payload=reply)
 
     def withdraw_peer(self, infohash: bytes, ip: int, port: int,
                       at: float) -> None:
         """Model announce expiry when a peer leaves its swarm."""
-        node = self.responsible(infohash)
+        self.sim.schedule(at, _expire, self.responsible(infohash), infohash,
+                          (ip, port))
 
-        def expire():
-            node.store.get(infohash, {}).pop((ip, port), None)
 
-        self.sim.schedule(at, expire)
+def _expire(node: DhtNode, infohash: bytes, peer: tuple) -> None:
+    node.store.get(infohash, {}).pop(peer, None)
 
 
 # -- client side --------------------------------------------------------------
@@ -222,6 +257,7 @@ class KrpcClient:
         self.src_port = src_port
         self._pending: dict = {}    # txn -> callback
         self._txn = 0
+        self.rejected = 0           # malformed responses
         sim.set_port_handler(host_id, src_port, self._on_packet)
 
     def _on_packet(self, sim, host_id, pkt, payload):
@@ -233,9 +269,13 @@ class KrpcClient:
             return
         if msg.get(b"y") != b"r":
             return
-        cb = self._pending.pop(msg[b"t"], None)
+        txn, body = msg[b"t"], msg.get(b"r", {})
+        if not isinstance(txn, bytes) or not _response_ok(body):
+            self.rejected += 1
+            return
+        cb = self._pending.pop(txn, None)
         if cb is not None:
-            cb(msg.get(b"r", {}))
+            cb(body)
 
     def send_query(self, ip: int, port: int, method: str, args: dict,
                    on_reply: Callable, on_timeout: Callable,
@@ -247,12 +287,12 @@ class KrpcClient:
         self.sim.schedule_send(self.host_id, ip, port, "UDP", len(data),
                                at=self.sim.now, src_port=self.src_port,
                                payload=data)
+        self.sim.schedule(self.sim.now + timeout, self._check_timeout, txn,
+                          on_timeout)
 
-        def check():
-            if self._pending.pop(txn, None) is not None:
-                on_timeout()
-
-        self.sim.schedule(self.sim.now + timeout, check)
+    def _check_timeout(self, txn: bytes, on_timeout: Callable) -> None:
+        if self._pending.pop(txn, None) is not None:
+            on_timeout()
 
 
 @dataclass

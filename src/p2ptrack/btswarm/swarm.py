@@ -302,7 +302,7 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
                    timeout=timeout).start()
 
     for b in range(len(bots)):
-        sim.schedule(t_start + 0.001 * b, lambda b=b: start_next(b))
+        sim.schedule(t_start + 0.001 * b, start_next, b)
 
     end = t_start + deadline
     while sim.now < end and any(remaining):

@@ -15,8 +15,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional
 
 IPID_MOD = 1 << 16
@@ -65,11 +65,6 @@ class SimPacket:
     tcp_flags: frozenset
     size: int
     ip_id: int
-
-
-@dataclass(slots=True)
-class SimClock:
-    now: float = 0.0
 
 
 class Host:
@@ -181,74 +176,60 @@ class NatBox:
         return port
 
 
-_OBS_T = itemgetter(0)
-
-
 class CaptureTap:
-    """Ordered packet capture at one attach point."""
+    """Ordered packet capture at one attach point.  Packets are recorded
+    when they are observed, so both lists stay sorted by observation time
+    without ever being re-sorted."""
 
-    __slots__ = ("attach", "_entries", "_sorted")
+    __slots__ = ("attach", "_times", "_packets")
 
     def __init__(self, attach: str):
         self.attach = attach
-        self._entries: list = []   # (obs_t, src_ip, src_port, emit_seq, pkt)
-        self._sorted = True
+        self._times: list = []     # observation times, non-decreasing
+        self._packets: list = []
 
-    def record(self, obs_t: float, emit_seq: int, pkt: SimPacket) -> None:
-        if self._entries and obs_t < self._entries[-1][0]:
-            self._sorted = False
-        self._entries.append((obs_t, pkt.src_ip, pkt.src_port, emit_seq, pkt))
-
-    def _ordered(self) -> list:
-        if not self._sorted:
-            self._entries.sort(key=lambda e: e[:4])
-            self._sorted = True
-        return self._entries
+    def record(self, obs_t: float, pkt: SimPacket) -> None:
+        self._times.append(obs_t)
+        self._packets.append(pkt)
 
     def trace(self) -> list:
-        """Packets ordered by observation time, ties by (src ip, src port,
-        emission sequence)."""
-        return [e[4] for e in self._ordered()]
+        """Packets in observation order, ties in event order."""
+        return list(self._packets)
 
     def window(self, t_lo: float, t_hi: float) -> list:
         """The packets of trace() observed in [t_lo, t_hi]."""
-        entries = self._ordered()
-        lo = bisect.bisect_left(entries, t_lo, key=_OBS_T)
-        hi = bisect.bisect_right(entries, t_hi, lo, key=_OBS_T)
-        return [e[4] for e in entries[lo:hi]]
+        lo = bisect.bisect_left(self._times, t_lo)
+        hi = bisect.bisect_right(self._times, t_hi, lo)
+        return self._packets[lo:hi]
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._sorted = True
+        self._times.clear()
+        self._packets.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._packets)
 
 
 class Simulator:
-    """Single-threaded deterministic event loop."""
+    """Single-threaded deterministic event loop.  Every event is a heap
+    entry (time, insertion seq, fn, args); drops counts packets by reason."""
 
     def __init__(self, seed=0, default_latency: float = 0.05,
                  default_jitter: float = 0.01):
         self.seed = seed
-        self.clock = SimClock()
+        self.now = 0.0
         self.default_latency = default_latency
         self.default_jitter = default_jitter
         self.hosts: dict = {}
         self.nats: dict = {}
-        self.drops: list = []
+        self.drops: Counter = Counter()
         self._heap: list = []
         self._evseq = 0
-        self._emit_seq = 0
         self._ip_host: dict = {}       # public ip -> host_id
         self._ip_nat: dict = {}        # public ip -> nat_id
         self._nat_members: dict = {}   # nat_id -> {priv_ip: host_id}
         self._taps: dict = {}          # attach key -> CaptureTap
         self._jitter_rng = random.Random(f"{seed}:netsim:jitter")
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
 
     # -- topology ---------------------------------------------------------
 
@@ -322,12 +303,12 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, at: float, fn: Callable) -> int:
-        if at < self.clock.now:
-            raise NetsimError(
-                f"cannot schedule at {at} before now {self.clock.now}")
+    def schedule(self, at: float, fn: Callable, *args) -> int:
+        """Run fn(*args) at time at."""
+        if at < self.now:
+            raise NetsimError(f"cannot schedule at {at} before now {self.now}")
         self._evseq += 1
-        heapq.heappush(self._heap, (at, self._evseq, fn))
+        heapq.heappush(self._heap, (at, self._evseq, fn, args))
         return self._evseq
 
     def schedule_send(self, src: str, dst_ip, dst_port: int, proto: str,
@@ -338,57 +319,52 @@ class Simulator:
         if isinstance(dst_ip, str):
             dst_ip = parse_ip(dst_ip)
         if at is None:
-            at = self.clock.now
-        fl = frozenset(flags)
-        return self.schedule(
-            at, lambda: self._emit(src, src_port, dst_ip, dst_port, proto,
-                                   size, fl, payload))
+            at = self.now
+        return self.schedule(at, self._emit, src, src_port, dst_ip, dst_port,
+                             proto, size, frozenset(flags), payload)
 
     def advance(self, until: float) -> None:
         """Run all events with time <= until."""
-        if until < self.clock.now:
+        if until < self.now:
             raise NetsimError(
-                f"cannot advance to {until} before now {self.clock.now}")
+                f"cannot advance to {until} before now {self.now}")
         while self._heap and self._heap[0][0] <= until:
-            t, _, fn = heapq.heappop(self._heap)
-            self.clock.now = t
-            fn()
-        self.clock.now = until
+            t, _, fn, args = heapq.heappop(self._heap)
+            self.now = t
+            fn(*args)
+        self.now = until
 
     # -- datapath ---------------------------------------------------------
 
-    def _drop(self, reason: str, pkt: SimPacket) -> None:
-        self.drops.append((self.clock.now, reason, pkt))
+    def _drop(self, reason: str) -> None:
+        self.drops[reason] += 1
 
     def _emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
               proto: str, size: int, flags: frozenset,
               payload: Optional[bytes]) -> None:
         host = self.hosts[src]
-        now = self.clock.now
-        self._emit_seq += 1
-        emit_seq = self._emit_seq
+        now = self.now
         flow_key = (src_port, dst_ip, dst_port, proto)
         ip_id = host.next_ipid(flow_key)
 
         # route: who owns the destination public address?
         dst_host_id = self._ip_host.get(dst_ip)
         dst_nat_id = self._ip_nat.get(dst_ip) if dst_host_id is None else None
-        dst_end = dst_host_id if dst_host_id is not None else dst_nat_id
         latency, jitter = self.default_latency, self.default_jitter
         if jitter:
             latency += self._jitter_rng.uniform(-jitter, jitter)
         t_recv = now + latency
 
         # capture at sender edge: host's own view of addresses
-        local_view = SimPacket(now, t_recv, host.ip, src_port, dst_ip,
-                               dst_port, proto, flags, size, ip_id)
+        wire = SimPacket(now, t_recv, host.ip, src_port, dst_ip, dst_port,
+                         proto, flags, size, ip_id)
         tap = self._taps.get(("host", src))
         if tap is not None:
-            tap.record(now, emit_seq, local_view)
+            tap.record(now, wire)
 
         for filt in host.egress_filters:
-            if filt(self, local_view):
-                self._drop(f"egress_filter:{src}", local_view)
+            if filt(self, wire):
+                self._drop(f"egress_filter:{src}")
                 return
 
         # source NAT rewrite
@@ -396,40 +372,33 @@ class Simulator:
             box = self.nats[host.nat]
             pub_port = box.bind(host.ip, src_port, proto)
             box.remotes[(pub_port, proto)].add(dst_ip)
-            wire_src_ip, wire_src_port = box.public_ip, pub_port
+            wire = SimPacket(now, t_recv, box.public_ip, pub_port, dst_ip,
+                             dst_port, proto, flags, size, ip_id)
             ntap = self._taps.get(("nat", host.nat))
             if ntap is not None:
-                ntap.record(now, emit_seq, SimPacket(
-                    now, t_recv, wire_src_ip, wire_src_port, dst_ip, dst_port,
-                    proto, flags, size, ip_id))
-        else:
-            wire_src_ip, wire_src_port = host.ip, src_port
+                ntap.record(now, wire)
 
-        wire = SimPacket(now, t_recv, wire_src_ip, wire_src_port, dst_ip,
-                         dst_port, proto, flags, size, ip_id)
-        if dst_end is None:
-            self.schedule(t_recv, lambda: self._drop("no_route", wire))
+        if dst_host_id is None and dst_nat_id is None:
+            self.schedule(t_recv, self._drop, "no_route")
             return
-        self.schedule(t_recv,
-                      lambda: self._deliver(wire, emit_seq, dst_host_id,
-                                            dst_nat_id, payload))
+        self.schedule(t_recv, self._deliver, wire, dst_host_id, dst_nat_id,
+                      payload)
 
-    def _deliver(self, wire: SimPacket, emit_seq: int,
-                 dst_host_id: Optional[str], dst_nat_id: Optional[str],
-                 payload: Optional[bytes]) -> None:
+    def _deliver(self, wire: SimPacket, dst_host_id: Optional[str],
+                 dst_nat_id: Optional[str], payload: Optional[bytes]) -> None:
         pkt = wire
         if dst_nat_id is not None:
             box = self.nats[dst_nat_id]
             ntap = self._taps.get(("nat", dst_nat_id))
             if ntap is not None:
-                ntap.record(wire.t_recv, emit_seq, wire)
+                ntap.record(wire.t_recv, wire)
             inner = box.reverse.get((wire.dst_port, wire.proto))
             if inner is None:
-                self._drop(f"nat_no_binding:{dst_nat_id}", wire)
+                self._drop(f"nat_no_binding:{dst_nat_id}")
                 return
             if not box.accepts_unsolicited_inbound and \
                     wire.src_ip not in box.remotes[(wire.dst_port, wire.proto)]:
-                self._drop(f"nat_unsolicited:{dst_nat_id}", wire)
+                self._drop(f"nat_unsolicited:{dst_nat_id}")
                 return
             priv_ip, priv_port = inner
             dst_host_id = self._nat_members[dst_nat_id][priv_ip]
@@ -440,13 +409,12 @@ class Simulator:
         host = self.hosts[dst_host_id]
         tap = self._taps.get(("host", dst_host_id))
         if tap is not None:
-            tap.record(pkt.t_recv, emit_seq, pkt)
+            tap.record(pkt.t_recv, pkt)
 
         for filt in host.ingress_filters:
             if filt(self, pkt):
-                self._drop(f"ingress_filter:{dst_host_id}", pkt)
+                self._drop(f"ingress_filter:{dst_host_id}")
                 return
         handler = host.port_handlers.get(pkt.dst_port, host.handler)
         if handler is not None:
             handler(self, dst_host_id, pkt, payload)
-

@@ -546,36 +546,25 @@ class RtcOverlay:
         j = self.config.pattern_jitter
         return nominal * (1.0 + rng.uniform(-j, j)) if j else nominal
 
-    def _send(self, host, ip, port, proto, size, flags=(), at=0.0,
-              src_port=0, **kw):
-        self.sim.schedule_send(host, ip, port, proto, size, flags=flags,
-                               at=at, src_port=src_port, **kw)
-
     def _emit_syn_series(self, call_id, rng, src_host, dst_ip, dst_port,
                          base, callee, callee_host):
         """SYN plus two conditional retransmits (3 s then 1 s timeouts)."""
         lport = self._ports[src_host]
         key = (src_host, dst_ip, dst_port, lport)
         self._pending_tcp[key] = _TcpAttempt(call_id, callee, callee_host)
-        self._send(src_host, dst_ip, dst_port, "TCP", SYN_SIZE,
-                   flags=("SYN",), at=base, src_port=lport)
+        self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP", SYN_SIZE,
+                               flags=("SYN",), at=base, src_port=lport)
         t1 = base + self._jit(rng, SYN_TIMEOUT_FIRST)
         t2 = t1 + self._jit(rng, SYN_TIMEOUT_SECOND)
+        self.sim.schedule(t1, self._retry_syn, key)
+        self.sim.schedule(t2, self._retry_syn, key)
 
-        def retry(at):
-            def fire():
-                attempt = self._pending_tcp.get(key)
-                if attempt is not None and not attempt.established:
-                    self._emit_now(src_host, dst_ip, dst_port, "TCP",
-                                   SYN_SIZE, ("SYN",), lport)
-            self.sim.schedule(at, fire)
-
-        retry(t1)
-        retry(t2)
-
-    def _emit_now(self, host, ip, port, proto, size, flags, src_port):
-        self.sim.schedule_send(host, ip, port, proto, size, flags=flags,
-                               at=self.sim.now, src_port=src_port)
+    def _retry_syn(self, key) -> None:
+        attempt = self._pending_tcp.get(key)
+        if attempt is not None and not attempt.established:
+            src_host, dst_ip, dst_port, lport = key
+            self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
+                                   SYN_SIZE, flags=("SYN",), src_port=lport)
 
     def _emit_public_pattern(self, call_id, rng, caller_host, dst_ip,
                              dst_port, base, callee, callee_host):
@@ -588,8 +577,9 @@ class RtcOverlay:
         gaps = (0.0,) + MARKER_GAPS
         for gap in gaps:
             t += self._jit(rng, gap) if gap else 0.0
-            self._send(caller_host, dst_ip, dst_port, "UDP",
-                       rng.choice(MARKER_SIZES), at=t, src_port=lport)
+            self.sim.schedule_send(caller_host, dst_ip, dst_port, "UDP",
+                                   rng.choice(MARKER_SIZES), at=t,
+                                   src_port=lport)
 
     def _emit_nated_pattern(self, call_id, rng, callee_host, caller_host,
                             base, callee):
@@ -598,12 +588,13 @@ class RtcOverlay:
         caller_port = self._ports[caller_host]
         cport = self._ports[callee_host]
         callee_pub_ip = self.sim.public_ip_of(callee_host)
+        send = self.sim.schedule_send
 
         # first contact: 28-byte UDP; remember we initiated so the caller's
         # echo is not re-echoed
         self._sent28[(callee_host, caller_ip, caller_port)] = base
-        self._send(callee_host, caller_ip, caller_port, "UDP",
-                   NAT_FIRST_SIZE, at=base, src_port=cport)
+        send(callee_host, caller_ip, caller_port, "UDP", NAT_FIRST_SIZE,
+             at=base, src_port=cport)
 
         # callee-side TCP attempt toward the caller
         self._emit_syn_series(call_id, rng, callee_host, caller_ip,
@@ -619,23 +610,24 @@ class RtcOverlay:
             while size in (NAT_FIRST_SIZE, NAT_TAIL_SIZE):
                 size = rng.randint(lo, hi)
             if k % 2 == 0:
-                self._send(callee_host, caller_ip, caller_port, "UDP", size,
-                           at=t, src_port=cport)
+                send(callee_host, caller_ip, caller_port, "UDP", size,
+                     at=t, src_port=cport)
             else:
-                self._send(caller_host, callee_pub_ip,
-                           self._endpoint(callee_host)[1], "UDP", size,
-                           at=t, src_port=caller_port)
+                send(caller_host, callee_pub_ip,
+                     self._endpoint(callee_host)[1], "UDP", size,
+                     at=t, src_port=caller_port)
             t += rng.uniform(0.25, 1.1)
 
         # 3-byte tail after about 10 seconds
         t = base + self._jit(rng, NAT_TAIL_DELAY)
         for _ in range(NAT_TAIL_COUNT):
-            self._send(callee_host, caller_ip, caller_port, "UDP",
-                       NAT_TAIL_SIZE, at=t, src_port=cport)
+            send(callee_host, caller_ip, caller_port, "UDP",
+                 NAT_TAIL_SIZE, at=t, src_port=cport)
             t += self._jit(rng, NAT_TAIL_GAP)
 
     def _plan_noise(self, rng, caller_host, t_start) -> frozenset:
         cfg = self.config
+        send = self.sim.schedule_send
         count = min(rng.randint(*cfg.noise_flows), len(self.supernodes))
         chosen = rng.sample(self.supernodes, count)
         caller_ip = self.sim.hosts[caller_host].ip
@@ -654,23 +646,23 @@ class RtcOverlay:
                     if size == NAT_TAIL_SIZE:
                         size += 1
                 if rng.random() < 0.5:
-                    self._send(caller_host, sn_ip, sn_port, "UDP", size,
-                               at=at, src_port=caller_port)
+                    send(caller_host, sn_ip, sn_port, "UDP", size,
+                         at=at, src_port=caller_port)
                 else:
-                    self._send(sn, caller_ip, caller_port, "UDP", size,
-                               at=at, src_port=sn_port)
+                    send(sn, caller_ip, caller_port, "UDP", size,
+                         at=at, src_port=sn_port)
         # keepalives on the pre-established supernode TCP connection
         home = self._home_supernode.get(caller_host)
         if home is not None:
             sn_ip = self.sim.public_ip_of(home)
             at = t_start + rng.uniform(0.5, NOISE_WINDOW)
-            self._send(caller_host, sn_ip, self._ports[home], "TCP",
-                       KEEPALIVE_SIZE, flags=("ACK",), at=at,
-                       src_port=caller_port)
-            self._send(home, caller_ip, caller_port, "TCP",
-                       KEEPALIVE_SIZE, flags=("ACK",),
-                       at=at + rng.uniform(0.05, 0.4),
-                       src_port=self._ports[home])
+            send(caller_host, sn_ip, self._ports[home], "TCP",
+                 KEEPALIVE_SIZE, flags=("ACK",), at=at,
+                 src_port=caller_port)
+            send(home, caller_ip, caller_port, "TCP",
+                 KEEPALIVE_SIZE, flags=("ACK",),
+                 at=at + rng.uniform(0.05, 0.4),
+                 src_port=self._ports[home])
         return frozenset(ips)
 
     # -- client behavior ------------------------------------------------------
@@ -685,12 +677,10 @@ class RtcOverlay:
         if pkt.proto == "TCP":
             if pkt.tcp_flags == frozenset(("SYN",)):
                 if self._host_active(host_id, now):
-                    self.sim.schedule(
-                        now + 0.02,
-                        lambda: self._emit_now(host_id, pkt.src_ip,
-                                               pkt.src_port, "TCP",
-                                               SYNACK_SIZE, ("SYN", "ACK"),
-                                               pkt.dst_port))
+                    self.sim.schedule_send(
+                        host_id, pkt.src_ip, pkt.src_port, "TCP", SYNACK_SIZE,
+                        flags=("SYN", "ACK"), at=now + 0.02,
+                        src_port=pkt.dst_port)
             elif "SYN" in pkt.tcp_flags and "ACK" in pkt.tcp_flags:
                 key = (host_id, pkt.src_ip, pkt.src_port, pkt.dst_port)
                 attempt = self._pending_tcp.get(key)
@@ -711,11 +701,9 @@ class RtcOverlay:
             if now - self._echoed.get(key, -1e9) < 30.0:
                 return
             self._echoed[key] = now
-            self.sim.schedule(
-                now + 0.08,
-                lambda: self._emit_now(host_id, pkt.src_ip, pkt.src_port,
-                                       "UDP", NAT_FIRST_SIZE, (),
-                                       pkt.dst_port))
+            self.sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "UDP",
+                                   NAT_FIRST_SIZE, at=now + 0.08,
+                                   src_port=pkt.dst_port)
         elif pkt.size in MARKER_SIZES and self._host_active(host_id, now):
             rng = self._resp_rng[host_id]
             lo, hi = VARYING_SIZES
@@ -723,7 +711,5 @@ class RtcOverlay:
             while size in (NAT_FIRST_SIZE, NAT_TAIL_SIZE) or \
                     size in MARKER_SIZES:
                 size = rng.randint(lo, hi)
-            self.sim.schedule(
-                now + 0.05,
-                lambda: self._emit_now(host_id, pkt.src_ip, pkt.src_port,
-                                       "UDP", size, (), pkt.dst_port))
+            self.sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "UDP",
+                                   size, at=now + 0.05, src_port=pkt.dst_port)

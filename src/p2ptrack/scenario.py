@@ -24,9 +24,16 @@ class ScenarioError(Exception):
     pass
 
 
+# The value types each field annotation accepts: a float field also takes
+# an int, and every tuple field is a range of ints.
+_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": tuple,
+          "Optional[str]": (str, type(None))}
+
+
 def _section(cls, data, path):
-    """Build section cls from a mapping; a key cls does not declare, or a
-    value its constructor rejects, is a ScenarioError naming the path."""
+    """Build section cls from a mapping; a key cls does not declare, a value
+    of another type than its field's, or a value its constructor rejects,
+    is a ScenarioError naming the path."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -41,6 +48,14 @@ def _section(cls, data, path):
             value = data[f.name]
             if isinstance(value, list):
                 value = tuple(value)
+            ok = isinstance(value, _TYPES[f.type]) and \
+                not isinstance(value, bool)
+            if ok and f.type == "tuple":
+                ok = all(type(v) is int for v in value)
+            if not ok:
+                want = "a list of ints" if f.type == "tuple" else f.type
+                raise ScenarioError(f"{path}.{f.name}: expected {want}, "
+                                    f"got {value!r}")
             kwargs[f.name] = value
     try:
         return cls(**kwargs)

@@ -14,7 +14,6 @@ default threshold while random supernode chatter stays far below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .netsim import Simulator
 # the signatures are the nominal sizes and gaps the emitter uses
@@ -127,35 +126,9 @@ def _score_nated(entries, tol: float) -> float:
     return sum(checks) / len(checks)
 
 
-def infer_observer(trace) -> int:
-    """The observer is the address present in every packet of its own tap."""
-    common = None
-    counts: dict = {}
-    for pkt in trace:
-        ips = {pkt.src_ip, pkt.dst_ip}
-        common = ips if common is None else (common & ips)
-        for ip in ips:
-            counts[ip] = counts.get(ip, 0) + 1
-    if not common:
-        raise ValueError("cannot infer observer address from trace")
-    if len(common) == 1:
-        return next(iter(common))
-    # single-flow trace: prefer the side that sent the first pure SYN,
-    # else the first packet's source
-    for pkt in trace:
-        if pkt.proto == "TCP" and pkt.tcp_flags == frozenset(("SYN",)):
-            if pkt.src_ip in common:
-                return pkt.src_ip
-    return trace[0].src_ip
-
-
-def classify_trace(trace, cfg: ClassifierConfig,
-                   observer_ip: Optional[int] = None) -> list:
-    """All per-IP pattern matches scoring at least cfg.min_score."""
-    if not trace:
-        return []
-    if observer_ip is None:
-        observer_ip = infer_observer(trace)
+def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
+    """All per-IP pattern matches scoring at least cfg.min_score, for a
+    trace captured at the host whose address is observer_ip."""
     flows: dict = {}
     for pkt in trace:
         outbound = pkt.src_ip == observer_ip

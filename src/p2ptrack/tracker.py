@@ -276,7 +276,6 @@ class Tracker:
 
         for tap in self._taps:
             tap.clear()
-        self.sim.drops.clear()
         return RoundResult(round_index, round_start, samples, observations,
                            calls, throughput)
 

@@ -158,7 +158,6 @@ class Verifier:
                     ring_distance(ipid_rtc, ipid_bt)))
             for tap in self._taps:
                 tap.clear()
-            self.sim.drops.clear()
 
         return [self._verdict(s) for s in states]
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2ptrack.btswarm.bencode import BencodeError, bdecode, bencode
+from p2ptrack.btswarm.bencode import (MAX_DEPTH, BencodeError, bdecode,
+                                      bencode)
 
 
 def test_dict_encodes_with_sorted_keys():
@@ -25,6 +26,19 @@ def test_truncated_dict_reports_offset():
     with pytest.raises(BencodeError) as err:
         bdecode(b"d3:cow")
     assert err.value.offset == 6
+
+
+def test_nesting_depth_is_limited():
+    deepest = b"l" * MAX_DEPTH + b"e" * MAX_DEPTH
+    assert bencode(bdecode(deepest)) == deepest
+    # the error names the first container past the limit
+    for too_deep, offset in (
+            (b"l" * (MAX_DEPTH + 1) + b"e" * (MAX_DEPTH + 1), MAX_DEPTH),
+            (b"d1:a" * (MAX_DEPTH + 1), 4 * MAX_DEPTH),
+            (b"l" * 5000, MAX_DEPTH)):
+        with pytest.raises(BencodeError, match="nested") as err:
+            bdecode(too_deep)
+        assert err.value.offset == offset
 
 
 def test_trailing_bytes_rejected():

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from p2ptrack.btswarm.bencode import bdecode
-from p2ptrack.btswarm.dht import (DhtError, DhtNetwork, KrpcClient,
-                                  announce, dht_lookup, krpc_query,
-                                  krpc_response, pack_peer, parse_krpc,
-                                  unpack_nodes, unpack_peers, xor_distance)
+from p2ptrack.btswarm.bencode import bdecode, bencode
+from p2ptrack.btswarm.dht import (PROTOCOL_ERROR, DhtError, DhtNetwork,
+                                  KrpcClient, announce, dht_lookup,
+                                  krpc_query, krpc_response, pack_peer,
+                                  parse_krpc, unpack_nodes, unpack_peers,
+                                  xor_distance)
 from p2ptrack.netsim import Simulator, parse_ip
 
 
@@ -136,3 +137,60 @@ def test_nodes_must_be_public():
     sim.add_host("h", "192.168.0.2", nat="n1")
     with pytest.raises(DhtError):
         dht.add_node("h")
+
+
+# -- malformed KRPC messages: rejected and counted, the run goes on ----------
+
+def _probe(sim):
+    """A host whose port 5000 keeps the payloads it receives."""
+    sim.add_host("probe", "10.9.0.2")
+    got = []
+    sim.set_port_handler("probe", 5000,
+                         lambda s, h, p, payload: got.append(payload))
+    return got
+
+
+@pytest.mark.parametrize("method, args", [
+    ("find_node", [b"\x01" * 20]),                    # a is a list
+    ("get_peers", {"id": b"\x01" * 20,
+                   "info_hash": [b"\x42" * 20]}),      # info_hash is a list
+    ("announce_peer", {"id": b"\x01" * 20, "info_hash": b"\x42" * 20,
+                       "port": b"7001"}),               # port is bytes
+])
+def test_malformed_query_gets_protocol_error(method, args):
+    sim, dht, client = build_dht(10)
+    got = _probe(sim)
+    node = dht.responsible(b"\x42" * 20)
+    query = bencode({"t": b"q1", "y": "q", "q": method, "a": args})
+    sim.schedule_send("probe", node.ip, node.port, "UDP", len(query),
+                      at=1.0, src_port=5000, payload=query)
+    sim.advance(2.0)
+    assert dht.rejected == 1
+    assert [bdecode(p) for p in got] == [
+        {b"t": b"q1", b"y": b"e", b"e": [PROTOCOL_ERROR,
+                                          b"malformed arguments"]}]
+    assert node.store == {}          # nothing stored under a bytes port
+    # the run goes on: a get_peers at the same node still answers
+    result = dht_lookup(client, dht, b"\x42" * 20)
+    assert not result.failed and result.responsible_id == node.node_id
+
+
+@pytest.mark.parametrize("response", [
+    {"t": [1], "y": "r", "r": {"id": b"\x02" * 20}},       # t is a list
+    {"t": b"\x00\x00\x00\x01", "y": "r", "r": {"nodes": 5}},  # nodes an int
+])
+def test_malformed_response_is_rejected(response):
+    sim, dht, client = build_dht(10)
+    sim.add_host("probe", "10.9.0.2")
+    boot = dht.bootstrap_node()
+    replies = []
+    client.send_query(boot.ip, boot.port, "find_node",
+                      {"id": client.node_id, "target": b"\x05" * 20},
+                      replies.append, lambda: replies.append("timeout"), 1.0)
+    bad = bencode(response)    # arrives while the query is pending
+    sim.schedule_send("probe", "10.9.0.1", client.src_port, "UDP", len(bad),
+                      at=sim.now, src_port=6881, payload=bad)
+    sim.advance(sim.now + 2.0)
+    assert client.rejected == 1
+    assert len(replies) == 1 and b"nodes" in replies[0]   # the real reply
+    assert not dht_lookup(client, dht, b"\x05" * 20).failed

@@ -81,7 +81,7 @@ def test_nat_unsolicited_inbound_dropped(sim):
                       at=0.0, src_port=1234)
     sim.advance(1.0)
     assert len(inside_tap) == 0
-    assert any("nat_no_binding" in reason for _, reason, _ in sim.drops)
+    assert sim.drops == {"nat_no_binding:n1": 1}
 
 
 def test_nat_binding_allows_reply_and_restricts_strangers(sim):
@@ -102,7 +102,7 @@ def test_nat_binding_allows_reply_and_restricts_strangers(sim):
     sim.advance(2.0)
     sizes = [p.size for p in inside_tap.trace() if p.dst_port == 4000]
     assert 11 in sizes and 12 not in sizes
-    assert any("nat_unsolicited" in reason for _, reason, _ in sim.drops)
+    assert sim.drops == {"nat_unsolicited:n1": 1}   # the stranger's 12
 
 
 def test_nat_preserves_ipid(sim):
@@ -122,10 +122,35 @@ def test_nat_preserves_ipid(sim):
 
 def test_advance_tie_breaks_by_insertion_order(sim):
     ran = []
-    sim.schedule(1.0, lambda: ran.append("e1"))
-    sim.schedule(1.0, lambda: ran.append("e2"))
+    sim.schedule(1.0, ran.append, "e1")
+    sim.schedule(1.0, ran.extend, ("e2", "e3"))
     sim.advance(2.0)
-    assert ran == ["e1", "e2"]
+    assert ran == ["e1", "e2", "e3"]
+
+
+def test_trace_ties_in_event_order():
+    # zero jitter: both packets reach b at exactly 1.05
+    sim = Simulator(seed=1, default_jitter=0.0)
+    sim.add_host("high", "10.0.0.9")
+    sim.add_host("low", "10.0.0.1")
+    sim.add_host("b", "10.0.0.2")
+    tap = sim.tap("b")
+    sim.schedule_send("high", "10.0.0.2", 80, "UDP", 10, at=1.0, src_port=1)
+    sim.schedule_send("low", "10.0.0.2", 80, "UDP", 10, at=1.0, src_port=1)
+    sim.advance(2.0)
+    assert [ip_str(p.src_ip) for p in tap.trace()] == ["10.0.0.9", "10.0.0.1"]
+    assert tap.window(1.05, 1.05) == tap.trace()
+
+
+def test_drops_count_packets_per_reason(sim):
+    sim.add_host("a", "10.0.0.1")
+    for k in range(3):
+        sim.schedule_send("a", "10.9.9.9", 80, "UDP", 10, at=float(k),
+                          src_port=1)
+    sim.advance(1.0)
+    assert sim.drops == {"no_route": 1}   # counted when the packet arrives
+    sim.advance(5.0)
+    assert sim.drops == {"no_route": 3}
 
 
 def test_advance_idempotent_at_same_time(sim):

@@ -136,11 +136,13 @@ def test_cli_validate(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "exceed" in err
-    # values a component rejects fail both commands before anything runs
+    # values a component rejects, or of the wrong type, fail both
+    # commands before anything runs
     for text, section in (
             ("tracker:\n  classifier:\n    timing_tolerance: 0.7\n",
              "tracker.classifier"),
-            ("verifier:\n  threshold: 40000\n", "verifier")):
+            ("verifier:\n  threshold: 40000\n", "verifier"),
+            ("tracker:\n  clients: two\n", "tracker.clients")):
         bad.write_text(text)
         for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
             assert main(argv + ["--scenario", str(bad)]) == 2

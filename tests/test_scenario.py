@@ -27,6 +27,12 @@ def test_unknown_keys_rejected():
                                         {"timing_tolerance": 0.7}}})
     with pytest.raises(ScenarioError, match="verifier"):
         scenario_from_dict({"verifier": {"threshold": 40000}})
+    # a value of the wrong type names the field; an int is a float
+    with pytest.raises(ScenarioError, match="tracker.clients"):
+        scenario_from_dict({"tracker": {"clients": "two"}})
+    with pytest.raises(ScenarioError, match="rtc.noise_flows"):
+        scenario_from_dict({"rtc": {"noise_flows": [10, "many"]}})
+    assert scenario_from_dict({"tracker": {"s": 3}}).tracker.s == 3
 
 
 def test_validation_catches_bad_fractions():

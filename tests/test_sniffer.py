@@ -1,19 +1,23 @@
 import pytest
 
-from p2ptrack.netsim import SimPacket, Simulator, parse_ip
+from p2ptrack.netsim import Simulator, parse_ip
 from p2ptrack.rtcdir import CallRequest
 from p2ptrack.sniffer import (KIND_I, KIND_II, KIND_III, ClassifierConfig,
                               PatternMatch, SynFilterPolicy, apply_syn_filter,
                               classify_trace, extract_callee_ips,
-                              infer_observer)
+                              slot_matches)
 CFG = ClassifierConfig()
 
 
+def _observer(mini):
+    """The address of the host the tap sits at."""
+    return mini.sim.hosts[mini.tracker_host].ip
+
+
 def _window(mini, t_call, span=25.0):
-    trace = mini.tap.trace()
-    return [p for p in trace
-            if t_call <= (p.t_send if p.src_ip ==
-                          mini.sim.hosts[mini.tracker_host].ip
+    obs_ip = _observer(mini)
+    return [p for p in mini.tap.trace()
+            if t_call <= (p.t_send if p.src_ip == obs_ip
                           else p.t_recv) <= t_call + span]
 
 
@@ -29,7 +33,7 @@ def test_case_i_classified_against_noise(mini):
     mini.start()
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0))
     mini.sim.advance(140.0)
-    matches = classify_trace(_window(mini, 100.0), CFG)
+    matches = classify_trace(_window(mini, 100.0), CFG, _observer(mini))
     assert len(matches) == 1
     assert matches[0].kind == KIND_I
     assert matches[0].candidate_ip == mini.sim.hosts[host].ip
@@ -44,7 +48,7 @@ def test_case_ii_and_dual_login(mini):
     placed = mini.overlay.place_call(
         CallRequest(mini.tracker_user, "dualuser", 100.0))
     mini.sim.advance(140.0)
-    matches = classify_trace(_window(mini, 100.0), CFG)
+    matches = classify_trace(_window(mini, 100.0), CFG, _observer(mini))
     assert sorted(m.kind for m in matches) == [KIND_I, KIND_II]
     assert {m.candidate_ip for m in matches} == \
         {t.expect_ip for t in placed.targets}
@@ -56,7 +60,7 @@ def test_case_iii_no_responses(mini):
     mini.tap.clear()
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 700.0))
     mini.sim.advance(740.0)
-    matches = classify_trace(_window(mini, 700.0), CFG)
+    matches = classify_trace(_window(mini, 700.0), CFG, _observer(mini))
     assert [m.kind for m in matches] == [KIND_III]
     assert matches[0].candidate_ip == mini.sim.hosts[host].ip
 
@@ -70,13 +74,11 @@ def test_kind_i_and_iii_mutually_exclusive(mini):
     callee_ip = mini.sim.hosts[host].ip
     flow = [p for p in window if callee_ip in (p.src_ip, p.dst_ip)]
     # with responses present the flow scores as I...
-    full = classify_trace(flow, CFG,
-                          observer_ip=mini.sim.hosts[mini.tracker_host].ip)
+    full = classify_trace(flow, CFG, _observer(mini))
     assert [m.kind for m in full] == [KIND_I]
     # ...and with callee packets removed, the same emission scores as III
     outbound_only = [p for p in flow if p.src_ip != callee_ip]
-    bare = classify_trace(outbound_only, CFG,
-                          observer_ip=mini.sim.hosts[mini.tracker_host].ip)
+    bare = classify_trace(outbound_only, CFG, _observer(mini))
     assert [m.kind for m in bare] == [KIND_III]
 
 
@@ -121,19 +123,19 @@ def test_extract_empty():
 
 
 def test_classify_empty_trace():
-    assert classify_trace([], CFG) == []
+    assert classify_trace([], CFG, parse_ip("10.0.0.1")) == []
 
 
-def test_infer_observer():
-    obs = parse_ip("10.0.0.1")
-    peer1, peer2 = parse_ip("10.0.0.2"), parse_ip("10.0.0.3")
-    mk = lambda src, dst: SimPacket(0.0, 0.1, src, 1, dst, 2, "UDP",
-                                    frozenset(), 10, 0)
-    trace = [mk(obs, peer1), mk(peer2, obs), mk(obs, peer2)]
-    assert infer_observer(trace) == obs
-    peer3 = parse_ip("10.0.0.4")
-    with pytest.raises(ValueError):
-        infer_observer([mk(peer1, peer2), mk(obs, peer3)])
+def test_slot_matches_half_open_slot():
+    # a pattern belongs to the call whose slot [t, t + length) holds its
+    # first packet: t is inside, t + length is the next call's
+    ip = parse_ip("10.0.0.2")
+    matches = [PatternMatch(KIND_I, ip, t_first, 1.0, ())
+               for t_first in (9.999, 10.0, 12.5, 14.999, 15.0)]
+    got = slot_matches(matches, 10.0, 5.0)
+    assert [m.t_first_packet for m in got] == [10.0, 12.5, 14.999]
+    assert slot_matches(matches, 15.0, 5.0) == [matches[-1]]
+    assert slot_matches([], 10.0, 5.0) == []
 
 
 # -- SYN filter ----------------------------------------------------------------
@@ -166,7 +168,8 @@ def test_filter_drops_syns_passes_udp_and_established():
     assert ("UDP", (), 59) in delivered                # UDP untouched
     assert sum(1 for d in delivered if d[1] == ("SYN",)) == 1
     assert seen == []                                  # inbound SYN dropped
-    assert any("ingress_filter" in r for _, r, _ in sim.drops)
+    # the SYN at 30.0 is dropped leaving a, the SYN at 50.0 arriving at a
+    assert sim.drops == {"egress_filter:a": 1, "ingress_filter:a": 1}
 
 
 def test_filter_window_bounds():
