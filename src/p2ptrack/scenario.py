@@ -42,25 +42,27 @@ def _section(cls, data, path):
     unknown = set(data) - known
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in data:
-            value = data[f.name]
-            if isinstance(value, list):
-                value = tuple(value)
-            ok = isinstance(value, _TYPES[f.type]) and \
-                not isinstance(value, bool)
-            if ok and f.type == "tuple":
-                ok = all(type(v) is int for v in value)
-            if not ok:
-                want = "a list of ints" if f.type == "tuple" else f.type
-                raise ScenarioError(f"{path}.{f.name}: expected {want}, "
-                                    f"got {value!r}")
-            kwargs[f.name] = value
+    kwargs = {f.name: _checked(f, data[f.name], f"{path}.{f.name}")
+              for f in fields(cls) if f.name in data}
     try:
         return cls(**kwargs)
     except (ValueError, VerifierError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _checked(f, value, path):
+    """value, with a list made a tuple, if it has the type of field f;
+    otherwise a ScenarioError naming the path."""
+    if isinstance(value, list) and f.type == "tuple":
+        value = tuple(value)
+    ok = isinstance(value, _TYPES[f.type]) and not isinstance(value, bool)
+    if ok and f.type == "tuple":
+        ok = all(type(v) is int for v in value)
+    if not ok:
+        want = {"tuple": "a list of ints",
+                "Optional[str]": "a str or null"}.get(f.type, f.type)
+        raise ScenarioError(f"{path}: expected {want}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -194,10 +196,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     tracker = _section(SchedulerConfig, tracker_data, "tracker")
     tracker.classifier = _section(ClassifierConfig, classifier_data,
                                   "tracker.classifier")
+    # the scalar keys; the sections are built below
+    top = {f.name: _checked(f, data[f.name], f.name)
+           for f in fields(Scenario) if f.type in _TYPES and f.name in data}
     return Scenario(
-        name=str(data.get("name", "scenario")),
-        seed=int(data.get("seed", 0)),
-        directory_fixture=data.get("directory_fixture"),
+        **top,
         net=_section(NetSection, data.get("net"), "net"),
         rtc=_section(RtcConfig, data.get("rtc"), "rtc"),
         population=_section(PopulationSection, data.get("population"),
@@ -212,8 +215,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     scn = scenario_from_dict(data or {})
     problems = scn.validate()
     if problems:

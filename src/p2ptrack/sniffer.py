@@ -13,9 +13,10 @@ default threshold while random supernode chatter stays far below it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
-from .netsim import Simulator
+from .netsim import CaptureTap, Simulator
 # the signatures are the nominal sizes and gaps the emitter uses
 from .rtcdir import (MARKER_GAPS, MARKER_SIZES, NAT_FIRST_SIZE,
                      NAT_TAIL_DELAY, NAT_TAIL_GAP, NAT_TAIL_SIZE,
@@ -56,6 +57,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if not 0.0 < self.timing_tolerance < 0.5:
             raise ValueError("timing_tolerance must be in (0, 0.5)")
+        if not self.pattern_window > 0.0:
+            raise ValueError("pattern_window must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,11 +158,42 @@ def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
     return matches
 
 
-def slot_matches(matches, t: float, length: float) -> list:
-    """The matches attributed to the call placed at t: a pattern belongs to
-    the call whose slot [t, t+length) holds its first packet."""
-    end = t + length
-    return [m for m in matches if t <= m.t_first_packet < end]
+class FlowIndex:
+    """A host tap's trace grouped by remote address once, so each call
+    classifies only the flows that start in its slot.  A host tap records
+    each packet at classify_trace's observation time (t_send outbound,
+    t_recv inbound), so a flow here lists the same entries in the same
+    order as the flow classify_trace builds from tap.window.  The index is
+    a snapshot: build it after the tap has recorded the round."""
+
+    def __init__(self, tap: CaptureTap, observer_ip: int):
+        self.tap = tap
+        self.observer_ip = observer_ip
+        self._flows: dict = {}     # remote -> (observation times, packets)
+        for pkt in tap.trace():
+            if pkt.src_ip == observer_ip:
+                remote, obs_t = pkt.dst_ip, pkt.t_send
+            else:
+                remote, obs_t = pkt.src_ip, pkt.t_recv
+            flow = self._flows.get(remote)
+            if flow is None:
+                flow = self._flows[remote] = ([], [])
+            flow[0].append(obs_t)
+            flow[1].append(pkt)
+
+    def slot_trace(self, t: float, length: float, window: float) -> list:
+        """The packets in [t - window, t + window] of every remote whose
+        first packet in that window lies in the slot [t, t + length): a
+        pattern belongs to the call whose slot holds its first packet."""
+        obs = self.observer_ip
+        out = []
+        for remote in sorted({p.dst_ip if p.src_ip == obs else p.src_ip
+                              for p in self.tap.window(t, t + length)}):
+            times, pkts = self._flows[remote]
+            lo = bisect.bisect_left(times, t - window)
+            if t <= times[lo] < t + length:
+                out += pkts[lo:bisect.bisect_right(times, t + window, lo)]
+        return out
 
 
 def extract_callee_ips(matches) -> list:

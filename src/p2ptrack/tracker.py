@@ -22,8 +22,8 @@ from typing import Optional
 
 from .netsim import Simulator, ip_str, parse_ip
 from .rtcdir import CallRequest, RtcOverlay
-from .sniffer import (ClassifierConfig, classify_trace, extract_callee_ips,
-                      slot_matches)
+from .sniffer import (ClassifierConfig, FlowIndex, classify_trace,
+                      extract_callee_ips)
 
 STATUS_ONLINE = "online"
 STATUS_STALE = "stale"
@@ -240,14 +240,15 @@ class Tracker:
         window = classifier.pattern_window
         self.sim.advance(last_t + window + 5.0)
 
+        indexes = [FlowIndex(tap, ip)
+                   for tap, ip in zip(self._taps, self._observer_ips)]
         samples: list = []
         observations: list = []
         for call in calls:
-            trace = self._taps[call.client].window(call.t - window,
-                                                   call.t + window)
-            matches = classify_trace(trace, classifier,
-                                     observer_ip=self._observer_ips[call.client])
-            extracted = extract_callee_ips(slot_matches(matches, call.t, s))
+            index = indexes[call.client]
+            matches = classify_trace(index.slot_trace(call.t, s, window),
+                                     classifier, index.observer_ip)
+            extracted = extract_callee_ips(matches)
             call.extracted = tuple(extracted)
             ambiguous = len(extracted) > 1
             if not extracted:

@@ -18,7 +18,7 @@ from typing import Optional
 from .btswarm.swarm import MatchCandidate
 from .netsim import Simulator
 from .rtcdir import CallRequest, RtcOverlay
-from .sniffer import KIND_III, ClassifierConfig, classify_trace, slot_matches
+from .sniffer import KIND_III, ClassifierConfig, FlowIndex, classify_trace
 
 RING_MODULUS = 1 << 16
 
@@ -128,15 +128,15 @@ class Verifier:
                 probes.append((j, t_call, probe))
             self.sim.advance(base + slots * gap + window + 5.0)
 
+            indexes = [FlowIndex(tap, ip)
+                       for tap, ip in zip(self._taps, self._observers)]
             for j, t_call, probe in probes:
                 state = states[j]
-                client_idx = j % pool
-                trace = self._taps[client_idx].window(t_call - window,
-                                                      t_call + window)
-                matches = classify_trace(trace, self.classifier,
-                                         observer_ip=self._observers[client_idx])
+                index = indexes[j % pool]
+                matches = classify_trace(index.slot_trace(t_call, gap, window),
+                                         self.classifier, index.observer_ip)
                 ipid_rtc = None
-                for m in slot_matches(matches, t_call, gap):
+                for m in matches:
                     if m.candidate_ip != state.candidate.ip or \
                             m.kind == KIND_III:
                         continue

@@ -142,11 +142,20 @@ def test_cli_validate(tmp_path, capsys):
             ("tracker:\n  classifier:\n    timing_tolerance: 0.7\n",
              "tracker.classifier"),
             ("verifier:\n  threshold: 40000\n", "verifier"),
-            ("tracker:\n  clients: two\n", "tracker.clients")):
+            ("tracker:\n  clients: two\n", "tracker.clients"),
+            ("seed: two\n", "seed"),
+            ("name: [1]\n", "name"),
+            ("directory_fixture: 5\n", "directory_fixture"),
+            ("seed: [\n", "bad.yaml")):
         bad.write_text(text)
         for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
             assert main(argv + ["--scenario", str(bad)]) == 2
             assert section in capsys.readouterr().err
+    # so does a missing file
+    missing = str(tmp_path / "missing.yaml")
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+        assert main(argv + ["--scenario", missing]) == 2
+        assert "missing.yaml" in capsys.readouterr().err
 
 
 def test_cli_tracker_overrides(tmp_path, capsys):
@@ -191,4 +200,6 @@ def test_report_byte_identical_across_hash_seeds(tmp_path):
                        env=env, check=True, capture_output=True)
         digests.add(hashlib.sha256(
             (out / "report.json").read_bytes()).hexdigest())
-    assert len(digests) == 1
+    # pinned: a change that alters the smoke report must say why
+    assert digests == {
+        "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c"}

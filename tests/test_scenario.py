@@ -33,6 +33,15 @@ def test_unknown_keys_rejected():
     with pytest.raises(ScenarioError, match="rtc.noise_flows"):
         scenario_from_dict({"rtc": {"noise_flows": [10, "many"]}})
     assert scenario_from_dict({"tracker": {"s": 3}}).tracker.s == 3
+    # the scalar keys are checked like section fields
+    for doc, key in (({"seed": "two"}, "seed"), ({"seed": True}, "seed"),
+                     ({"name": [1]}, "name"),
+                     ({"directory_fixture": 5}, "directory_fixture")):
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(doc)
+    scn = scenario_from_dict({"name": "n", "seed": 7,
+                              "directory_fixture": None})
+    assert (scn.name, scn.seed, scn.directory_fixture) == ("n", 7, None)
 
 
 def test_validation_catches_bad_fractions():

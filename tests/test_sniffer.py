@@ -1,12 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from p2ptrack.netsim import Simulator, parse_ip
-from p2ptrack.rtcdir import CallRequest
+from p2ptrack.netsim import CaptureTap, SimPacket, Simulator, parse_ip
+from p2ptrack.rtcdir import (KEEPALIVE_SIZE, MARKER_GAPS, MARKER_SIZES,
+                             NAT_FIRST_SIZE, NAT_TAIL_DELAY, NAT_TAIL_GAP,
+                             NAT_TAIL_SIZE, SYN_SIZE, SYN_TIMEOUT_FIRST,
+                             SYN_TIMEOUT_SECOND, VARYING_SIZES, CallRequest)
 from p2ptrack.sniffer import (KIND_I, KIND_II, KIND_III, ClassifierConfig,
-                              PatternMatch, SynFilterPolicy, apply_syn_filter,
-                              classify_trace, extract_callee_ips,
-                              slot_matches)
+                              FlowIndex, PatternMatch, SynFilterPolicy,
+                              apply_syn_filter, classify_trace,
+                              extract_callee_ips)
 CFG = ClassifierConfig()
+OBSERVER = parse_ip("10.0.0.1")
 
 
 def _observer(mini):
@@ -26,6 +32,8 @@ def test_classifier_config_validation():
         ClassifierConfig(timing_tolerance=0.6)
     with pytest.raises(ValueError):
         ClassifierConfig(timing_tolerance=0.0)
+    with pytest.raises(ValueError, match="pattern_window"):
+        ClassifierConfig(pattern_window=0.0)
 
 
 def test_case_i_classified_against_noise(mini):
@@ -126,16 +134,78 @@ def test_classify_empty_trace():
     assert classify_trace([], CFG, parse_ip("10.0.0.1")) == []
 
 
-def test_slot_matches_half_open_slot():
+def _host_tap(observations):
+    """A tap at OBSERVER recording (t, remote, outbound, proto, flags, size)
+    observations the way a host tap does: outbound packets at t_send,
+    inbound ones at t_recv."""
+    tap = CaptureTap("host")
+    for t, remote, outbound, proto, flags, size in observations:
+        if outbound:
+            pkt = SimPacket(t, t + 0.05, OBSERVER, 5000, remote, 6000, proto,
+                            frozenset(flags), size, 0)
+        else:
+            pkt = SimPacket(t - 0.05, t, remote, 6000, OBSERVER, 5000, proto,
+                            frozenset(flags), size, 0)
+        tap.record(t, pkt)
+    return tap
+
+
+def test_slot_trace_half_open_slot():
     # a pattern belongs to the call whose slot [t, t + length) holds its
-    # first packet: t is inside, t + length is the next call's
-    ip = parse_ip("10.0.0.2")
-    matches = [PatternMatch(KIND_I, ip, t_first, 1.0, ())
-               for t_first in (9.999, 10.0, 12.5, 14.999, 15.0)]
-    got = slot_matches(matches, 10.0, 5.0)
-    assert [m.t_first_packet for m in got] == [10.0, 12.5, 14.999]
-    assert slot_matches(matches, 15.0, 5.0) == [matches[-1]]
-    assert slot_matches([], 10.0, 5.0) == []
+    # first packet in [t - window, t + window]: t is inside, t + length is
+    # the next call's
+    a, b, c, d, e = (parse_ip(f"10.0.1.{k}") for k in range(1, 6))
+    tap = _host_tap((t, remote, False, "UDP", (), 30) for t, remote in (
+        (-11.0, e),    # before t - window: not e's first in-window packet
+        (9.0, a),      # in [t - window, t): a started before the slot
+        (10.0, c), (11.0, a), (12.5, e), (14.999, d),
+        (15.0, b),     # at t + length: the next call's
+        (30.0, c),     # at t + window: still in c's window
+        (30.5, c)))
+    index = FlowIndex(tap, OBSERVER)
+    assert [(p.t_recv, p.src_ip) for p in index.slot_trace(10.0, 5.0, 20.0)] \
+        == [(10.0, c), (30.0, c), (14.999, d), (12.5, e)]
+    assert [(p.t_recv, p.src_ip) for p in index.slot_trace(15.0, 5.0, 20.0)] \
+        == [(15.0, b)]
+    assert index.slot_trace(40.0, 5.0, 20.0) == []
+    assert FlowIndex(CaptureTap("host"), OBSERVER).slot_trace(
+        10.0, 5.0, 20.0) == []
+
+
+# sizes and gaps of the call signatures, so random flows partly match them
+_SIZES = (*MARKER_SIZES, NAT_FIRST_SIZE, NAT_TAIL_SIZE, KEEPALIVE_SIZE,
+          SYN_SIZE, *VARYING_SIZES)
+_GAPS = (0.0, SYN_TIMEOUT_FIRST, SYN_TIMEOUT_SECOND, *MARKER_GAPS,
+         NAT_TAIL_DELAY, NAT_TAIL_GAP)
+_observations = st.lists(st.tuples(
+    st.sampled_from(_GAPS) | st.floats(0.0, 5.0),
+    st.integers(1, 6),
+    st.booleans(),
+    st.sampled_from((("UDP", ()), ("TCP", ("SYN",)), ("TCP", ("SYN", "ACK")),
+                     ("TCP", ("ACK",)))),
+    st.sampled_from(_SIZES) | st.integers(1, 1500)), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_observations, st.floats(-5.0, 120.0), st.floats(0.5, 30.0),
+       st.floats(0.5, 30.0))
+def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
+    # the oracle: classify the whole window, keep the flows that start in
+    # the slot; min_score 0 scores every flow
+    cfg = ClassifierConfig(min_score=0.0)
+    rows, now = [], 0.0
+    for gap, host, outbound, (proto, flags), size in obs:
+        now += gap
+        rows.append((now, parse_ip(f"10.0.1.{host}"), outbound, proto, flags,
+                     size))
+    tap = _host_tap(rows)
+    want = [m for m in classify_trace(tap.window(t - window, t + window),
+                                      cfg, OBSERVER)
+            if t <= m.t_first_packet < t + length]
+    got = classify_trace(FlowIndex(tap, OBSERVER).slot_trace(t, length,
+                                                             window),
+                         cfg, OBSERVER)
+    assert got == want
 
 
 # -- SYN filter ----------------------------------------------------------------
