@@ -7,7 +7,13 @@ never touch the IP-ID.  Capture taps record traffic at host edges or at
 a NAT's public side, with addresses as seen at that point.
 
 The loop is single threaded: events run in (time, insertion) order, so a
-given (topology, seed) always produces byte-identical traces.
+given (topology, seed) always produces byte-identical traces.  The queue
+has two tiers.  What is scheduled between two `advance` calls (a round
+of calls, say) is sorted once, latest first, when `advance` starts; what
+the running events schedule (deliveries, replies, retries, timeouts) goes
+to a heap that holds little more than the packets in flight.  Each step
+runs the smaller of the two heads by (time, insertion), so the order is
+exactly that of one heap over all events.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ import bisect
 import heapq
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 IPID_MOD = 1 << 16
 
@@ -51,8 +56,7 @@ def parse_ip(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class SimPacket:
+class SimPacket(NamedTuple):
     """One captured datagram, addresses as seen at the capture point."""
 
     t_send: float
@@ -77,7 +81,7 @@ class Host:
 
     __slots__ = (
         "host_id", "ip", "nat", "ipid_model", "handler",
-        "port_handlers", "egress_filters", "ingress_filters",
+        "port_handlers", "egress_filters", "ingress_filters", "tap",
         "_counter", "_flow_counters", "_flow_start", "_rng",
     )
 
@@ -93,6 +97,7 @@ class Host:
         self.port_handlers: dict = {}
         self.egress_filters: list = []
         self.ingress_filters: list = []
+        self.tap: Optional[CaptureTap] = None
         self._rng = random.Random(f"{seed}:ipid:{host_id}")
         self._flow_start = ipid_start   # None: random offset per flow
         if ipid_start is None:
@@ -121,7 +126,7 @@ class NatBox:
     and the IP-ID field passes through untouched."""
 
     __slots__ = ("nat_id", "public_ip", "accepts_unsolicited_inbound",
-                 "port_map", "reverse", "remotes", "_next_port")
+                 "port_map", "reverse", "remotes", "tap", "_next_port")
 
     def __init__(self, nat_id: str, public_ip: int,
                  accepts_unsolicited_inbound: bool = False,
@@ -132,6 +137,7 @@ class NatBox:
         self.port_map: dict = {}   # (priv_ip, priv_port, proto) -> pub_port
         self.reverse: dict = {}    # (pub_port, proto) -> (priv_ip, priv_port)
         self.remotes: dict = {}    # (pub_port, proto) -> set of contacted ips
+        self.tap: Optional[CaptureTap] = None    # public side
         self._next_port = port_base
 
     def bind(self, priv_ip: int, priv_port: int, proto: str) -> int:
@@ -211,7 +217,7 @@ class CaptureTap:
 
 
 class Simulator:
-    """Single-threaded deterministic event loop.  Every event is a heap
+    """Single-threaded deterministic event loop.  Every event is a queue
     entry (time, insertion seq, fn, args); drops counts packets by reason."""
 
     def __init__(self, seed=0, default_latency: float = 0.05,
@@ -223,12 +229,15 @@ class Simulator:
         self.hosts: dict = {}
         self.nats: dict = {}
         self.drops: Counter = Counter()
-        self._heap: list = []
+        self._fresh: list = []     # scheduled since advance last started
+        self._batch: list = []     # sorted, latest first; runs from the end
+        self._heap: list = []      # scheduled by running events
+        self._running = False
         self._evseq = 0
+        self._flagsets: dict = {}  # flag tuple -> its interned frozenset
         self._ip_host: dict = {}       # public ip -> host_id
         self._ip_nat: dict = {}        # public ip -> nat_id
         self._nat_members: dict = {}   # nat_id -> {priv_ip: host_id}
-        self._taps: dict = {}          # attach key -> CaptureTap
         self._jitter_rng = random.Random(f"{seed}:netsim:jitter")
 
     # -- topology ---------------------------------------------------------
@@ -286,52 +295,84 @@ class Simulator:
         return self.nats[host.nat].public_ip
 
     def tap(self, host_id: str) -> CaptureTap:
-        if host_id not in self.hosts:
+        host = self.hosts.get(host_id)
+        if host is None:
             raise NetsimError(f"unknown host {host_id!r}")
-        key = ("host", host_id)
-        if key not in self._taps:
-            self._taps[key] = CaptureTap(host_id)
-        return self._taps[key]
+        if host.tap is None:
+            host.tap = CaptureTap(host_id)
+        return host.tap
 
     def tap_nat(self, nat_id: str) -> CaptureTap:
-        if nat_id not in self.nats:
+        box = self.nats.get(nat_id)
+        if box is None:
             raise NetsimError(f"unknown NAT {nat_id!r}")
-        key = ("nat", nat_id)
-        if key not in self._taps:
-            self._taps[key] = CaptureTap(nat_id)
-        return self._taps[key]
+        if box.tap is None:
+            box.tap = CaptureTap(nat_id)
+        return box.tap
 
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, at: float, fn: Callable, *args) -> int:
         """Run fn(*args) at time at."""
-        if at < self.now:
-            raise NetsimError(f"cannot schedule at {at} before now {self.now}")
+        if not at >= self.now:      # also rejects NaN
+            raise NetsimError(f"cannot schedule at {at}: now is {self.now}")
         self._evseq += 1
-        heapq.heappush(self._heap, (at, self._evseq, fn, args))
+        event = (at, self._evseq, fn, args)
+        if self._running:
+            heapq.heappush(self._heap, event)
+        else:
+            self._fresh.append(event)
         return self._evseq
 
     def schedule_send(self, src: str, dst_ip, dst_port: int, proto: str,
-                      size: int, flags=(), at: Optional[float] = None,
+                      size: int, flags: tuple = (), at: Optional[float] = None,
                       src_port: int = 0, payload: Optional[bytes] = None) -> int:
+        """Emit a packet from src at time at (default now); flags is a
+        tuple of TCP flag names, interned as one frozenset per tuple."""
         if src not in self.hosts:
             raise NetsimError(f"unknown host {src!r}")
         if isinstance(dst_ip, str):
             dst_ip = parse_ip(dst_ip)
         if at is None:
             at = self.now
+        flagset = self._flagsets.get(flags)
+        if flagset is None:
+            flagset = self._flagsets[flags] = frozenset(flags)
         return self.schedule(at, self._emit, src, src_port, dst_ip, dst_port,
-                             proto, size, frozenset(flags), payload)
+                             proto, size, flagset, payload)
 
     def advance(self, until: float) -> None:
-        """Run all events with time <= until."""
-        if until < self.now:
-            raise NetsimError(
-                f"cannot advance to {until} before now {self.now}")
-        while self._heap and self._heap[0][0] <= until:
-            t, _, fn, args = heapq.heappop(self._heap)
-            self.now = t
-            fn(*args)
+        """Run all events with time <= until, in (time, insertion) order.
+
+        The events scheduled since the last call are sorted once into the
+        batch, latest first; the events they schedule go to the heap.
+        Each step runs the smaller of the two heads.  A running event may
+        schedule but not advance."""
+        if not until >= self.now:   # also rejects NaN
+            raise NetsimError(f"cannot advance to {until}: now is {self.now}")
+        if self._running:
+            raise NetsimError("advance called from a running event")
+        batch, heap = self._batch, self._heap
+        if self._fresh:
+            batch += self._fresh
+            self._fresh.clear()
+            batch.sort(reverse=True)
+        pop, heappop = batch.pop, heapq.heappop
+        self._running = True
+        try:
+            while True:
+                if heap and (not batch or heap[0] < batch[-1]):
+                    if heap[0][0] > until:
+                        break
+                    t, _, fn, args = heappop(heap)
+                elif batch and batch[-1][0] <= until:
+                    t, _, fn, args = pop()
+                else:
+                    break
+                self.now = t
+                fn(*args)
+        finally:
+            self._running = False
         self.now = until
 
     # -- datapath ---------------------------------------------------------
@@ -358,9 +399,8 @@ class Simulator:
         # capture at sender edge: host's own view of addresses
         wire = SimPacket(now, t_recv, host.ip, src_port, dst_ip, dst_port,
                          proto, flags, size, ip_id)
-        tap = self._taps.get(("host", src))
-        if tap is not None:
-            tap.record(now, wire)
+        if host.tap is not None:
+            host.tap.record(now, wire)
 
         for filt in host.egress_filters:
             if filt(self, wire):
@@ -374,9 +414,8 @@ class Simulator:
             box.remotes[(pub_port, proto)].add(dst_ip)
             wire = SimPacket(now, t_recv, box.public_ip, pub_port, dst_ip,
                              dst_port, proto, flags, size, ip_id)
-            ntap = self._taps.get(("nat", host.nat))
-            if ntap is not None:
-                ntap.record(now, wire)
+            if box.tap is not None:
+                box.tap.record(now, wire)
 
         if dst_host_id is None and dst_nat_id is None:
             self.schedule(t_recv, self._drop, "no_route")
@@ -389,9 +428,8 @@ class Simulator:
         pkt = wire
         if dst_nat_id is not None:
             box = self.nats[dst_nat_id]
-            ntap = self._taps.get(("nat", dst_nat_id))
-            if ntap is not None:
-                ntap.record(wire.t_recv, wire)
+            if box.tap is not None:
+                box.tap.record(wire.t_recv, wire)
             inner = box.reverse.get((wire.dst_port, wire.proto))
             if inner is None:
                 self._drop(f"nat_no_binding:{dst_nat_id}")
@@ -407,9 +445,8 @@ class Simulator:
                             wire.tcp_flags, wire.size, wire.ip_id)
 
         host = self.hosts[dst_host_id]
-        tap = self._taps.get(("host", dst_host_id))
-        if tap is not None:
-            tap.record(pkt.t_recv, pkt)
+        if host.tap is not None:
+            host.tap.record(pkt.t_recv, pkt)
 
         for filt in host.ingress_filters:
             if filt(self, pkt):

@@ -48,6 +48,7 @@ NOISE_WINDOW = 12.0             # supernode chatter after the call request
 KEEPALIVE_SIZE = 52
 
 SYN_SIZE = 44
+SYN_ONLY = frozenset(("SYN",))     # tcp_flags of a connection request
 SYNACK_SIZE = 44
 LOGIN_SIZE = 32
 
@@ -675,7 +676,7 @@ class RtcOverlay:
     def _client_handler(self, sim, host_id, pkt, payload):
         now = sim.now
         if pkt.proto == "TCP":
-            if pkt.tcp_flags == frozenset(("SYN",)):
+            if pkt.tcp_flags == SYN_ONLY:
                 if self._host_active(host_id, now):
                     self.sim.schedule_send(
                         host_id, pkt.src_ip, pkt.src_port, "TCP", SYNACK_SIZE,

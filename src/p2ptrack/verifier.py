@@ -61,6 +61,11 @@ class VerifierConfig:
     def __post_init__(self):
         if self.threshold >= RING_MODULUS // 2:
             raise VerifierError("threshold must be below RING_MODULUS/2")
+        # a slot of no length holds no pattern; no rounds measure nothing
+        if not self.call_gap > 0:
+            raise VerifierError(f"call_gap must be > 0: {self.call_gap}")
+        if self.min_rounds < 1:
+            raise VerifierError(f"min_rounds must be >= 1: {self.min_rounds}")
 
 
 @dataclass(frozen=True)

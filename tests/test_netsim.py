@@ -1,3 +1,5 @@
+import heapq
+import math
 import random
 
 import pytest
@@ -5,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2ptrack.netsim import (IPID_MOD, IPID_RANDOM,
-                             IPID_SEQUENTIAL_PER_FLOW, NetsimError, Simulator,
-                             ip_str, parse_ip)
+                             IPID_SEQUENTIAL_PER_FLOW, NetsimError, SimPacket,
+                             Simulator, ip_str, parse_ip)
 
 
 def test_ipid_sequential_from_start(sim):
@@ -177,6 +179,103 @@ def test_advance_rejects_past_and_schedule_rejects_past(sim):
         sim.advance(4.0)
     with pytest.raises(NetsimError):
         sim.schedule(1.0, lambda: None)
+
+
+def test_schedule_rejects_nan(sim):
+    ran = []
+    with pytest.raises(NetsimError):
+        sim.schedule(math.nan, ran.append, "nan")
+    sim.schedule(1.0, ran.append, "e1")
+    sim.advance(2.0)
+    assert ran == ["e1"]
+
+
+def test_advance_rejects_nan(sim):
+    sim.advance(1.0)
+    with pytest.raises(NetsimError):
+        sim.advance(math.nan)
+    assert sim.now == 1.0
+    with pytest.raises(NetsimError):
+        sim.schedule(0.5, lambda: None)
+
+
+def test_advance_from_a_running_event_rejected(sim):
+    sim.schedule(1.0, sim.advance, 3.0)
+    with pytest.raises(NetsimError, match="running event"):
+        sim.advance(2.0)
+    ran = []        # the loop is usable again
+    sim.schedule(2.5, ran.append, "e1")
+    sim.advance(3.0)
+    assert ran == ["e1"]
+
+
+class _HeapLoop:
+    """The reference queue: one heap of (time, insertion seq)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = 0
+
+    def schedule(self, at, fn, *args):
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
+
+    def advance(self, until):
+        while self._heap and self._heap[0][0] <= until:
+            t, _, fn, args = heapq.heappop(self._heap)
+            self.now = t
+            fn(*args)
+        self.now = until
+
+
+def _drive(loop, phases):
+    """Run phases of (events, step) on loop: schedule the events, each
+    (delay, children), then advance by step.  An event that runs
+    schedules its children the same way, relative to its own time."""
+    ran, nows = [], []
+
+    def fire(label, children):
+        ran.append(label)
+        for k, (delay, grandchildren) in enumerate(children):
+            loop.schedule(loop.now + delay, fire, f"{label}.{k}",
+                          grandchildren)
+
+    for p, (events, step) in enumerate(phases):
+        for k, (delay, children) in enumerate(events):
+            loop.schedule(loop.now + delay, fire, f"{p}.{k}", children)
+        loop.advance(loop.now + step)
+        nows.append(loop.now)
+    return ran, nows
+
+
+# few distinct delays, so that many events share a time
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.5])
+_EVENT = st.tuples(_DELAYS, st.lists(
+    st.tuples(_DELAYS, st.lists(st.tuples(_DELAYS, st.just([])),
+                                max_size=3)),
+    max_size=3))
+_PHASES = st.lists(st.tuples(st.lists(_EVENT, max_size=8),
+                             st.sampled_from([0.0, 0.5, 1.0, 2.5, 10.0])),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PHASES)
+def test_queue_order_matches_one_heap(phases):
+    assert _drive(Simulator(), phases) == _drive(_HeapLoop(), phases)
+
+
+def test_simpacket_is_an_immutable_value():
+    fields = (1.0, 1.05, 1, 2, 3, 4, "TCP", frozenset(("SYN",)), 44, 7)
+    a, b = SimPacket(*fields), SimPacket(*fields)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != SimPacket(*fields[:-1], 8)
+    with pytest.raises(AttributeError):
+        a.size = 45
+    assert SimPacket._fields == (
+        "t_send", "t_recv", "src_ip", "src_port", "dst_ip", "dst_port",
+        "proto", "tcp_flags", "size", "ip_id")
 
 
 def test_schedule_send_unknown_host(sim):

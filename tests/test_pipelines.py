@@ -142,6 +142,9 @@ def test_cli_validate(tmp_path, capsys):
             ("tracker:\n  classifier:\n    timing_tolerance: 0.7\n",
              "tracker.classifier"),
             ("verifier:\n  threshold: 40000\n", "verifier"),
+            ("verifier:\n  call_gap: 0.0\n", "verifier"),
+            ("verifier:\n  call_gap: -3.0\n", "verifier"),
+            ("verifier:\n  min_rounds: 0\n", "verifier"),
             ("tracker:\n  clients: two\n", "tracker.clients"),
             ("seed: two\n", "seed"),
             ("name: [1]\n", "name"),

@@ -25,8 +25,10 @@ def test_unknown_keys_rejected():
     with pytest.raises(ScenarioError, match="tracker.classifier"):
         scenario_from_dict({"tracker": {"classifier":
                                         {"timing_tolerance": 0.7}}})
-    with pytest.raises(ScenarioError, match="verifier"):
-        scenario_from_dict({"verifier": {"threshold": 40000}})
+    for bad in ({"threshold": 40000}, {"call_gap": 0.0}, {"call_gap": -3.0},
+                {"min_rounds": 0}):
+        with pytest.raises(ScenarioError, match="verifier"):
+            scenario_from_dict({"verifier": bad})
     # a value of the wrong type names the field; an int is a float
     with pytest.raises(ScenarioError, match="tracker.clients"):
         scenario_from_dict({"tracker": {"clients": "two"}})
