@@ -4,13 +4,12 @@ Encode accepts ints, bytes, str (encoded utf-8), lists and dicts whose
 keys are str/bytes; dict keys are emitted in ascending byte order.
 Decode is strict: it rejects trailing bytes, leading-zero integers and
 lengths, and reports the byte offset of any malformed input, including
-lists and dicts nested deeper than MAX_DEPTH.  Unsorted dict keys on decode
-warn by default (configurable).
+lists and dicts nested deeper than MAX_DEPTH.  Dict keys must be in
+strictly ascending byte order (BEP 3), so an unsorted or duplicate key is
+an error too, and every accepted input re-encodes to the same bytes.
 """
 
 from __future__ import annotations
-
-import warnings
 
 MAX_DEPTH = 256
 
@@ -60,19 +59,17 @@ def _encode(value, out: list) -> None:
         raise TypeError(f"cannot bencode {type(value).__name__}")
 
 
-def bdecode(data: bytes, on_unsorted: str = "warn"):
+def bdecode(data: bytes):
     """Decode a complete bencoded value; trailing bytes are an error."""
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("bdecode expects bytes")
-    if on_unsorted not in ("warn", "error", "ignore"):
-        raise ValueError(f"bad on_unsorted {on_unsorted!r}")
-    value, end = _decode(bytes(data), 0, on_unsorted, 0)
+    value, end = _decode(bytes(data), 0, 0)
     if end != len(data):
         raise BencodeError("trailing bytes after value", end)
     return value
 
 
-def _decode(data: bytes, i: int, on_unsorted: str, depth: int):
+def _decode(data: bytes, i: int, depth: int):
     if i >= len(data):
         raise BencodeError("unexpected end of input", i)
     ch = data[i:i + 1]
@@ -86,7 +83,7 @@ def _decode(data: bytes, i: int, on_unsorted: str, depth: int):
         while data[i:i + 1] != b"e":
             if i >= len(data):
                 raise BencodeError("unterminated list", i)
-            item, i = _decode(data, i, on_unsorted, depth + 1)
+            item, i = _decode(data, i, depth + 1)
             items.append(item)
         return items, i + 1
     if ch == b"d":
@@ -97,19 +94,14 @@ def _decode(data: bytes, i: int, on_unsorted: str, depth: int):
             if i >= len(data):
                 raise BencodeError("unterminated dict", i)
             key_off = i
-            key, i = _decode(data, i, on_unsorted, depth + 1)
+            key, i = _decode(data, i, depth + 1)
             if not isinstance(key, bytes):
                 raise BencodeError("dict key is not a byte string", key_off)
             if prev_key is not None and key <= prev_key:
-                if on_unsorted == "error":
-                    raise BencodeError("dict keys not in ascending order",
-                                       key_off)
-                if on_unsorted == "warn":
-                    warnings.warn(
-                        f"bencode dict keys out of order at offset {key_off}",
-                        stacklevel=3)
+                raise BencodeError("dict keys not in ascending order",
+                                   key_off)
             prev_key = key
-            value, i = _decode(data, i, on_unsorted, depth + 1)
+            value, i = _decode(data, i, depth + 1)
             result[key] = value
         return result, i + 1
     if ch.isdigit():

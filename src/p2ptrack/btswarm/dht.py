@@ -134,7 +134,7 @@ class DhtNetwork:
         self.port = port
         self.nodes: dict = {}        # node_id -> DhtNode
         self.by_host: dict = {}
-        self.rejected = 0            # malformed queries
+        self.rejected = 0            # undecodable or malformed queries
         self._rng = random.Random(f"{seed}:dht")
 
     def add_node(self, host_id: str, node_id: Optional[bytes] = None) -> DhtNode:
@@ -180,6 +180,8 @@ class DhtNetwork:
         return self.nodes[best]
 
     def bootstrap_node(self) -> DhtNode:
+        if not self.nodes:
+            raise DhtError("empty DHT")
         return self.nodes[min(self.nodes)]
 
     # -- server side -----------------------------------------------------
@@ -191,6 +193,7 @@ class DhtNetwork:
         try:
             msg = parse_krpc(payload)
         except (BencodeError, DhtError):
+            self.rejected += 1
             return
         if msg.get(b"y") != b"q":
             return
@@ -257,7 +260,7 @@ class KrpcClient:
         self.src_port = src_port
         self._pending: dict = {}    # txn -> callback
         self._txn = 0
-        self.rejected = 0           # malformed responses
+        self.rejected = 0           # undecodable or malformed responses
         sim.set_port_handler(host_id, src_port, self._on_packet)
 
     def _on_packet(self, sim, host_id, pkt, payload):
@@ -266,6 +269,7 @@ class KrpcClient:
         try:
             msg = parse_krpc(payload)
         except (BencodeError, DhtError):
+            self.rejected += 1
             return
         if msg.get(b"y") != b"r":
             return
@@ -303,7 +307,6 @@ class LookupResult:
     hops: tuple              # XOR distances of each responding hop
     queries: int
     failed: bool
-    t_done: float = 0.0
 
 
 class LookupTask:
@@ -375,8 +378,7 @@ class LookupTask:
     def _finish(self, failed: bool) -> None:
         if failed:
             self.on_done(LookupResult(self.infohash, None, (), tuple(self.hops),
-                                      self.queries, True,
-                                      self.client.sim.now))
+                                      self.queries, True))
             return
         _, nid, ip, port = self.best
         self.queries += 1
@@ -384,38 +386,16 @@ class LookupTask:
         def on_reply(body):
             peers = tuple(sorted(unpack_peers(body.get(b"values", []))))
             self.on_done(LookupResult(self.infohash, nid, peers,
-                                      tuple(self.hops), self.queries, False,
-                                      self.client.sim.now))
+                                      tuple(self.hops), self.queries, False))
 
         def on_timeout():
             self.on_done(LookupResult(self.infohash, nid, (),
-                                      tuple(self.hops), self.queries, True,
-                                      self.client.sim.now))
+                                      tuple(self.hops), self.queries, True))
 
         self.client.send_query(ip, port, "get_peers",
                                {"id": self.client.node_id,
                                 "info_hash": self.infohash},
                                on_reply, on_timeout, self.timeout)
-
-
-def dht_lookup(client: KrpcClient, dht: DhtNetwork, infohash: bytes,
-               timeout: float = 1.0) -> LookupResult:
-    """Blocking convenience wrapper: runs the event loop until one lookup
-    completes."""
-    if not dht.nodes:
-        raise DhtError("lookup with empty routing knowledge")
-    boot = dht.bootstrap_node()
-    done: list = []
-    task = LookupTask(client, (boot.node_id, boot.ip, boot.port), infohash,
-                      done.append, timeout=timeout)
-    task.start()
-    guard = 0
-    while not done and guard < 10000:
-        client.sim.advance(client.sim.now + 0.5)
-        guard += 1
-    if not done:
-        raise DhtError("lookup did not terminate")
-    return done[0]
 
 
 def announce(sim: Simulator, dht: DhtNetwork, host_id: str, src_port: int,

@@ -198,7 +198,6 @@ class HandshakeProbe:
     target_ip: int
     target_port: int
     infohash: bytes
-    t_sent: float
     response: Optional[object] = None    # SimPacket of the reply
     refused: bool = False
 
@@ -231,24 +230,12 @@ class HandshakeClient:
              at: float) -> HandshakeProbe:
         src_port = self._next_port
         self._next_port += 1
-        probe = HandshakeProbe(ip, port, infohash, at)
+        probe = HandshakeProbe(ip, port, infohash)
         self._pending[src_port] = probe
         data = build_handshake(infohash, self.peer_id)
         self.sim.schedule_send(self.host_id, ip, port, "TCP", len(data),
                                at=at, src_port=src_port, payload=data)
         return probe
-
-
-def bt_handshake(sim: Simulator, client: HandshakeClient, ip: int, port: int,
-                 infohash: bytes, at: Optional[float] = None,
-                 wait: float = 2.0) -> HandshakeProbe:
-    """Blocking convenience wrapper used by tests: sends one handshake and
-    advances the loop long enough for any reply."""
-    if at is None:
-        at = sim.now
-    probe = client.send(ip, port, infohash, at)
-    sim.advance(at + wait)
-    return probe
 
 
 # -- the crawler --------------------------------------------------------------

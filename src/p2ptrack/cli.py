@@ -50,8 +50,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    with open(args.report) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.report) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read report {args.report}: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(doc, dict) or \
+            not {"scenario", "seed", "pipeline"} <= doc.keys():
+        print(f"{args.report}: not a report (needs scenario, seed and "
+              f"pipeline)", file=sys.stderr)
+        return 2
     report = RunReport(doc["scenario"], doc["seed"], doc["pipeline"],
                        doc.get("metrics", {}),
                        {k: [tuple(p) for p in v]

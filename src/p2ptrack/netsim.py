@@ -3,8 +3,8 @@
 Hosts (optionally behind NAT middleboxes) exchange UDP/TCP packets over
 links with seeded latency jitter.  Every packet carries a 16-bit IP-ID
 drawn from its sender's generator; NATs rewrite addresses and ports but
-never touch the IP-ID.  Capture taps record traffic at host edges or at
-a NAT's public side, with addresses as seen at that point.
+never touch the IP-ID.  Capture taps record traffic at host edges, with
+addresses as the host sees them.
 
 The loop is single threaded: events run in (time, insertion) order, so a
 given (topology, seed) always produces byte-identical traces.  The queue
@@ -126,7 +126,7 @@ class NatBox:
     and the IP-ID field passes through untouched."""
 
     __slots__ = ("nat_id", "public_ip", "accepts_unsolicited_inbound",
-                 "port_map", "reverse", "remotes", "tap", "_next_port")
+                 "port_map", "reverse", "remotes", "_next_port")
 
     def __init__(self, nat_id: str, public_ip: int,
                  accepts_unsolicited_inbound: bool = False,
@@ -137,7 +137,6 @@ class NatBox:
         self.port_map: dict = {}   # (priv_ip, priv_port, proto) -> pub_port
         self.reverse: dict = {}    # (pub_port, proto) -> (priv_ip, priv_port)
         self.remotes: dict = {}    # (pub_port, proto) -> set of contacted ips
-        self.tap: Optional[CaptureTap] = None    # public side
         self._next_port = port_base
 
     def bind(self, priv_ip: int, priv_port: int, proto: str) -> int:
@@ -187,10 +186,9 @@ class CaptureTap:
     when they are observed, so both lists stay sorted by observation time
     without ever being re-sorted."""
 
-    __slots__ = ("attach", "_times", "_packets")
+    __slots__ = ("_times", "_packets")
 
-    def __init__(self, attach: str):
-        self.attach = attach
+    def __init__(self):
         self._times: list = []     # observation times, non-decreasing
         self._packets: list = []
 
@@ -299,16 +297,8 @@ class Simulator:
         if host is None:
             raise NetsimError(f"unknown host {host_id!r}")
         if host.tap is None:
-            host.tap = CaptureTap(host_id)
+            host.tap = CaptureTap()
         return host.tap
-
-    def tap_nat(self, nat_id: str) -> CaptureTap:
-        box = self.nats.get(nat_id)
-        if box is None:
-            raise NetsimError(f"unknown NAT {nat_id!r}")
-        if box.tap is None:
-            box.tap = CaptureTap(nat_id)
-        return box.tap
 
     # -- scheduling -------------------------------------------------------
 
@@ -414,8 +404,6 @@ class Simulator:
             box.remotes[(pub_port, proto)].add(dst_ip)
             wire = SimPacket(now, t_recv, box.public_ip, pub_port, dst_ip,
                              dst_port, proto, flags, size, ip_id)
-            if box.tap is not None:
-                box.tap.record(now, wire)
 
         if dst_host_id is None and dst_nat_id is None:
             self.schedule(t_recv, self._drop, "no_route")
@@ -428,8 +416,6 @@ class Simulator:
         pkt = wire
         if dst_nat_id is not None:
             box = self.nats[dst_nat_id]
-            if box.tap is not None:
-                box.tap.record(wire.t_recv, wire)
             inner = box.reverse.get((wire.dst_port, wire.proto))
             if inner is None:
                 self._drop(f"nat_no_binding:{dst_nat_id}")

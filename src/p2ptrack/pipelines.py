@@ -116,13 +116,13 @@ def _assignment_errors(world, assignment) -> int:
 def run_mobility(scenario: Scenario, report: RunReport) -> None:
     world = build_world(scenario)
     tracker = world.make_tracker()
-    study = tracker.run_study(world.target_ids, scenario.tracker.rounds,
-                              world.base_t)
+    rounds = tracker.run_study(world.target_ids, scenario.tracker.rounds,
+                               world.base_t)
 
-    all_calls = [c for r in study.rounds for c in r.calls
+    all_calls = [c for r in rounds for c in r.calls
                  if not c.validation]
     accuracy = _call_accuracy(all_calls)
-    validation_calls = [c for r in study.rounds for c in r.calls
+    validation_calls = [c for r in rounds for c in r.calls
                         if c.validation]
     accuracy["validation_calls"] = len(validation_calls)
     accuracy["validation_false_positives"] = sum(
@@ -131,7 +131,7 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
                                           for t in c.placed.targets})
 
     sample_rounds = [[s for s in r.samples if not s.validation]
-                     for r in study.rounds]
+                     for r in rounds]
     assignment = disambiguate(sample_rounds)
     accuracy["post_assignment_errors"] = _assignment_errors(world, assignment)
 
@@ -148,7 +148,7 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
         "unassigned_ips": len(assignment.unassigned),
     }
     report.metrics["throughput_calls_per_hour"] = [
-        round(t, 3) for t in study.rounds[0].calls_per_hour_per_client]
+        round(t, 3) for t in rounds[0].calls_per_hour_per_client]
 
     report.series["fig3-left-simultaneous"] = mob.fig3_left_simultaneous
     report.series["fig3-left-cumulative"] = mob.fig3_left_cumulative
@@ -338,7 +338,8 @@ def run(scenario: Scenario, pipeline: str) -> RunReport:
 
 # -- emission -----------------------------------------------------------------
 
-def emit_series(report: RunReport, figure: str, out_dir) -> list:
+def _series_texts(report: RunReport, figure: str) -> dict:
+    """File name -> text of each series file of a figure."""
     if figure not in FIGURES:
         raise PipelineError(f"unknown figure {figure!r}; "
                             f"choose from {sorted(FIGURES)}")
@@ -348,15 +349,24 @@ def emit_series(report: RunReport, figure: str, out_dir) -> list:
         raise PipelineError(
             f"figure {figure} needs the {FIGURE_PIPELINE[figure]} pipeline "
             f"(missing series: {', '.join(missing)})")
+    return {f"{name}.txt": "".join(f"{x} {y}\n"
+                                   for x, y in report.series[name])
+            for name in names}
+
+
+def _write_texts(texts: dict, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for name in names:
-        path = os.path.join(out_dir, f"{name}.txt")
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            for x, y in report.series[name]:
-                fh.write(f"{x} {y}\n")
+            fh.write(text)
         paths.append(path)
     return paths
+
+
+def emit_series(report: RunReport, figure: str, out_dir) -> list:
+    return _write_texts(_series_texts(report, figure), out_dir)
 
 
 def summary_table(report: RunReport) -> str:
@@ -380,27 +390,25 @@ def summary_table(report: RunReport) -> str:
 
 
 def write_report(report: RunReport, out_dir) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {"report": os.path.join(out_dir, "report.json"),
-             "summary": os.path.join(out_dir, "summary.txt")}
-    with open(paths["report"], "w") as fh:
-        fh.write(report.to_json() + "\n")
-    with open(paths["summary"], "w") as fh:
-        fh.write(summary_table(report))
-    emitted = []
+    """Write report.json, summary.txt and the series file of every figure
+    the report holds, each once, after adding the privacy scan of all of
+    them to the report's checks."""
+    series: dict = {}
     for figure in FIGURES:
         if all(n in report.series for n in FIGURES[figure]):
-            emitted.extend(emit_series(report, figure, out_dir))
-    paths["series"] = emitted
-    violations = scan_privacy(out_dir)
+            series.update(_series_texts(report, figure))
+
+    def texts():
+        return {"report.json": report.to_json() + "\n",
+                "summary.txt": summary_table(report), **series}
+
+    violations = scan_privacy(texts())
+    # the detail names files and kinds only, never the flagged text
     report.check("artifact_privacy_scan", not violations,
-                 "; ".join(violations[:5]))
-    # re-write with the final check included
-    with open(paths["report"], "w") as fh:
-        fh.write(report.to_json() + "\n")
-    with open(paths["summary"], "w") as fh:
-        fh.write(summary_table(report))
-    return paths
+                 "; ".join(dict.fromkeys(f"{name}: {kind}"
+                                         for name, kind, _ in violations)))
+    paths = _write_texts(texts(), out_dir)
+    return {"report": paths[0], "summary": paths[1], "series": paths[2:]}
 
 
 _DOTTED = re.compile(r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b")
@@ -412,25 +420,20 @@ def _in_address_plan(ip: int) -> bool:
                for net, plen in ADDRESS_PLAN)
 
 
-def scan_privacy(out_dir) -> list:
-    """Flag any dotted quad in the world's address plan, or 40-hex
-    infohash string, in the emitted artifacts."""
+def scan_privacy(texts: dict) -> list:
+    """(file name, kind, matched text) of each dotted quad in the world's
+    address plan, and of the first 40-hex infohash-like string, in each
+    text of texts (file name -> text)."""
     violations = []
-    for root, _, files in os.walk(out_dir):
-        for name in files:
-            path = os.path.join(root, name)
+    for name, text in texts.items():
+        for m in _DOTTED.finditer(text):
             try:
-                with open(path, errors="replace") as fh:
-                    text = fh.read()
-            except OSError:
+                ip = parse_ip(m.group(0))
+            except NetsimError:
                 continue
-            for m in _DOTTED.finditer(text):
-                try:
-                    ip = parse_ip(m.group(0))
-                except NetsimError:
-                    continue
-                if _in_address_plan(ip):
-                    violations.append(f"{name}: address {m.group(0)}")
-            if _HEX40.search(text):
-                violations.append(f"{name}: infohash-like hex string")
+            if _in_address_plan(ip):
+                violations.append((name, "address", m.group(0)))
+        m = _HEX40.search(text)
+        if m:
+            violations.append((name, "infohash-like hex string", m.group(0)))
     return violations

@@ -400,9 +400,6 @@ class RtcOverlay:
         self._service_hosts.add(host_id)
         self.relays.append(host_id)
 
-    def rtc_port(self, host_id: str) -> int:
-        return self._ports[host_id]
-
     def setup_tracking_client(self, host_id: str, t: float) -> None:
         """Open the persistent supernode TCP connection before any SYN
         filter window starts."""

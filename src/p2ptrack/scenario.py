@@ -157,6 +157,13 @@ class Scenario:
             bad.append("tracker needs clients >= 1 and s > 0")
         if self.tracker.rounds < 1:
             bad.append("tracker.rounds must be >= 1")
+        if self.tracker.salt is not None:
+            # the salt keys blake2b, which takes at most 64 bytes
+            try:
+                if len(bytes.fromhex(self.tracker.salt)) > 64:
+                    bad.append("tracker.salt is longer than 64 bytes")
+            except ValueError:
+                bad.append("tracker.salt must be a hex string")
         if self.mobility is not None:
             m = self.mobility
             movers = (m.movers_city_only + m.movers_city_as

@@ -88,11 +88,6 @@ class RoundResult:
     calls_per_hour_per_client: list
 
 
-@dataclass
-class StudyResult:
-    rounds: list
-
-
 # -- geo lookup and anonymization ------------------------------------------
 
 class GeoError(Exception):
@@ -280,12 +275,12 @@ class Tracker:
         return RoundResult(round_index, round_start, samples, observations,
                            calls, throughput)
 
-    def run_study(self, ids, rounds: int, t0: float) -> StudyResult:
+    def run_study(self, ids, rounds: int, t0: float) -> list:
         results = []
         for r in range(rounds):
             results.append(self.run_round(ids, t0 + r * self.sched.round_period,
                                           round_index=r))
-        return StudyResult(results)
+        return results
 
 
 # -- majority-vote disambiguation --------------------------------------------
@@ -293,7 +288,6 @@ class Tracker:
 @dataclass(frozen=True)
 class Assignment:
     ip_to_user: dict
-    user_to_ips: dict
     unassigned: frozenset
 
 
@@ -317,12 +311,7 @@ def disambiguate(rounds) -> Assignment:
             unassigned.add(ip_h)
             continue
         ip_to_user[ip_h] = entries[0][1]
-    user_to_ips: dict = {}
-    for ip_h, user in ip_to_user.items():
-        user_to_ips.setdefault(user, set()).add(ip_h)
-    return Assignment(ip_to_user,
-                      {u: frozenset(v) for u, v in user_to_ips.items()},
-                      frozenset(unassigned))
+    return Assignment(ip_to_user, frozenset(unassigned))
 
 
 # -- mobility analytics -------------------------------------------------------

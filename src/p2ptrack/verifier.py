@@ -86,14 +86,6 @@ class VerificationResult:
     call_matches: int = 0
 
 
-@dataclass
-class _CandidateState:
-    candidate: MatchCandidate
-    rounds: list
-    handshake_replies: int = 0
-    call_matches: int = 0
-
-
 class Verifier:
     def __init__(self, sim: Simulator, overlay: RtcOverlay, clients,
                  classifier: ClassifierConfig, cfg: VerifierConfig):
@@ -116,69 +108,64 @@ class Verifier:
         window = self.classifier.pattern_window
         slots = max(1, math.ceil(len(candidates) / pool))
         stride = max(self.cfg.round_spacing, slots * gap + window + 5.0)
-        states = [_CandidateState(c, []) for c in candidates]
+        results = [VerificationResult(c, [], None, VERDICT_UNVERIFIABLE)
+                   for c in candidates]
 
         for r in range(self.cfg.min_rounds):
             base = t0 + r * stride
             probes = []
-            for j, state in enumerate(states):
+            for j, res in enumerate(results):
                 rtc_host, rtc_user, bt_client = self.clients[j % pool]
                 t_call = base + (j // pool) * gap
                 # the simultaneity contract: both sends at the same instant
-                probe = bt_client.send(state.candidate.ip,
-                                       state.candidate.port,
-                                       state.candidate.infohash, at=t_call)
+                probe = bt_client.send(res.candidate.ip,
+                                       res.candidate.port,
+                                       res.candidate.infohash, at=t_call)
                 self.overlay.place_call(
-                    CallRequest(rtc_user, state.candidate.user, t_call))
+                    CallRequest(rtc_user, res.candidate.user, t_call))
                 probes.append((j, t_call, probe))
             self.sim.advance(base + slots * gap + window + 5.0)
 
             indexes = [FlowIndex(tap, ip)
                        for tap, ip in zip(self._taps, self._observers)]
             for j, t_call, probe in probes:
-                state = states[j]
+                res = results[j]
                 index = indexes[j % pool]
                 matches = classify_trace(index.slot_trace(t_call, gap, window),
                                          self.classifier, index.observer_ip)
                 ipid_rtc = None
                 for m in matches:
-                    if m.candidate_ip != state.candidate.ip or \
+                    if m.candidate_ip != res.candidate.ip or \
                             m.kind == KIND_III:
                         continue
                     inbound = [p for p in m.packets
-                               if p.src_ip == state.candidate.ip]
+                               if p.src_ip == res.candidate.ip]
                     if inbound:
                         first = min(inbound, key=lambda p: p.t_recv)
                         ipid_rtc = first.ip_id
-                        state.call_matches += 1
+                        res.call_matches += 1
                     break
                 ipid_bt = None
                 if probe.response is not None:
                     ipid_bt = probe.response.ip_id
-                    state.handshake_replies += 1
+                    res.handshake_replies += 1
                 if ipid_rtc is None or ipid_bt is None:
                     continue   # round skipped
-                state.rounds.append(ProbeRound(
+                res.rounds.append(ProbeRound(
                     t_call, ipid_rtc, ipid_bt,
                     ring_distance(ipid_rtc, ipid_bt)))
             for tap in self._taps:
                 tap.clear()
 
-        return [self._verdict(s) for s in states]
-
-    def _verdict(self, state: _CandidateState) -> VerificationResult:
-        rounds = state.rounds
-        if not rounds:
-            return VerificationResult(state.candidate, [], None,
-                                      VERDICT_UNVERIFIABLE,
-                                      state.handshake_replies,
-                                      state.call_matches)
-        p90 = percentile_nearest_rank([r.distance for r in rounds], 90)
-        if p90 < self.cfg.threshold and len(rounds) >= self.cfg.min_rounds:
-            verdict = VERDICT_VERIFIED
-        else:
-            verdict = VERDICT_NOT_VERIFIED
-        return VerificationResult(state.candidate, rounds, p90, verdict,
-                                  state.handshake_replies,
-                                  state.call_matches)
+        for res in results:
+            if not res.rounds:
+                continue
+            res.p90 = percentile_nearest_rank(
+                [r.distance for r in res.rounds], 90)
+            if res.p90 < self.cfg.threshold and \
+                    len(res.rounds) >= self.cfg.min_rounds:
+                res.verdict = VERDICT_VERIFIED
+            else:
+                res.verdict = VERDICT_NOT_VERIFIED
+        return results
 

@@ -72,7 +72,6 @@ class MobilityTruth:
     movers_city: frozenset          # everyone planted with a second city
     movers_as: frozenset            # subset that also changes AS
     movers_country: frozenset       # subset that also changes country
-    online_rounds: dict
     online_ever: frozenset
 
 
@@ -80,12 +79,9 @@ class MobilityTruth:
 class BtWorld:
     dht: DhtNetwork
     registry: SwarmRegistry
-    swarm_hashes: list
-    scrape_blob: bytes
     top_infohashes: list
     crawler_bots: list
     truth: dict                     # user -> BT_* category
-    swarm_join_t: float
 
 
 @dataclass
@@ -104,7 +100,6 @@ class World:
     reorder_plan: frozenset
     user_state: dict
     user_home: dict
-    user_away: dict
     mobility_truth: Optional[MobilityTruth]
     bt: Optional[BtWorld]
     base_t: float = BASE_T
@@ -308,7 +303,6 @@ def build_world(scenario: Scenario) -> World:
     # sessions
     rounds = scenario.tracker.rounds
     period = scenario.tracker.round_period
-    online_rounds: dict = {}
     movers = set(u for u, _ in mover_scales)
     for user in users:
         state = user_state[user]
@@ -321,7 +315,6 @@ def build_world(scenario: Scenario) -> World:
             continue
         if mob is None:
             presence.add_session(user, home, BASE_T - 600.0, None)
-            online_rounds[user] = frozenset(range(rounds))
             continue
         if user in movers:
             mine = {0, 1} | {r for r in range(2, rounds)
@@ -340,15 +333,13 @@ def build_world(scenario: Scenario) -> World:
                 presence.add_session(user, home,
                                      BASE_T + r * period - 300.0,
                                      BASE_T + r * period + period * 0.5)
-        online_rounds[user] = frozenset(mine)
 
     mobility_truth = None
     if mob is not None:
         mobility_truth = MobilityTruth(
             frozenset(movers),
             frozenset(movers_as) | frozenset(movers_country),
-            frozenset(movers_country), online_rounds,
-            frozenset(online_users))
+            frozenset(movers_country), frozenset(online_users))
 
     # volunteers: extra always-online public users for validation calls
     volunteers = []
@@ -397,7 +388,7 @@ def build_world(scenario: Scenario) -> World:
     return World(scenario, sim, directory, presence, overlay, geo,
                  scenario.salt_bytes(), tracker_clients, verifier_clients,
                  list(users), volunteers, frozenset(reorder_plan),
-                 user_state, user_home, user_away, mobility_truth, bt_world)
+                 user_state, user_home, mobility_truth, bt_world)
 
 
 def _materialize_bt(scenario, sim, rng, alloc, registry_users, user_home):
@@ -477,8 +468,7 @@ def _materialize_bt(scenario, sim, rng, alloc, registry_users, user_home):
                                    scrape_rng.randint(0, 200),
                                    scrape_rng.randint(0, 200),
                                    scrape_rng.randint(0, 1000)))
-    scrape_blob = build_scrape(entries)
-    top = top_k(parse_scrape(scrape_blob).entries, bt.swarms)
+    top = top_k(parse_scrape(build_scrape(entries)).entries, bt.swarms)
 
     bots = []
     for i in range(bt.crawler_bots):
@@ -486,8 +476,7 @@ def _materialize_bt(scenario, sim, rng, alloc, registry_users, user_home):
         sim.add_host(host, alloc[i % cities].alloc())
         bots.append(KrpcClient(sim, host, seed=seed))
 
-    return BtWorld(dht, registry, swarm_hashes, scrape_blob, top, bots,
-                   truth, join_t)
+    return BtWorld(dht, registry, top, bots, truth)
 
 
 def _make_verifier_clients(scenario, sim, overlay, directory, presence,

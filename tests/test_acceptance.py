@@ -95,11 +95,11 @@ def test_criterion_3_inconspicuousness():
     whitelisted = sum(1 for u in world.target_ids
                       if world.directory.get(u).whitelist_only)
     tracker = world.make_tracker()
-    study = tracker.run_study(world.target_ids, 4, world.base_t)
-    calls = sum(len(r.calls) for r in study.rounds)
+    rounds = tracker.run_study(world.target_ids, 4, world.base_t)
+    calls = sum(len(r.calls) for r in rounds)
     notifications = len(world.overlay.notifications)
     online = extracted = 0
-    for rnd in study.rounds:
+    for rnd in rounds:
         for call in rnd.calls:
             want = {t.expect_ip for t in call.placed.targets}
             online += 1
@@ -222,7 +222,7 @@ def test_criterion_6_dht_and_codec():
     roundtrip_ok = all(bdecode(bencode(v)) == v
                        for v in (random_value() for _ in range(10000)))
 
-    # dht_lookup equals the exhaustive-scan oracle: 100 nodes, 1000 hashes
+    # lookups equal the exhaustive-scan oracle: 100 nodes, 1000 hashes
     sim = Simulator(seed=1061)
     from p2ptrack.btswarm.dht import DhtNetwork
     dht = DhtNetwork(sim, seed=1061)
@@ -316,10 +316,11 @@ def test_criterion_7_defense_evaluation():
     raa = copy.deepcopy(scn)
     raa.rtc.defense_mode = "reveal_after_accept"
     world = build_world(raa)
-    study = world.make_tracker().run_study(world.target_ids, 4, world.base_t)
-    raa_calls = sum(len(r.calls) for r in study.rounds)
+    rounds = world.make_tracker().run_study(world.target_ids, 4,
+                                            world.base_t)
+    raa_calls = sum(len(r.calls) for r in rounds)
     raa_extracted = sum(len(c.extracted)
-                        for r in study.rounds for c in r.calls)
+                        for r in rounds for c in r.calls)
 
     # relay-all: extracted addresses never intersect the true callee ips
     relay = copy.deepcopy(scn)

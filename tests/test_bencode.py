@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,24 +63,22 @@ def test_truncated_string():
         bdecode(b"10:short")
 
 
-def test_unsorted_dict_keys_warn_by_default():
-    raw = b"d4:spam4:eggs3:cow3:mooe"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = bdecode(raw)
-    assert value == {b"spam": b"eggs", b"cow": b"moo"}
-    assert any("out of order" in str(w.message) for w in caught)
-    with pytest.raises(BencodeError):
-        bdecode(raw, on_unsorted="error")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        bdecode(raw, on_unsorted="ignore")
-    assert not caught
+def test_unsorted_dict_keys_rejected():
+    # the error names the offset of the first key out of order
+    with pytest.raises(BencodeError, match="ascending") as err:
+        bdecode(b"d4:spam4:eggs3:cow3:mooe")
+    assert err.value.offset == 13
+    with pytest.raises(BencodeError) as err:
+        bdecode(b"ld1:bi1e1:ai2eee")
+    assert err.value.offset == 8
+    assert bdecode(b"d3:cow3:moo4:spam4:eggse") == {b"cow": b"moo",
+                                                  b"spam": b"eggs"}
 
 
 def test_duplicate_key_counts_as_unsorted():
-    with pytest.raises(BencodeError):
-        bdecode(b"d3:cow3:moo3:cow3:buze", on_unsorted="error")
+    with pytest.raises(BencodeError, match="ascending") as err:
+        bdecode(b"d3:cow3:moo3:cow3:buze")
+    assert err.value.offset == 11
 
 
 def test_non_bytes_dict_key_rejected():
@@ -110,6 +106,23 @@ bvalues = st.recursive(
     max_leaves=25)
 
 
+@st.composite
+def bencoded(draw, depth=0):
+    """Bencoded bytes whose dicts list their keys in any order, duplicates
+    included: the wire as a peer might send it."""
+    kind = draw(st.integers(0, 3 if depth < 3 else 1))
+    if kind == 0:
+        return bencode(draw(st.integers(-2**63, 2**63)))
+    if kind == 1:
+        return bencode(draw(st.binary(max_size=8)))
+    if kind == 2:
+        items = draw(st.lists(bencoded(depth + 1), max_size=4))
+        return b"l" + b"".join(items) + b"e"
+    pairs = draw(st.lists(st.tuples(st.binary(max_size=3),
+                                    bencoded(depth + 1)), max_size=4))
+    return b"d" + b"".join(bencode(k) + v for k, v in pairs) + b"e"
+
+
 @settings(max_examples=200, deadline=None)
 @given(bvalues)
 def test_roundtrip_value_identity(value):
@@ -124,11 +137,21 @@ def test_roundtrip_canonical_bytes_identity(value):
 
 
 @settings(max_examples=300, deadline=None)
+@given(bencoded())
+def test_accepted_input_reencodes_to_itself(data):
+    # strict decoding: whatever is accepted is canonical, so nothing a
+    # peer sends is silently reordered or deduplicated
+    try:
+        value = bdecode(data)
+    except BencodeError:
+        return
+    assert bencode(value) == data
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=40))
 def test_decode_junk_raises_bencode_error_only(data):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            bdecode(data)
-        except BencodeError as err:
-            assert 0 <= err.offset <= len(data)
+    try:
+        bdecode(data)
+    except BencodeError as err:
+        assert 0 <= err.offset <= len(data)

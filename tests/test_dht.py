@@ -1,10 +1,11 @@
 import random
+import warnings
 
 import pytest
 
 from p2ptrack.btswarm.bencode import bdecode, bencode
 from p2ptrack.btswarm.dht import (PROTOCOL_ERROR, DhtError, DhtNetwork,
-                                  KrpcClient, announce, dht_lookup,
+                                  KrpcClient, LookupTask, announce,
                                   krpc_query, krpc_response, pack_peer,
                                   parse_krpc, unpack_nodes, unpack_peers,
                                   xor_distance)
@@ -21,6 +22,19 @@ def build_dht(n, seed=13):
     dht.build_routing()
     sim.add_host("client", "10.9.0.1")
     return sim, dht, KrpcClient(sim, "client", seed=seed)
+
+
+def lookup(client, dht, infohash):
+    """One lookup from the bootstrap node, the loop run in half-second
+    steps until it reports."""
+    boot = dht.bootstrap_node()
+    done = []
+    LookupTask(client, (boot.node_id, boot.ip, boot.port), infohash,
+               done.append).start()
+    sim = client.sim
+    while not done and sim.now < 3600.0:
+        sim.advance(sim.now + 0.5)
+    return done[0]
 
 
 def test_krpc_query_wire_format():
@@ -57,7 +71,7 @@ def test_single_node_dht_owns_everything():
     only = next(iter(dht.nodes.values()))
     for _ in range(10):
         assert dht.responsible(rng.randbytes(20)) is only
-    result = dht_lookup(client, dht, rng.randbytes(20))
+    result = lookup(client, dht, rng.randbytes(20))
     assert result.responsible_id == only.node_id
     assert not result.failed
 
@@ -67,7 +81,7 @@ def test_lookup_matches_exhaustive_xor_oracle():
     rng = random.Random("oracle")
     for _ in range(60):
         target = rng.randbytes(20)
-        result = dht_lookup(client, dht, target)
+        result = lookup(client, dht, target)
         oracle = min(dht.nodes, key=lambda nid: xor_distance(nid, target))
         assert result.responsible_id == oracle
         # strictly decreasing distance per hop
@@ -80,7 +94,7 @@ def test_get_peers_returns_exact_membership():
     node = dht.responsible(infohash)
     peers = {(parse_ip(f"10.3.0.{i + 1}"), 6000 + i) for i in range(25)}
     node.store[infohash] = {p: True for p in peers}
-    result = dht_lookup(client, dht, infohash)
+    result = lookup(client, dht, infohash)
     assert set(result.peers) == peers
     assert len(result.peers) == 25
 
@@ -107,7 +121,7 @@ def test_unresponsive_node_retried_then_skipped():
                       key=lambda n: xor_distance(n, target))[1:3]:
         if nid != boot.node_id:
             dht.nodes[nid].responsive = False
-    result = dht_lookup(client, dht, target)
+    result = lookup(client, dht, target)
     assert not result.failed
     assert result.responsible_id == oracle
 
@@ -117,17 +131,14 @@ def test_unresponsive_responsible_fails_lookup():
     target = random.Random("x").randbytes(20)
     for node in dht.nodes.values():
         node.responsive = False
-    result = dht_lookup(client, dht, target)
+    result = lookup(client, dht, target)
     assert result.failed
 
 
 def test_empty_dht_lookup_is_error():
-    sim = Simulator(seed=1)
-    dht = DhtNetwork(sim, seed=1)
-    sim.add_host("client", "10.9.0.1")
-    client = KrpcClient(sim, "client", seed=1)
-    with pytest.raises(DhtError):
-        dht_lookup(client, dht, b"\x00" * 20)
+    dht = DhtNetwork(Simulator(seed=1), seed=1)
+    with pytest.raises(DhtError, match="empty DHT"):
+        dht.bootstrap_node()
 
 
 def test_nodes_must_be_public():
@@ -171,7 +182,7 @@ def test_malformed_query_gets_protocol_error(method, args):
                                           b"malformed arguments"]}]
     assert node.store == {}          # nothing stored under a bytes port
     # the run goes on: a get_peers at the same node still answers
-    result = dht_lookup(client, dht, b"\x42" * 20)
+    result = lookup(client, dht, b"\x42" * 20)
     assert not result.failed and result.responsible_id == node.node_id
 
 
@@ -193,4 +204,22 @@ def test_malformed_response_is_rejected(response):
     sim.advance(sim.now + 2.0)
     assert client.rejected == 1
     assert len(replies) == 1 and b"nodes" in replies[0]   # the real reply
-    assert not dht_lookup(client, dht, b"\x05" * 20).failed
+    assert not lookup(client, dht, b"\x05" * 20).failed
+
+
+def test_unsorted_krpc_is_rejected_and_counted():
+    # keys out of order (y before t before q): BEP 3 forbids it, so both
+    # ends drop the datagram, count it, and the loop runs on to its end
+    sim, dht, client = build_dht(10)
+    sim.add_host("probe", "10.9.0.2")
+    unsorted = b"d1:y1:q1:t2:aa1:q4:pinge"
+    node = dht.bootstrap_node()
+    for ip, port in ((node.ip, node.port), ("10.9.0.1", client.src_port)):
+        sim.schedule_send("probe", ip, port, "UDP", len(unsorted), at=0.0,
+                          src_port=5000, payload=unsorted)
+    with warnings.catch_warnings(record=True) as caught:
+        sim.advance(1.0)
+    assert caught == []
+    assert sim.now == 1.0
+    assert dht.rejected == 1
+    assert client.rejected == 1

@@ -112,14 +112,16 @@ def test_nat_preserves_ipid(sim):
     sim.add_host("inside", "192.168.0.2", nat="n1", ipid_start=100)
     sim.add_host("b", "10.0.0.9")
     private = sim.tap("inside")
-    public = sim.tap_nat("n1")
+    received = sim.tap("b")
     for k in range(5):
         sim.schedule_send("inside", "10.0.0.9", 80, "UDP", 10, at=float(k),
                           src_port=4000)
     sim.advance(10.0)
     inner = [p.ip_id for p in private.trace()]
-    outer = [p.ip_id for p in public.trace()]
+    outer = [p.ip_id for p in received.trace()]
     assert inner == outer == [100, 101, 102, 103, 104]
+    # b saw the packets after the NAT rewrote their source
+    assert {p.src_ip for p in received.trace()} == {parse_ip("5.5.5.5")}
 
 
 def test_advance_tie_breaks_by_insertion_order(sim):

@@ -8,8 +8,8 @@ import pytest
 
 import p2ptrack
 from p2ptrack.cli import main
-from p2ptrack.pipelines import (PipelineError, emit_series, run, scan_privacy,
-                                write_report)
+from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
+                                scan_privacy, write_report)
 from p2ptrack.scenario import load_scenario, scenario_from_dict
 
 SMOKE = "scenarios/smoke.yaml"
@@ -76,32 +76,52 @@ def test_linkage_requires_bt_section():
         run(scn, "linkage")
 
 
-def test_write_report_and_privacy_scan(smoke_report, tmp_path):
+def test_write_report_and_privacy_scan(smoke_report, tmp_path,
+                                       monkeypatch):
     out = tmp_path / "out"
+    written = []
+    real_open = open
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            written.append(os.path.basename(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
     paths = write_report(smoke_report, out)
+    monkeypatch.undo()
+    # every output file is opened for writing exactly once
+    assert sorted(written) == sorted(set(written)) == sorted(os.listdir(out))
     assert os.path.exists(paths["report"])
     doc = json.load(open(paths["report"]))
     assert doc["pipeline"] == "all"
-    assert scan_privacy(out) == []
+    assert scan_privacy({p.name: p.read_text() for p in out.iterdir()}) == []
     assert smoke_report.ok()
 
 
-def test_privacy_scan_flags_violations(tmp_path):
-    bad = tmp_path / "bad"
-    os.makedirs(bad)
-    with open(bad / "leak.txt", "w") as fh:
-        fh.write("user at 10.3.0.17 downloaded "
-                 "00112233445566778899aabbccddeeff00112233\n")
-    violations = scan_privacy(bad)
-    assert any("10.3.0.17" in v for v in violations)
-    assert any("infohash" in v for v in violations)
-    with open(bad / "leak.txt", "w") as fh:
-        fh.write("NATed host 192.168.1.2 behind its box\n")
-    assert any("192.168.1.2" in v for v in scan_privacy(bad))
-    with open(bad / "leak.txt", "w") as fh:
-        fh.write("8.8.8.8 is not in the scenario range; 1.5 2.5 floats\n")
+def test_privacy_scan_flags_violations():
+    violations = scan_privacy({"leak.txt": (
+        "user at 10.3.0.17 downloaded "
+        "00112233445566778899aabbccddeeff00112233\n")})
+    assert ("leak.txt", "address", "10.3.0.17") in violations
+    assert any("infohash" in kind for _, kind, _ in violations)
+    assert any(hit == "192.168.1.2" for _, _, hit in scan_privacy(
+        {"leak.txt": "NATed host 192.168.1.2 behind its box\n"}))
     # only scenario-range addresses are violations
-    assert not any("8.8.8.8" in v for v in scan_privacy(bad))
+    assert not any(hit == "8.8.8.8" for _, _, hit in scan_privacy(
+        {"leak.txt": "8.8.8.8 is not in the scenario range; 1.5 2.5 "
+                     "floats\n"}))
+
+
+def test_privacy_check_names_file_and_kind_not_the_address(tmp_path):
+    report = RunReport("leaky", 1, "linkage",
+                       series={"fig4": [(1, "10.3.0.17")], "fig5": []})
+    paths = write_report(report, tmp_path)
+    check = report.checks[-1]
+    assert check["name"] == "artifact_privacy_scan" and not check["ok"]
+    assert check["detail"] == "report.json: address; fig4.txt: address"
+    # summary.txt is what `p2ptrack run` prints
+    assert "10.3.0.17" not in open(paths["summary"]).read()
 
 
 def test_cli_run_and_series(tmp_path, capsys):
@@ -149,6 +169,7 @@ def test_cli_validate(tmp_path, capsys):
             ("seed: two\n", "seed"),
             ("name: [1]\n", "name"),
             ("directory_fixture: 5\n", "directory_fixture"),
+            ("tracker:\n  salt: zz\n", "tracker.salt"),
             ("seed: [\n", "bad.yaml")):
         bad.write_text(text)
         for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
@@ -179,6 +200,26 @@ def test_cli_tracker_overrides(tmp_path, capsys):
                "--out", str(out), "--s", "-1"])
     assert rc == 2
     assert "s > 0" in capsys.readouterr().err
+    rc = main(["run", "--scenario", SMOKE, "--pipeline", "mobility",
+               "--out", str(out), "--salt", "xyz"])
+    assert rc == 2
+    assert "tracker.salt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("missing.json", None),
+    ("not-json.json", "{oops"),
+    ("not-a-report.json", '{"series": {}}'),
+])
+def test_cli_series_rejects_bad_report(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    rc = main(["series", "--report", str(path), "--figure", "fig4",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bundled_scenarios_are_valid():

@@ -77,6 +77,12 @@ def test_salt_default_derived_from_seed():
     assert a != b
     fixed = scenario_from_dict({"tracker": {"salt": "00ff"}}).salt_bytes()
     assert fixed == b"\x00\xff"
+    # a salt that is not hex, or too long to key blake2b, is invalid
+    for salt in ("zz", "xyz", "00" * 65):
+        problems = scenario_from_dict({"tracker": {"salt": salt}}).validate()
+        assert any("tracker.salt" in p for p in problems)
+    assert scenario_from_dict({"tracker": {"salt": "00" * 64}}).validate() \
+        == []
 
 
 def test_geo_covers_all_public_addresses():

@@ -138,7 +138,7 @@ def _host_tap(observations):
     """A tap at OBSERVER recording (t, remote, outbound, proto, flags, size)
     observations the way a host tap does: outbound packets at t_send,
     inbound ones at t_recv."""
-    tap = CaptureTap("host")
+    tap = CaptureTap()
     for t, remote, outbound, proto, flags, size in observations:
         if outbound:
             pkt = SimPacket(t, t + 0.05, OBSERVER, 5000, remote, 6000, proto,
@@ -168,7 +168,7 @@ def test_slot_trace_half_open_slot():
     assert [(p.t_recv, p.src_ip) for p in index.slot_trace(15.0, 5.0, 20.0)] \
         == [(15.0, b)]
     assert index.slot_trace(40.0, 5.0, 20.0) == []
-    assert FlowIndex(CaptureTap("host"), OBSERVER).slot_trace(
+    assert FlowIndex(CaptureTap(), OBSERVER).slot_trace(
         10.0, 5.0, 20.0) == []
 
 

@@ -5,10 +5,9 @@ import pytest
 from p2ptrack.btswarm.bencode import bencode
 from p2ptrack.btswarm.dht import DhtNetwork, KrpcClient
 from p2ptrack.btswarm.swarm import (HandshakeClient, ScrapeEntry, SwarmError,
-                                    SwarmRegistry, bt_handshake,
-                                    build_handshake, build_scrape, match_ips,
-                                    parse_handshake, parse_scrape, run_crawl,
-                                    top_k)
+                                    SwarmRegistry, build_handshake,
+                                    build_scrape, match_ips, parse_handshake,
+                                    parse_scrape, run_crawl, top_k)
 from p2ptrack.netsim import Simulator, parse_ip
 from p2ptrack.tracker import CallObservation
 
@@ -93,6 +92,13 @@ def _bt_world(seed=21):
     return sim, dht, registry
 
 
+def handshake(sim, prober, ip, port, infohash):
+    """Send one handshake now and run the loop long enough for any reply."""
+    probe = prober.send(ip, port, infohash, sim.now)
+    sim.advance(sim.now + 2.0)
+    return probe
+
+
 def test_handshake_response_iff_participates():
     sim, dht, registry = _bt_world()
     sim.add_host("peer", "10.1.0.1")
@@ -103,14 +109,14 @@ def test_handshake_response_iff_participates():
     prober = HandshakeClient(sim, "prober", seed=1)
     sim.advance(2.0)
 
-    probe = bt_handshake(sim, prober, client.external_ip,
-                         client.external_port, infohash)
+    probe = handshake(sim, prober, client.external_ip,
+                      client.external_port, infohash)
     assert probe.response is not None
     assert probe.response.size == 68
     assert not probe.refused
 
-    probe2 = bt_handshake(sim, prober, client.external_ip,
-                          client.external_port, b"\x99" * 20)
+    probe2 = handshake(sim, prober, client.external_ip,
+                       client.external_port, b"\x99" * 20)
     assert probe2.response is None
     assert probe2.refused
 
@@ -130,10 +136,10 @@ def test_nated_accepting_peer_reachable_nonaccepting_not():
     prober = HandshakeClient(sim, "prober", seed=1)
     sim.advance(2.0)
 
-    assert bt_handshake(sim, prober, c1.external_ip, c1.external_port,
-                        infohash).response is not None
-    assert bt_handshake(sim, prober, c2.external_ip, c2.external_port,
-                        infohash).response is None
+    assert handshake(sim, prober, c1.external_ip, c1.external_port,
+                     infohash).response is not None
+    assert handshake(sim, prober, c2.external_ip, c2.external_port,
+                     infohash).response is None
 
 
 def test_endpoint_injectivity_enforced():

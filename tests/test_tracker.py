@@ -236,9 +236,9 @@ def test_reorder_plant_causes_false_positive_then_vote_removes_it():
     world = build_world(scn)
     assert len(world.reorder_plan) == 1
     tracker = world.make_tracker()
-    study = tracker.run_study(world.target_ids, 3, world.base_t)
+    rounds = tracker.run_study(world.target_ids, 3, world.base_t)
     fp = 0
-    for rnd in study.rounds:
+    for rnd in rounds:
         for call in rnd.calls:
             want = {t.expect_ip for t in call.placed.targets}
             got = {e.ip for e in call.extracted}
@@ -249,7 +249,7 @@ def test_reorder_plant_causes_false_positive_then_vote_removes_it():
                 marked = [s for s in rnd.samples if s.user == call.callee]
                 assert all(s.ambiguous for s in marked)
     assert fp == 1
-    assignment = disambiguate([r.samples for r in study.rounds])
+    assignment = disambiguate([r.samples for r in rounds])
     # every assigned token maps back to a user that truly owns the address
     truth = {}
     for user in world.target_ids:
