@@ -134,7 +134,7 @@ class DhtNetwork:
         self.port = port
         self.nodes: dict = {}        # node_id -> DhtNode
         self.by_host: dict = {}
-        self.rejected = 0            # undecodable or malformed queries
+        self.rejected = 0            # packets a responsive node ignores
         self._rng = random.Random(f"{seed}:dht")
 
     def add_node(self, host_id: str, node_id: Optional[bytes] = None) -> DhtNode:
@@ -188,14 +188,17 @@ class DhtNetwork:
 
     def _server(self, sim, host_id, pkt, payload):
         node = self.by_host[host_id]
-        if not node.responsive or payload is None:
+        if not node.responsive:
             return
         try:
+            if payload is None:
+                raise DhtError("no payload")
             msg = parse_krpc(payload)
         except (BencodeError, DhtError):
             self.rejected += 1
             return
         if msg.get(b"y") != b"q":
+            self.rejected += 1
             return
         txn = msg[b"t"]
         args = msg.get(b"a", {})
@@ -229,6 +232,7 @@ class DhtNetwork:
                 node.store.setdefault(infohash, {})[(pkt.src_ip, port)] = True
             body = {"id": node.node_id}
         else:
+            self.rejected += 1
             return
         self._reply(host_id, pkt, krpc_response(txn, body))
 

@@ -116,6 +116,9 @@ class SwarmRegistry:
         self.seed = seed
         self.clients: dict = {}        # host_id -> BtClient
         self.by_endpoint: dict = {}    # (ip, port) -> host_id
+        # packets to a BT port that are not a handshake, the DHT's replies
+        # to the port's own announces included
+        self.rejected = 0
         self._port_rng = random.Random(f"{seed}:btport")
         self._id_rng = random.Random(f"{seed}:btpeerid")
 
@@ -157,11 +160,10 @@ class SwarmRegistry:
 
     def _serve_handshake(self, sim, host_id, pkt, payload):
         client = self.clients[host_id]
-        if payload is None:
-            return
         try:
-            infohash, _ = parse_handshake(payload)
+            infohash, _ = parse_handshake(payload or b"")
         except SwarmError:
+            self.rejected += 1
             return
         if client.participates(infohash, sim.now):
             reply = build_handshake(infohash, client.peer_id)

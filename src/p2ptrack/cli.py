@@ -39,7 +39,11 @@ def _cmd_run(args) -> int:
         print("scenario validation failed:\n  " + "\n  ".join(problems),
               file=sys.stderr)
         return 2
-    report = run(scenario, args.pipeline)
+    try:
+        report = run(scenario, args.pipeline)
+    except ScenarioError as exc:
+        print(f"scenario cannot be built:\n{exc}", file=sys.stderr)
+        return 2
     paths = write_report(report, args.out)
     with open(paths["summary"]) as fh:
         print(fh.read(), end="")

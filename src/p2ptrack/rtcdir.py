@@ -369,7 +369,6 @@ class RtcOverlay:
         self.notifications: list = []
         self._ports: dict = {}          # host_id -> rtc port
         self._service_hosts: set = set()  # always-responding infrastructure
-        self._tracking_hosts: set = set()
         self._home_supernode: dict = {}  # host_id -> (sn_host, established)
         self._pending_tcp: dict = {}    # (host, peer_ip, peer_port, lport)
         self._sent28: dict = {}         # (host, peer_ip, peer_port) -> t
@@ -405,7 +404,6 @@ class RtcOverlay:
         filter window starts."""
         if not self.supernodes:
             raise CallError("no supernodes registered")
-        self._tracking_hosts.add(host_id)
         rng = random.Random(f"{self.seed}:home:{host_id}")
         sn = rng.choice(self.supernodes)
         self._home_supernode[host_id] = sn
@@ -666,7 +664,7 @@ class RtcOverlay:
     # -- client behavior ------------------------------------------------------
 
     def _host_active(self, host_id: str, t: float) -> bool:
-        if host_id in self._service_hosts or host_id in self._tracking_hosts:
+        if host_id in self._service_hosts:
             return True
         return self.presence.host_active(host_id, t)
 

@@ -157,13 +157,16 @@ class Scenario:
             bad.append("tracker needs clients >= 1 and s > 0")
         if self.tracker.rounds < 1:
             bad.append("tracker.rounds must be >= 1")
-        if self.tracker.salt is not None:
-            # the salt keys blake2b, which takes at most 64 bytes
-            try:
-                if len(bytes.fromhex(self.tracker.salt)) > 64:
-                    bad.append("tracker.salt is longer than 64 bytes")
-            except ValueError:
-                bad.append("tracker.salt must be a hex string")
+        if self.tracker.reorders and self.tracker.rounds < 2:
+            bad.append("tracker.reorders need >= 2 rounds for the majority "
+                       "vote to recover")
+        # the salt keys blake2b, which takes at most 64 bytes
+        try:
+            if len(self.salt_bytes()) > 64:
+                bad.append("tracker.salt, or the salt derived from seed "
+                           "and name, is longer than 64 bytes")
+        except ValueError:
+            bad.append("tracker.salt must be a hex string")
         if self.mobility is not None:
             m = self.mobility
             movers = (m.movers_city_only + m.movers_city_as

@@ -20,13 +20,15 @@ from .netsim import CaptureTap, Simulator
 # the signatures are the nominal sizes and gaps the emitter uses
 from .rtcdir import (MARKER_GAPS, MARKER_SIZES, NAT_FIRST_SIZE,
                      NAT_TAIL_DELAY, NAT_TAIL_GAP, NAT_TAIL_SIZE,
-                     SYN_TIMEOUT_FIRST, SYN_TIMEOUT_SECOND)
+                     SYN_TIMEOUT_FIRST, SYN_TIMEOUT_SECOND, CallRequest,
+                     RtcOverlay)
 
 KIND_I = "I"
 KIND_II = "II"
 KIND_III = "III"
 
 ECHO_WINDOW = 2.0
+ROUND_TAIL = 5.0    # a round runs this long past its last pattern window
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,41 @@ class FlowIndex:
             if t <= times[lo] < t + length:
                 out += pkts[lo:bisect.bisect_right(times, t + window, lo)]
         return out
+
+
+class CallerPool:
+    """The SYN-filtered calling clients that tracking and verification
+    share: each places inconspicuous calls, and a finished round is read
+    from each client's tap, one slot per call."""
+
+    def __init__(self, sim: Simulator, overlay: RtcOverlay, clients):
+        """clients: (host_id, rtc_id) pairs with SYN filters installed.  A
+        tap records only what it observes once it exists, so make the pool
+        before its calls."""
+        self.sim = sim
+        self.overlay = overlay
+        self.clients = list(clients)
+        self.taps = [sim.tap(h) for h, _ in self.clients]
+        self.observer_ips = [sim.hosts[h].ip for h, _ in self.clients]
+
+    def call(self, client: int, callee: str, t: float, start_delay=None):
+        """Place a call from client (an index into clients) at time t."""
+        return self.overlay.place_call(
+            CallRequest(self.clients[client][1], callee, t),
+            start_delay=start_delay)
+
+    def read(self, slots, length: float, window: float) -> list:
+        """Run the round to its end and return the slot trace of each
+        (client, t) in slots, then clear the taps for the next round."""
+        if slots:
+            self.sim.advance(max(t for _, t in slots) + length + window
+                             + ROUND_TAIL)
+        indexes = [FlowIndex(tap, ip)
+                   for tap, ip in zip(self.taps, self.observer_ips)]
+        traces = [indexes[c].slot_trace(t, length, window) for c, t in slots]
+        for tap in self.taps:
+            tap.clear()
+        return traces
 
 
 def extract_callee_ips(matches) -> list:

@@ -20,9 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .netsim import Simulator, ip_str, parse_ip
-from .rtcdir import CallRequest, RtcOverlay
-from .sniffer import (ClassifierConfig, FlowIndex, classify_trace,
+from .netsim import ip_str, parse_ip
+from .sniffer import (CallerPool, ClassifierConfig, classify_trace,
                       extract_callee_ips)
 
 STATUS_ONLINE = "online"
@@ -170,27 +169,19 @@ def ip_token(ip: int, salt: bytes) -> str:
 # -- the scheduler -----------------------------------------------------------
 
 class Tracker:
-    def __init__(self, sim: Simulator, overlay: RtcOverlay, clients,
-                 sched: SchedulerConfig, geo: GeoTable, salt: bytes,
-                 volunteers=(),
+    def __init__(self, pool: CallerPool, sched: SchedulerConfig,
+                 geo: GeoTable, salt: bytes, volunteers=(),
                  reorder_plan=frozenset(), seed=0):
-        """clients: list of (host_id, rtc_id) tracking client pairs with
-        SYN filters already installed.  reorder_plan holds (round_index,
+        """pool: the tracking clients.  reorder_plan holds (round_index,
         callee) pairs whose pattern start is delayed past the slot, the
         parallel-calling failure mode the majority vote exists for."""
-        if len(clients) < sched.clients:
-            raise ValueError("not enough tracking clients configured")
-        self.sim = sim
-        self.overlay = overlay
-        self.clients = list(clients)[:sched.clients]
+        self.pool = pool
         self.sched = sched
         self.geo = geo
         self.salt = salt
         self.volunteers = list(volunteers)
         self.reorder_plan = frozenset(reorder_plan)
-        self._taps = [sim.tap(h) for h, _ in self.clients]
-        self._observer_ips = [sim.hosts[h].ip for h, _ in self.clients]
-        self._counts = [0] * len(self.clients)   # calls so far, per client
+        self._counts = [0] * len(pool.clients)   # calls so far, per client
         self._vol_rng = random.Random(f"{seed}:volunteers")
         self._reorder_rng = random.Random(f"{seed}:reorder")
 
@@ -213,12 +204,10 @@ class Tracker:
                   round_index: int = 0) -> RoundResult:
         s = self.sched.s
         classifier = self.sched.classifier
-        n = len(self.clients)
+        n = len(self.pool.clients)
         per_client = [list(ids[i::n]) for i in range(n)]
         calls: list = []
-        last_t = round_start
         for c in range(n):
-            _, caller = self.clients[c]
             seq = self._client_sequence(c, per_client[c])
             for slot, (callee, validation) in enumerate(seq):
                 t_call = round_start + slot * s
@@ -226,23 +215,17 @@ class Tracker:
                 if (round_index, callee) in self.reorder_plan \
                         and slot < len(seq) - 1:
                     delay = s * self._reorder_rng.uniform(1.1, 1.6)
-                placed = self.overlay.place_call(
-                    CallRequest(caller, callee, t_call), start_delay=delay)
+                placed = self.pool.call(c, callee, t_call, start_delay=delay)
                 calls.append(TrackedCall(c, slot, t_call, callee,
                                          validation, placed))
-                last_t = max(last_t, t_call)
 
-        window = classifier.pattern_window
-        self.sim.advance(last_t + window + 5.0)
-
-        indexes = [FlowIndex(tap, ip)
-                   for tap, ip in zip(self._taps, self._observer_ips)]
+        traces = self.pool.read([(k.client, k.t) for k in calls], s,
+                                classifier.pattern_window)
         samples: list = []
         observations: list = []
-        for call in calls:
-            index = indexes[call.client]
-            matches = classify_trace(index.slot_trace(call.t, s, window),
-                                     classifier, index.observer_ip)
+        for call, trace in zip(calls, traces):
+            matches = classify_trace(trace, classifier,
+                                     self.pool.observer_ips[call.client])
             extracted = extract_callee_ips(matches)
             call.extracted = tuple(extracted)
             ambiguous = len(extracted) > 1
@@ -269,9 +252,6 @@ class Tracker:
                 continue
             span = (mine[-1].t - mine[0].t) + s
             throughput.append(len(mine) * 3600.0 / span if span > 0 else 0.0)
-
-        for tap in self._taps:
-            tap.clear()
         return RoundResult(round_index, round_start, samples, observations,
                            calls, throughput)
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .btswarm.swarm import MatchCandidate
-from .netsim import Simulator
-from .rtcdir import CallRequest, RtcOverlay
-from .sniffer import KIND_III, ClassifierConfig, FlowIndex, classify_trace
+from .sniffer import (KIND_III, ROUND_TAIL, CallerPool, ClassifierConfig,
+                      classify_trace)
 
 RING_MODULUS = 1 << 16
 
@@ -87,27 +86,24 @@ class VerificationResult:
 
 
 class Verifier:
-    def __init__(self, sim: Simulator, overlay: RtcOverlay, clients,
+    def __init__(self, pool: CallerPool, probers,
                  classifier: ClassifierConfig, cfg: VerifierConfig):
-        """clients: (rtc_host_id, rtc_user, HandshakeClient) triples; the
-        RTC hosts are SYN-filtered tracking clients, the handshake hosts
-        are plain public probers sharing the same clock."""
-        if not clients:
+        """pool: the SYN-filtered calling clients; probers: one plain
+        public HandshakeClient per pool client, sharing the same clock."""
+        if not pool.clients:
             raise VerifierError("verifier needs at least one client pair")
-        self.sim = sim
-        self.overlay = overlay
-        self.clients = list(clients)
+        self.pool = pool
+        self.probers = list(probers)
         self.classifier = classifier
         self.cfg = cfg
-        self._taps = [sim.tap(h) for h, _, _ in self.clients]
-        self._observers = [sim.hosts[h].ip for h, _, _ in self.clients]
 
     def verify_candidates(self, candidates, t0: float) -> list:
-        pool = len(self.clients)
+        pool = len(self.pool.clients)
         gap = self.cfg.call_gap
         window = self.classifier.pattern_window
         slots = max(1, math.ceil(len(candidates) / pool))
-        stride = max(self.cfg.round_spacing, slots * gap + window + 5.0)
+        stride = max(self.cfg.round_spacing,
+                     slots * gap + window + ROUND_TAIL)
         results = [VerificationResult(c, [], None, VERDICT_UNVERIFIABLE)
                    for c in candidates]
 
@@ -115,24 +111,20 @@ class Verifier:
             base = t0 + r * stride
             probes = []
             for j, res in enumerate(results):
-                rtc_host, rtc_user, bt_client = self.clients[j % pool]
                 t_call = base + (j // pool) * gap
                 # the simultaneity contract: both sends at the same instant
-                probe = bt_client.send(res.candidate.ip,
-                                       res.candidate.port,
-                                       res.candidate.infohash, at=t_call)
-                self.overlay.place_call(
-                    CallRequest(rtc_user, res.candidate.user, t_call))
+                probe = self.probers[j % pool].send(
+                    res.candidate.ip, res.candidate.port,
+                    res.candidate.infohash, at=t_call)
+                self.pool.call(j % pool, res.candidate.user, t_call)
                 probes.append((j, t_call, probe))
-            self.sim.advance(base + slots * gap + window + 5.0)
+            traces = self.pool.read([(j % pool, t) for j, t, _ in probes],
+                                    gap, window)
 
-            indexes = [FlowIndex(tap, ip)
-                       for tap, ip in zip(self._taps, self._observers)]
-            for j, t_call, probe in probes:
+            for (j, t_call, probe), trace in zip(probes, traces):
                 res = results[j]
-                index = indexes[j % pool]
-                matches = classify_trace(index.slot_trace(t_call, gap, window),
-                                         self.classifier, index.observer_ip)
+                matches = classify_trace(trace, self.classifier,
+                                         self.pool.observer_ips[j % pool])
                 ipid_rtc = None
                 for m in matches:
                     if m.candidate_ip != res.candidate.ip or \
@@ -154,8 +146,6 @@ class Verifier:
                 res.rounds.append(ProbeRound(
                     t_call, ipid_rtc, ipid_bt,
                     ring_distance(ipid_rtc, ipid_bt)))
-            for tap in self._taps:
-                tap.clear()
 
         for res in results:
             if not res.rounds:

@@ -21,7 +21,7 @@ from .btswarm.swarm import (HandshakeClient, ScrapeEntry, SwarmRegistry,
 from .netsim import IPID_RANDOM, IPID_SEQUENTIAL_GLOBAL, Simulator, ip_str
 from .rtcdir import Directory, PresenceBook, RtcOverlay, UserProfile
 from .scenario import Scenario, ScenarioError
-from .sniffer import SynFilterPolicy, apply_syn_filter
+from .sniffer import CallerPool, SynFilterPolicy, apply_syn_filter
 from .tracker import GeoTable, Tracker
 from .verifier import Verifier
 
@@ -94,7 +94,8 @@ class World:
     geo: GeoTable
     salt: bytes
     tracker_clients: list           # (host_id, rtc_id)
-    verifier_clients: list          # (host_id, rtc_id, HandshakeClient)
+    verifier_clients: list          # (host_id, rtc_id)
+    probers: list                   # HandshakeClient per verifier client
     target_ids: list
     volunteers: list
     reorder_plan: frozenset
@@ -105,7 +106,8 @@ class World:
     base_t: float = BASE_T
 
     def make_tracker(self) -> Tracker:
-        return Tracker(self.sim, self.overlay, self.tracker_clients,
+        return Tracker(CallerPool(self.sim, self.overlay,
+                                  self.tracker_clients),
                        self.scenario.tracker, self.geo, self.salt,
                        volunteers=self.volunteers,
                        reorder_plan=self.reorder_plan,
@@ -114,8 +116,9 @@ class World:
     def make_verifier(self) -> Verifier:
         if self.bt is None:
             raise ScenarioError("scenario has no bt section")
-        return Verifier(self.sim, self.overlay, self.verifier_clients,
-                        self.scenario.tracker.classifier,
+        return Verifier(CallerPool(self.sim, self.overlay,
+                                   self.verifier_clients),
+                        self.probers, self.scenario.tracker.classifier,
                         self.scenario.verifier)
 
 
@@ -167,17 +170,19 @@ def build_world(scenario: Scenario) -> World:
         sim.add_host(host, alloc[(i + 1) % cities].alloc())
         overlay.add_relay(host)
 
-    # tracking clients (public, city 0), SYN-filtered for the whole run
-    tracker_clients = []
-    for i in range(scenario.tracker.clients):
-        host, user = f"tc{i:02d}", f"trackerclient{i:02d}"
+    # calling clients (public, city 0), SYN-filtered for the whole run
+    def add_caller(host: str, user: str, t_setup: float) -> tuple:
         sim.add_host(host, alloc[0].alloc())
         overlay.register_client(host)
         directory.add(UserProfile(user, f"{user}@tracker.invalid"))
         presence.add_session(user, host, 1.0, None)
-        overlay.setup_tracking_client(host, SETUP_T + 0.1 * i)
+        overlay.setup_tracking_client(host, t_setup)
         apply_syn_filter(sim, host, SynFilterPolicy(SETUP_T + 5.0, 1e12))
-        tracker_clients.append((host, user))
+        return host, user
+
+    tracker_clients = [add_caller(f"tc{i:02d}", f"trackerclient{i:02d}",
+                                  SETUP_T + 0.1 * i)
+                       for i in range(scenario.tracker.clients)]
 
     # population states
     n = pop.users
@@ -355,9 +360,6 @@ def build_world(scenario: Scenario) -> World:
     # reorder plant: exact count of (round, online callee) pairs
     reorder_plan = set()
     if scenario.tracker.reorders:
-        if rounds < 2:
-            raise ScenarioError("reorders need >= 2 rounds for the majority "
-                                "vote to recover")
         stable = [u for u in sorted(online_users) if u not in movers]
         picks = rng.sample(stable, min(scenario.tracker.reorders,
                                        len(stable)))
@@ -374,20 +376,25 @@ def build_world(scenario: Scenario) -> World:
 
     bt_world = None
     verifier_clients: list = []
+    probers: list = []
     if bt is not None:
         bt_world = _materialize_bt(
             scenario, sim, rng, alloc, registry_users=(
                 bt_same, bt_distinct, bt_unverifiable, bt_shared),
             user_home=user_home)
-        verifier_clients = _make_verifier_clients(
-            scenario, sim, overlay, directory, presence, alloc)
+        for i in range(scenario.verifier.clients):
+            verifier_clients.append(add_caller(
+                f"vt{i:02d}", f"verifierclient{i:02d}",
+                SETUP_T + 1.0 + 0.1 * i))
+            sim.add_host(f"vb{i:02d}", alloc[0].alloc())
+            probers.append(HandshakeClient(sim, f"vb{i:02d}", seed=seed))
 
     overlay.bootstrap_logins()
     sim.advance(SETUP_T + 6.0)
 
     return World(scenario, sim, directory, presence, overlay, geo,
                  scenario.salt_bytes(), tracker_clients, verifier_clients,
-                 list(users), volunteers, frozenset(reorder_plan),
+                 probers, list(users), volunteers, frozenset(reorder_plan),
                  user_state, user_home, mobility_truth, bt_world)
 
 
@@ -477,21 +484,3 @@ def _materialize_bt(scenario, sim, rng, alloc, registry_users, user_home):
         bots.append(KrpcClient(sim, host, seed=seed))
 
     return BtWorld(dht, registry, top, bots, truth)
-
-
-def _make_verifier_clients(scenario, sim, overlay, directory, presence,
-                           alloc):
-    clients = []
-    for i in range(scenario.verifier.clients):
-        rtc_host, user = f"vt{i:02d}", f"verifierclient{i:02d}"
-        sim.add_host(rtc_host, alloc[0].alloc())
-        overlay.register_client(rtc_host)
-        directory.add(UserProfile(user, f"{user}@tracker.invalid"))
-        presence.add_session(user, rtc_host, 1.0, None)
-        overlay.setup_tracking_client(rtc_host, SETUP_T + 1.0 + 0.1 * i)
-        apply_syn_filter(sim, rtc_host, SynFilterPolicy(SETUP_T + 5.0, 1e12))
-        bt_host = f"vb{i:02d}"
-        sim.add_host(bt_host, alloc[0].alloc())
-        clients.append((rtc_host, user,
-                        HandshakeClient(sim, bt_host, seed=scenario.seed)))
-    return clients

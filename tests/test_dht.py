@@ -207,6 +207,29 @@ def test_malformed_response_is_rejected(response):
     assert not lookup(client, dht, b"\x05" * 20).failed
 
 
+def test_ignored_packets_are_counted_without_reply():
+    sim, dht, client = build_dht(10)
+    got = _probe(sim)
+    node = dht.bootstrap_node()
+    for payload in (None,                                     # no payload
+                    bencode({"t": b"r1", "y": "r",            # a response
+                             "r": {"id": b"\x01" * 20}}),
+                    bencode({"t": b"q1", "y": "q", "q": "vote",  # unknown
+                             "a": {"id": b"\x01" * 20}})):
+        sim.schedule_send("probe", node.ip, node.port, "UDP",
+                          len(payload or b"") + 8, at=1.0, src_port=5000,
+                          payload=payload)
+    sim.advance(2.0)
+    assert dht.rejected == 3
+    assert got == []
+    # an unresponsive node ignores everything without counting
+    node.responsive = False
+    sim.schedule_send("probe", node.ip, node.port, "UDP", 8, at=2.5,
+                      src_port=5000)
+    sim.advance(3.0)
+    assert dht.rejected == 3
+
+
 def test_unsorted_krpc_is_rejected_and_counted():
     # keys out of order (y before t before q): BEP 3 forbids it, so both
     # ends drop the datagram, count it, and the loop runs on to its end

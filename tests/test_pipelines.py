@@ -150,6 +150,8 @@ def test_cli_run_and_series(tmp_path, capsys):
 
 def test_cli_validate(tmp_path, capsys):
     assert main(["validate", "--scenario", SMOKE]) == 0
+    with open(SMOKE) as fh:
+        smoke_text = fh.read()
     bad = tmp_path / "bad.yaml"
     bad.write_text("population:\n  users: 5\nbt:\n  candidates: 50\n")
     rc = main(["validate", "--scenario", str(bad)])
@@ -170,11 +172,26 @@ def test_cli_validate(tmp_path, capsys):
             ("name: [1]\n", "name"),
             ("directory_fixture: 5\n", "directory_fixture"),
             ("tracker:\n  salt: zz\n", "tracker.salt"),
+            (f"name: {'n' * 66}\n", "name"),
+            (smoke_text.replace("rounds: 2", "rounds: 1\n  reorders: 2"),
+             "tracker.reorders"),
             ("seed: [\n", "bad.yaml")):
         bad.write_text(text)
         for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
             assert main(argv + ["--scenario", str(bad)]) == 2
             assert section in capsys.readouterr().err
+    # the derived salt grows with the seed: --seed is validated too
+    bad.write_text(f"name: {'n' * 56}\n")
+    assert main(["validate", "--scenario", str(bad)]) == 0
+    assert main(["run", "--scenario", str(bad), "--seed", "12345",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "name" in capsys.readouterr().err
+    # a world the plants do not fit passes validate; run exits 2, not 1
+    bad.write_text(smoke_text.replace("candidates: 6", "candidates: 13"))
+    assert main(["validate", "--scenario", str(bad)]) == 0
+    assert main(["run", "--scenario", str(bad), "--pipeline", "linkage",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "not enough online users" in capsys.readouterr().err
     # so does a missing file
     missing = str(tmp_path / "missing.yaml")
     for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):

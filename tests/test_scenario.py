@@ -69,6 +69,9 @@ def test_validation_mobility_needs_rounds():
         "tracker": {"rounds": 1},
         "mobility": {"movers_city_only": 2}})
     assert any("2 rounds" in p for p in scn.validate())
+    # so does the reorder plant, whose false positives the vote removes
+    scn = scenario_from_dict({"tracker": {"rounds": 1, "reorders": 2}})
+    assert any("tracker.reorders" in p for p in scn.validate())
 
 
 def test_salt_default_derived_from_seed():
@@ -77,12 +80,19 @@ def test_salt_default_derived_from_seed():
     assert a != b
     fixed = scenario_from_dict({"tracker": {"salt": "00ff"}}).salt_bytes()
     assert fixed == b"\x00\xff"
-    # a salt that is not hex, or too long to key blake2b, is invalid
-    for salt in ("zz", "xyz", "00" * 65):
-        problems = scenario_from_dict({"tracker": {"salt": salt}}).validate()
-        assert any("tracker.salt" in p for p in problems)
+    # a salt that is not hex, or too long to key blake2b, is invalid, and
+    # so is a name that makes the derived salt too long
+    for doc, key in (({"tracker": {"salt": "zz"}}, "tracker.salt"),
+                     ({"tracker": {"salt": "xyz"}}, "tracker.salt"),
+                     ({"tracker": {"salt": "00" * 65}}, "tracker.salt"),
+                     ({"name": "n" * 66}, "name")):
+        assert any(key in p for p in scenario_from_dict(doc).validate())
     assert scenario_from_dict({"tracker": {"salt": "00" * 64}}).validate() \
         == []
+    # "salt:7:" and the name: 64 bytes fit, 65 do not
+    for length, problems in ((57, 0), (58, 1)):
+        scn = scenario_from_dict({"seed": 7, "name": "n" * length})
+        assert len(scn.validate()) == problems
 
 
 def test_geo_covers_all_public_addresses():

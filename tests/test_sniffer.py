@@ -6,9 +6,11 @@ from p2ptrack.netsim import CaptureTap, SimPacket, Simulator, parse_ip
 from p2ptrack.rtcdir import (KEEPALIVE_SIZE, MARKER_GAPS, MARKER_SIZES,
                              NAT_FIRST_SIZE, NAT_TAIL_DELAY, NAT_TAIL_GAP,
                              NAT_TAIL_SIZE, SYN_SIZE, SYN_TIMEOUT_FIRST,
-                             SYN_TIMEOUT_SECOND, VARYING_SIZES, CallRequest)
-from p2ptrack.sniffer import (KIND_I, KIND_II, KIND_III, ClassifierConfig,
-                              FlowIndex, PatternMatch, SynFilterPolicy,
+                             SYN_TIMEOUT_SECOND, VARYING_SIZES, CallRequest,
+                             Directory, PresenceBook, RtcOverlay)
+from p2ptrack.sniffer import (KIND_I, KIND_II, KIND_III, ROUND_TAIL,
+                              CallerPool, ClassifierConfig, FlowIndex,
+                              PatternMatch, SynFilterPolicy,
                               apply_syn_filter, classify_trace,
                               extract_callee_ips)
 CFG = ClassifierConfig()
@@ -206,6 +208,55 @@ def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
                                                              window),
                          cfg, OBSERVER)
     assert got == want
+
+
+# -- the calling-client pool ---------------------------------------------------
+
+def _pool_sim():
+    """Two callers exchanging packets with two remotes from t = 0.5 on;
+    nothing has been emitted yet."""
+    sim = Simulator(seed=4)
+    for host, ip in (("c0", "10.0.0.1"), ("c1", "10.0.0.2"),
+                     ("r0", "10.0.1.1"), ("r1", "10.0.1.2"),
+                     ("r2", "10.0.1.3")):
+        sim.add_host(host, ip)
+    for k in range(12):
+        at = 0.5 + 1.5 * k
+        caller, remote = sim.hosts[f"c{k % 2}"], sim.hosts[f"r{k // 2 % 2}"]
+        sim.schedule_send(caller.host_id, remote.ip, 5000, "UDP", 40 + k,
+                          at=at, src_port=6000)
+        sim.schedule_send(remote.host_id, caller.ip, 6000, "UDP", 80 + k,
+                          at=at + 0.2, src_port=5000)
+    return sim
+
+
+def _late_packet(sim):
+    """A flow scheduled once the taps exist, starting in c0's last slot."""
+    sim.schedule_send("r2", "10.0.0.1", 6000, "UDP", 200, at=7.5,
+                      src_port=5000)
+
+
+def test_caller_pool_read_is_each_slot_trace():
+    slots, length, window = [(0, 1.0), (1, 4.0), (0, 7.0), (1, 7.0)], 3.0, 4.0
+    end = 7.0 + length + window + ROUND_TAIL
+    # the oracle: index each tap by hand once the round has run
+    sim = _pool_sim()
+    taps = [sim.tap("c0"), sim.tap("c1")]
+    _late_packet(sim)
+    sim.advance(end)
+    want = [FlowIndex(taps[c], sim.hosts[f"c{c}"].ip).slot_trace(
+        t, length, window) for c, t in slots]
+
+    sim = _pool_sim()
+    pool = CallerPool(sim, RtcOverlay(sim, Directory(), PresenceBook()),
+                      [("c0", "u0"), ("c1", "u1")])
+    _late_packet(sim)
+    got = pool.read(slots, length, window)
+    assert got == want
+    assert all(got)
+    assert any(p.size == 200 for p in got[2])
+    assert sim.now == end
+    assert [len(tap) for tap in pool.taps] == [0, 0]
 
 
 # -- SYN filter ----------------------------------------------------------------

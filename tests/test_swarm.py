@@ -121,6 +121,36 @@ def test_handshake_response_iff_participates():
     assert probe2.refused
 
 
+def test_non_handshake_packets_rejected_without_reply():
+    sim, dht, registry = _bt_world()
+    sim.add_host("peer", "10.1.0.1")
+    client = registry.add_client("peer")
+    infohash = b"\x11" * 20
+    registry.join("peer", infohash, t_join=0.5)
+    sim.add_host("sender", "10.2.0.2")
+    got = []
+    sim.set_port_handler("sender", 7000,
+                         lambda s, h, p, payload: got.append(p))
+    sim.advance(1.0)
+    # the DHT node's reply to the join's announce is not a handshake either
+    assert registry.rejected == 1
+    # no payload, a short payload, 68 bytes that are not a handshake
+    for payload in (None, b"hello", b"\x00" * 68):
+        sim.schedule_send("sender", client.external_ip,
+                          client.external_port, "TCP",
+                          len(payload or b"") + 40, at=1.0, src_port=7000,
+                          payload=payload)
+    sim.advance(3.0)
+    assert registry.rejected == 4
+    assert got == []
+    # a handshake is answered and not counted
+    sim.add_host("prober", "10.2.0.1")
+    probe = handshake(sim, HandshakeClient(sim, "prober", seed=1),
+                      client.external_ip, client.external_port, infohash)
+    assert probe.response is not None
+    assert registry.rejected == 4
+
+
 def test_nated_accepting_peer_reachable_nonaccepting_not():
     sim, dht, registry = _bt_world()
     sim.add_nat("open", "10.3.0.1", accepts_unsolicited_inbound=True)

@@ -148,7 +148,7 @@ def test_same_host_verified_despite_interleaving_traffic():
     for r in range(10):
         base = t0 + r * stride
         for j, host in enumerate(hosts):
-            t_call = base + (j // len(verifier.clients)) * 3.0
+            t_call = base + (j // len(verifier.pool.clients)) * 3.0
             for k in range(fillers_per_round):
                 sim.schedule_send(host, "10.0.0.2", 9, "UDP", 40,
                                   at=t_call + 0.13 + k * 0.004,
