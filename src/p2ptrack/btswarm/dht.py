@@ -19,8 +19,10 @@ from ..netsim import Simulator
 from .bencode import BencodeError, bdecode, bencode
 
 KRPC_PORT = 6881
+KRPC_CLIENT_PORT = 9100
 BUCKET_CAP = 8
 CLOSEST_RETURNED = 8
+MAX_LOOKUP_QUERIES = 64
 PROTOCOL_ERROR = 203     # BEP 5 error code for a malformed query
 
 
@@ -119,39 +121,37 @@ class DhtNode:
         self.store: dict = {}        # infohash -> {(ip, port): True}
         self.responsive = True
 
-    def closest_known(self, target: bytes, k: int = CLOSEST_RETURNED) -> list:
+    def closest_known(self, target: bytes) -> list:
         pool = self.routing + [(self.node_id, self.ip, self.port)]
         pool.sort(key=lambda n: (xor_distance(n[0], target), n[0]))
-        return pool[:k]
+        return pool[:CLOSEST_RETURNED]
 
 
 class DhtNetwork:
     """All simulated DHT nodes plus their ground-truth placement oracle."""
 
-    def __init__(self, sim: Simulator, seed=0, port: int = KRPC_PORT):
+    def __init__(self, sim: Simulator, seed=0):
         self.sim = sim
         self.seed = seed
-        self.port = port
         self.nodes: dict = {}        # node_id -> DhtNode
         self.by_host: dict = {}
         self.rejected = 0            # packets a responsive node ignores
         self._rng = random.Random(f"{seed}:dht")
 
-    def add_node(self, host_id: str, node_id: Optional[bytes] = None) -> DhtNode:
-        if node_id is None:
-            node_id = self._rng.randbytes(20)
+    def add_node(self, host_id: str) -> DhtNode:
+        node_id = self._rng.randbytes(20)
         host = self.sim.hosts[host_id]
         if host.nat is not None:
             raise DhtError("DHT nodes must be public")
-        node = DhtNode(node_id, host_id, host.ip, self.port)
+        node = DhtNode(node_id, host_id, host.ip, KRPC_PORT)
         if node_id in self.nodes:
             raise DhtError("duplicate node id")
         self.nodes[node_id] = node
         self.by_host[host_id] = node
-        self.sim.set_port_handler(host_id, self.port, self._server)
+        self.sim.set_port_handler(host_id, KRPC_PORT, self._server)
         return node
 
-    def build_routing(self, bucket_cap: int = BUCKET_CAP) -> None:
+    def build_routing(self) -> None:
         ids = sorted(self.nodes)
         for me in ids:
             node = self.nodes[me]
@@ -164,8 +164,8 @@ class DhtNetwork:
             routing = []
             for level in sorted(buckets):
                 members = buckets[level]
-                if len(members) > bucket_cap:
-                    members = self._rng.sample(members, bucket_cap)
+                if len(members) > BUCKET_CAP:
+                    members = self._rng.sample(members, BUCKET_CAP)
                 for other in sorted(members):
                     peer = self.nodes[other]
                     routing.append((other, peer.ip, peer.port))
@@ -238,7 +238,7 @@ class DhtNetwork:
 
     def _reply(self, host_id: str, pkt, reply: bytes) -> None:
         self.sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "UDP",
-                               len(reply), src_port=self.port, payload=reply)
+                               len(reply), src_port=KRPC_PORT, payload=reply)
 
     def withdraw_peer(self, infohash: bytes, ip: int, port: int,
                       at: float) -> None:
@@ -256,16 +256,14 @@ def _expire(node: DhtNode, infohash: bytes, peer: tuple) -> None:
 class KrpcClient:
     """Request/response correlation for one querying host."""
 
-    def __init__(self, sim: Simulator, host_id: str, seed=0,
-                 src_port: int = 9100):
+    def __init__(self, sim: Simulator, host_id: str, seed=0):
         self.sim = sim
         self.host_id = host_id
         self.node_id = random.Random(f"{seed}:krpc:{host_id}").randbytes(20)
-        self.src_port = src_port
         self._pending: dict = {}    # txn -> callback
         self._txn = 0
         self.rejected = 0           # undecodable or malformed responses
-        sim.set_port_handler(host_id, src_port, self._on_packet)
+        sim.set_port_handler(host_id, KRPC_CLIENT_PORT, self._on_packet)
 
     def _on_packet(self, sim, host_id, pkt, payload):
         if payload is None:
@@ -293,7 +291,7 @@ class KrpcClient:
         self._pending[txn] = on_reply
         data = krpc_query(txn, method, args)
         self.sim.schedule_send(self.host_id, ip, port, "UDP", len(data),
-                               at=self.sim.now, src_port=self.src_port,
+                               at=self.sim.now, src_port=KRPC_CLIENT_PORT,
                                payload=data)
         self.sim.schedule(self.sim.now + timeout, self._check_timeout, txn,
                           on_timeout)
@@ -318,13 +316,11 @@ class LookupTask:
     responding node.  Unresponsive nodes are retried once and skipped."""
 
     def __init__(self, client: KrpcClient, bootstrap, infohash: bytes,
-                 on_done: Callable, timeout: float = 1.0,
-                 max_queries: int = 64):
+                 on_done: Callable, timeout: float = 1.0):
         self.client = client
         self.infohash = infohash
         self.on_done = on_done
         self.timeout = timeout
-        self.max_queries = max_queries
         self.queries = 0
         self.hops: list = []
         self.candidates: dict = {}   # node_id -> (ip, port)
@@ -346,7 +342,7 @@ class LookupTask:
 
     def _step(self) -> None:
         nid = self._next_candidate()
-        if nid is None or self.queries >= self.max_queries:
+        if nid is None or self.queries >= MAX_LOOKUP_QUERIES:
             self._finish(failed=self.best is None)
             return
         dist = xor_distance(nid, self.infohash)
@@ -403,13 +399,12 @@ class LookupTask:
 
 
 def announce(sim: Simulator, dht: DhtNetwork, host_id: str, src_port: int,
-             infohash: bytes, public_port: int, at: float,
-             node_id: bytes = b"\x00" * 20) -> None:
+             infohash: bytes, public_port: int, at: float) -> None:
     """One announce datagram from the peer to the responsible node; the
     node records the packet's (post-NAT) source IP and the announced port."""
     target = dht.responsible(infohash)
     data = krpc_query(b"an", "announce_peer",
-                      {"id": node_id, "info_hash": infohash,
+                      {"id": b"\x00" * 20, "info_hash": infohash,
                        "port": public_port})
     sim.schedule_send(host_id, target.ip, target.port, "UDP", len(data),
                       at=at, src_port=src_port, payload=data)

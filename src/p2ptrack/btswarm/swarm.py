@@ -20,6 +20,7 @@ from .dht import DhtNetwork, KrpcClient, LookupTask, announce
 HANDSHAKE_LEN = 68
 HANDSHAKE_PROTO = b"BitTorrent protocol"
 REFUSAL_SIZE = 40
+PROBE_PORT_BASE = 10000    # a prober's first source port, one per probe
 
 DAY_SECONDS = 86400.0
 
@@ -208,11 +209,10 @@ class HandshakeClient:
     """Active prober: one 68-byte handshake per probe, responses matched
     by the probe's unique source port."""
 
-    def __init__(self, sim: Simulator, host_id: str, seed=0,
-                 port_base: int = 10000):
+    def __init__(self, sim: Simulator, host_id: str, seed=0):
         self.sim = sim
         self.host_id = host_id
-        self._next_port = port_base
+        self._next_port = PROBE_PORT_BASE
         self._pending: dict = {}    # src_port -> HandshakeProbe
         self.peer_id = b"-SM0000-" + \
             random.Random(f"{seed}:probe:{host_id}").randbytes(12)

@@ -34,15 +34,10 @@ def _cmd_run(args) -> int:
         scenario.tracker.clients = args.clients
     if args.salt is not None:
         scenario.tracker.salt = args.salt
-    problems = scenario.validate()
-    if problems:
-        print("scenario validation failed:\n  " + "\n  ".join(problems),
-              file=sys.stderr)
-        return 2
     try:
         report = run(scenario, args.pipeline)
-    except ScenarioError as exc:
-        print(f"scenario cannot be built:\n{exc}", file=sys.stderr)
+    except (ScenarioError, PipelineError) as exc:
+        print(f"scenario cannot be run:\n{exc}", file=sys.stderr)
         return 2
     paths = write_report(report, args.out)
     with open(paths["summary"]) as fh:

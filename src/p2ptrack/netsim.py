@@ -25,6 +25,7 @@ from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
 IPID_MOD = 1 << 16
+NAT_PORT_BASE = 40000      # first public port a NAT box hands out
 
 IPID_SEQUENTIAL_GLOBAL = "sequential_global"
 IPID_SEQUENTIAL_PER_FLOW = "sequential_per_flow"
@@ -129,15 +130,14 @@ class NatBox:
                  "port_map", "reverse", "remotes", "_next_port")
 
     def __init__(self, nat_id: str, public_ip: int,
-                 accepts_unsolicited_inbound: bool = False,
-                 port_base: int = 40000):
+                 accepts_unsolicited_inbound: bool = False):
         self.nat_id = nat_id
         self.public_ip = public_ip
         self.accepts_unsolicited_inbound = accepts_unsolicited_inbound
         self.port_map: dict = {}   # (priv_ip, priv_port, proto) -> pub_port
         self.reverse: dict = {}    # (pub_port, proto) -> (priv_ip, priv_port)
         self.remotes: dict = {}    # (pub_port, proto) -> set of contacted ips
-        self._next_port = port_base
+        self._next_port = NAT_PORT_BASE
 
     def bind(self, priv_ip: int, priv_port: int, proto: str) -> int:
         key = (priv_ip, priv_port, proto)
@@ -149,18 +149,14 @@ class NatBox:
             self.remotes[(pub, proto)] = set()
         return pub
 
-    def forward(self, priv_ip: int, priv_port: int, proto: str,
-                public_port: Optional[int] = None) -> int:
-        """Static UPnP-style mapping created at configuration time."""
+    def forward(self, priv_ip: int, priv_port: int, proto: str) -> int:
+        """Static UPnP-style mapping created at configuration time: the
+        private port if it is free, else the next free NAT port."""
         key = (priv_ip, priv_port, proto)
         if key in self.port_map:
             return self.port_map[key]
-        if public_port is None:
-            public_port = priv_port if (priv_port, proto) not in self.reverse \
-                else self._alloc_port(proto)
-        elif (public_port, proto) in self.reverse:
-            raise NetsimError(
-                f"NAT {self.nat_id}: public port {public_port}/{proto} taken")
+        public_port = priv_port if (priv_port, proto) not in self.reverse \
+            else self._alloc_port(proto)
         self.port_map[key] = public_port
         self.reverse[(public_port, proto)] = (priv_ip, priv_port)
         self.remotes[(public_port, proto)] = set()
@@ -240,15 +236,15 @@ class Simulator:
 
     # -- topology ---------------------------------------------------------
 
-    def add_nat(self, nat_id: str, public_ip, accepts_unsolicited_inbound=False,
-                port_base: int = 40000) -> NatBox:
+    def add_nat(self, nat_id: str, public_ip,
+                accepts_unsolicited_inbound=False) -> NatBox:
         if isinstance(public_ip, str):
             public_ip = parse_ip(public_ip)
         if nat_id in self.nats:
             raise NetsimError(f"duplicate NAT id {nat_id!r}")
         if public_ip in self._ip_nat or public_ip in self._ip_host:
             raise NetsimError(f"public IP {ip_str(public_ip)} already in use")
-        box = NatBox(nat_id, public_ip, accepts_unsolicited_inbound, port_base)
+        box = NatBox(nat_id, public_ip, accepts_unsolicited_inbound)
         self.nats[nat_id] = box
         self._ip_nat[public_ip] = nat_id
         self._nat_members[nat_id] = {}

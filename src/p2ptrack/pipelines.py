@@ -125,10 +125,8 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
     validation_calls = [c for r in rounds for c in r.calls
                         if c.validation]
     accuracy["validation_calls"] = len(validation_calls)
-    accuracy["validation_false_positives"] = sum(
-        1 for c in validation_calls
-        if {e.ip for e in c.extracted} - {t.expect_ip
-                                          for t in c.placed.targets})
+    accuracy["validation_false_positives"] = _call_accuracy(
+        validation_calls)["false_positive_calls"]
 
     sample_rounds = [[s for s in r.samples if not s.validation]
                      for r in rounds]

@@ -296,7 +296,6 @@ class CallRequest:
     caller: str
     callee: str
     t_start: float
-    defense_mode: Optional[str] = None    # None = overlay default
     answered: bool = False
 
 
@@ -343,6 +342,10 @@ class RtcConfig:
     noise_sizes: tuple = (20, 120)
     pattern_jitter: float = 0.05
 
+    def __post_init__(self):
+        if self.defense_mode not in DEFENSES:
+            raise ValueError(f"defense_mode unknown: {self.defense_mode!r}")
+
 
 class _TcpAttempt:
     __slots__ = ("call_id", "callee", "callee_host", "established")
@@ -379,11 +382,10 @@ class RtcOverlay:
 
     # -- membership --------------------------------------------------------
 
-    def register_client(self, host_id: str, port: Optional[int] = None) -> int:
+    def register_client(self, host_id: str) -> int:
         if host_id in self._ports:
             return self._ports[host_id]
-        if port is None:
-            port = self._port_rng.randint(20000, 39999)
+        port = self._port_rng.randint(20000, 39999)
         self._ports[host_id] = port
         self._resp_rng[host_id] = random.Random(f"{self.seed}:resp:{host_id}")
         self.sim.hosts[host_id].handler = self._client_handler
@@ -462,9 +464,7 @@ class RtcOverlay:
         if self.sim.hosts[caller_host].nat is not None:
             raise CallError("tracking callers must not be behind a NAT")
 
-        defense = req.defense_mode or self.config.defense_mode
-        if defense not in DEFENSES:
-            raise CallError(f"unknown defense mode {defense!r}")
+        defense = self.config.defense_mode
         call_id = self._next_call
         self._next_call += 1
         rng = random.Random(f"{self.seed}:call:{call_id}")

@@ -14,7 +14,7 @@ from typing import Optional
 
 import yaml
 
-from .rtcdir import DEFENSES, RtcConfig
+from .rtcdir import RtcConfig
 from .sniffer import ClassifierConfig
 from .tracker import SchedulerConfig
 from .verifier import VerifierConfig, VerifierError
@@ -129,6 +129,19 @@ class Scenario:
             return bytes.fromhex(self.tracker.salt)
         return f"salt:{self.seed}:{self.name}".encode()
 
+    def state_counts(self) -> tuple:
+        """(online, stale, dark) user counts; worldgen plants exactly
+        these."""
+        users = self.population.users
+        if self.mobility is not None:
+            stale = self.mobility.never_online_stale
+            dark = self.mobility.never_online_dark
+            return users - stale - dark, stale, dark
+        online = round(users * self.population.online_fraction)
+        stale = min(round(users * self.population.stale_fraction),
+                    users - online)
+        return online, stale, users - online - stale
+
     def validate(self) -> list:
         """All violations, empty when the scenario is runnable."""
         bad = []
@@ -149,8 +162,6 @@ class Scenario:
             bad.append("population.cities must be a multiple of 4, >= 8")
         if pop.hosts_per_nat < 1:
             bad.append("population.hosts_per_nat must be >= 1")
-        if self.rtc.defense_mode not in DEFENSES:
-            bad.append(f"rtc.defense_mode unknown: {self.rtc.defense_mode}")
         if self.rtc.supernodes < self.rtc.noise_flows[1]:
             bad.append("rtc.supernodes smaller than the noise flow maximum")
         if self.tracker.clients < 1 or self.tracker.s <= 0:
@@ -167,14 +178,13 @@ class Scenario:
                            "and name, is longer than 64 bytes")
         except ValueError:
             bad.append("tracker.salt must be a hex string")
-        if self.mobility is not None:
-            m = self.mobility
-            movers = (m.movers_city_only + m.movers_city_as
-                      + m.movers_country)
-            if movers + m.never_online_stale + m.never_online_dark > pop.users:
-                bad.append("mobility plants exceed the population")
-            if self.tracker.rounds < 2 and movers:
-                bad.append("mobility movers need at least 2 rounds")
+        for name in ("mobility", "bt"):
+            section = getattr(self, name)
+            for f in fields(section) if section is not None else ():
+                if f.type == "int" and getattr(section, f.name) < 0:
+                    bad.append(f"{name}.{f.name} must be >= 0")
+        online = self.state_counts()[0]
+        own_nat = 0                  # planted users that need their own NAT
         if self.bt is not None:
             b = self.bt
             if b.same_host > b.candidates:
@@ -184,12 +194,24 @@ class Scenario:
             if b.shared_ip_distinct > b.candidates - b.same_host:
                 bad.append("bt.shared_ip_distinct exceeds the distinct-host "
                            "candidate count")
-            if b.candidates + b.unverifiable > pop.users:
-                bad.append("bt candidate plants exceed the population")
+            if b.candidates + b.unverifiable > online:
+                bad.append(f"bt candidate plants exceed the {online} online "
+                           f"users")
+            own_nat = (b.candidates - b.same_host + b.unverifiable
+                       + b.shared_ip_same_host)
             if b.swarms < 1 or b.dht_nodes < 1 or b.crawler_bots < 1:
                 bad.append("bt needs swarms, dht_nodes and crawler_bots >= 1")
             if self.verifier.clients < 1:
                 bad.append("verifier.clients must be >= 1")
+        if self.mobility is not None:
+            m = self.mobility
+            movers = (m.movers_city_only + m.movers_city_as
+                      + m.movers_country)
+            if movers > online - own_nat:
+                bad.append(f"mobility plants exceed the {online - own_nat} "
+                           f"online users without a NAT of their own")
+            if self.tracker.rounds < 2 and movers:
+                bad.append("mobility movers need at least 2 rounds")
         return bad
 
 

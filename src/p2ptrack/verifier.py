@@ -30,12 +30,13 @@ class VerifierError(Exception):
     pass
 
 
-def ring_distance(a: int, b: int, m: int = RING_MODULUS) -> int:
-    """Shortest way around the ring of m elements; result in [0, m/2]."""
-    if not 0 <= a < m or not 0 <= b < m:
-        raise VerifierError(f"ring values must be in [0, {m}): {a}, {b}")
-    d = (a - b) % m
-    return min(d, m - d)
+def ring_distance(a: int, b: int) -> int:
+    """Shortest way around the IP-ID ring; result in [0, RING_MODULUS/2]."""
+    if not 0 <= a < RING_MODULUS or not 0 <= b < RING_MODULUS:
+        raise VerifierError(
+            f"ring values must be in [0, {RING_MODULUS}): {a}, {b}")
+    d = (a - b) % RING_MODULUS
+    return min(d, RING_MODULUS - d)
 
 
 def percentile_nearest_rank(values, p: float):

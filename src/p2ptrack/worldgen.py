@@ -187,14 +187,7 @@ def build_world(scenario: Scenario) -> World:
     # population states
     n = pop.users
     users = [f"user{i:05d}" for i in range(n)]
-    if mob is not None:
-        n_stale = mob.never_online_stale
-        n_dark = mob.never_online_dark
-        n_online = n - n_stale - n_dark
-    else:
-        n_online = round(n * pop.online_fraction)
-        n_stale = round(n * pop.stale_fraction)
-        n_dark = n - n_online - n_stale
+    n_online, n_stale, n_dark = scenario.state_counts()
     state_pool = ([STATE_ONLINE] * n_online + [STATE_STALE] * n_stale
                   + [STATE_DARK] * n_dark)
     rng.shuffle(state_pool)
@@ -209,8 +202,6 @@ def build_world(scenario: Scenario) -> World:
     bt_shared: set = set()
     if bt is not None:
         need = bt.candidates + bt.unverifiable
-        if len(online_users) < need:
-            raise ScenarioError("not enough online users for bt candidates")
         picks = online_users[:need]
         bt_same = picks[:bt.same_host]
         bt_distinct = picks[bt.same_host:bt.candidates]
@@ -224,16 +215,12 @@ def build_world(scenario: Scenario) -> World:
     movers_as: list = []
     movers_country: list = []
     if mob is not None:
-        need = mob.movers_city_only + mob.movers_city_as + mob.movers_country
         eligible = [u for u in online_users if u not in needs_own_nat]
-        if len(eligible) < need:
-            raise ScenarioError("not enough online users for mobility plant")
-        cursor = 0
-        movers_city_only = eligible[cursor:cursor + mob.movers_city_only]
-        cursor += mob.movers_city_only
-        movers_as = eligible[cursor:cursor + mob.movers_city_as]
-        cursor += mob.movers_city_as
-        movers_country = eligible[cursor:cursor + mob.movers_country]
+        k_city, k_as = mob.movers_city_only, mob.movers_city_as
+        movers_city_only = eligible[:k_city]
+        movers_as = eligible[k_city:k_city + k_as]
+        movers_country = eligible[k_city + k_as:
+                                  k_city + k_as + mob.movers_country]
 
     # privacy settings plant
     n_blocked = round(n * pop.blocked_fraction)
@@ -427,8 +414,6 @@ def _materialize_bt(scenario, sim, rng, alloc, registry_users, user_home):
     def add_sibling(user, accepts: bool):
         nonlocal sibling_idx
         home_host = sim.hosts[user_home[user]]
-        if home_host.nat is None:
-            raise ScenarioError(f"user {user} needs a NAT for a BT sibling")
         sim.nats[home_host.nat].accepts_unsolicited_inbound = accepts
         sib = f"btsib{sibling_idx:04d}"
         sibling_idx += 1

@@ -4,11 +4,11 @@ import warnings
 import pytest
 
 from p2ptrack.btswarm.bencode import bdecode, bencode
-from p2ptrack.btswarm.dht import (PROTOCOL_ERROR, DhtError, DhtNetwork,
-                                  KrpcClient, LookupTask, announce,
-                                  krpc_query, krpc_response, pack_peer,
-                                  parse_krpc, unpack_nodes, unpack_peers,
-                                  xor_distance)
+from p2ptrack.btswarm.dht import (KRPC_CLIENT_PORT, PROTOCOL_ERROR,
+                                  DhtError, DhtNetwork, KrpcClient,
+                                  LookupTask, announce, krpc_query,
+                                  krpc_response, pack_peer, parse_krpc,
+                                  unpack_nodes, unpack_peers, xor_distance)
 from p2ptrack.netsim import Simulator, parse_ip
 
 
@@ -199,8 +199,8 @@ def test_malformed_response_is_rejected(response):
                       {"id": client.node_id, "target": b"\x05" * 20},
                       replies.append, lambda: replies.append("timeout"), 1.0)
     bad = bencode(response)    # arrives while the query is pending
-    sim.schedule_send("probe", "10.9.0.1", client.src_port, "UDP", len(bad),
-                      at=sim.now, src_port=6881, payload=bad)
+    sim.schedule_send("probe", "10.9.0.1", KRPC_CLIENT_PORT, "UDP",
+                      len(bad), at=sim.now, src_port=6881, payload=bad)
     sim.advance(sim.now + 2.0)
     assert client.rejected == 1
     assert len(replies) == 1 and b"nodes" in replies[0]   # the real reply
@@ -237,7 +237,7 @@ def test_unsorted_krpc_is_rejected_and_counted():
     sim.add_host("probe", "10.9.0.2")
     unsorted = b"d1:y1:q1:t2:aa1:q4:pinge"
     node = dht.bootstrap_node()
-    for ip, port in ((node.ip, node.port), ("10.9.0.1", client.src_port)):
+    for ip, port in ((node.ip, node.port), ("10.9.0.1", KRPC_CLIENT_PORT)):
         sim.schedule_send("probe", ip, port, "UDP", len(unsorted), at=0.0,
                           src_port=5000, payload=unsorted)
     with warnings.catch_warnings(record=True) as caught:

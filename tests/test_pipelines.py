@@ -172,6 +172,7 @@ def test_cli_validate(tmp_path, capsys):
             ("name: [1]\n", "name"),
             ("directory_fixture: 5\n", "directory_fixture"),
             ("tracker:\n  salt: zz\n", "tracker.salt"),
+            ("rtc:\n  defense_mode: bogus\n", "rtc"),
             (f"name: {'n' * 66}\n", "name"),
             (smoke_text.replace("rounds: 2", "rounds: 1\n  reorders: 2"),
              "tracker.reorders"),
@@ -186,13 +187,28 @@ def test_cli_validate(tmp_path, capsys):
     assert main(["run", "--scenario", str(bad), "--seed", "12345",
                  "--out", str(tmp_path / "o")]) == 2
     assert "name" in capsys.readouterr().err
-    # a world the plants do not fit passes validate; run exits 2, not 1
+    # plants that do not fit the online users fail both commands: 13
+    # candidates and 1 unverifiable sibling, but 12 of 20 users online
     bad.write_text(smoke_text.replace("candidates: 6", "candidates: 13"))
+    for argv in (["validate"], ["run", "--pipeline", "linkage",
+                                "--out", str(tmp_path / "o")]):
+        assert main(argv + ["--scenario", str(bad)]) == 2
+        assert "exceed" in capsys.readouterr().err
+    # movers count against the online users without a NAT of their own:
+    # 16 online, 5 of them planted behind a dedicated NAT for bt
+    mobility = ("mobility:\n  never_online_stale: 2\n"
+                "  never_online_dark: 2\n  movers_city_only: ")
+    bad.write_text(smoke_text + mobility + "11\n")
     assert main(["validate", "--scenario", str(bad)]) == 0
+    bad.write_text(smoke_text + mobility + "12\n")
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert "exceed" in capsys.readouterr().err
+    # a pipeline the scenario has no section for is not run either
+    bad.write_text("population:\n  users: 5\n")
     assert main(["run", "--scenario", str(bad), "--pipeline", "linkage",
                  "--out", str(tmp_path / "o")]) == 2
-    assert "not enough online users" in capsys.readouterr().err
-    # so does a missing file
+    assert "bt section" in capsys.readouterr().err
+    # a missing file fails both commands
     missing = str(tmp_path / "missing.yaml")
     for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
         assert main(argv + ["--scenario", missing]) == 2

@@ -1,8 +1,14 @@
+from collections import Counter
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from p2ptrack.scenario import (Scenario, ScenarioError, load_scenario,
                                scenario_from_dict)
-from p2ptrack.worldgen import build_world
+from p2ptrack.worldgen import (BT_DISTINCT_HOST, BT_SAME_HOST,
+                               BT_UNVERIFIABLE, STATE_DARK, STATE_ONLINE,
+                               STATE_STALE, build_world)
 
 SMOKE = "scenarios/smoke.yaml"
 
@@ -62,6 +68,101 @@ def test_validation_bt_plants():
         {"population": {"users": 4},
          "bt": {"candidates": 10, "same_host": 1}})
     assert any("plants exceed" in p for p in scn.validate())
+
+
+def test_state_counts_never_exceed_the_users():
+    # round(1.5) + round(1.5) would be 4 states for 3 users
+    for seed in range(20):
+        world = build_world(scenario_from_dict({
+            "seed": seed, "population": {"users": 3, "online_fraction": 0.5,
+                                         "stale_fraction": 0.5}}))
+        assert Counter(world.user_state.values()) == \
+            {STATE_ONLINE: 2, STATE_STALE: 1}
+
+
+def test_validation_plants_fit_the_online_users():
+    pop = {"users": 10, "online_fraction": 0.5, "stale_fraction": 0.3}
+    bt = {"candidates": 3, "same_host": 1, "shared_ip_same_host": 1,
+          "unverifiable": 2}
+    assert scenario_from_dict({"population": pop, "bt": bt}).validate() == []
+    scn = scenario_from_dict({"population": pop,
+                              "bt": dict(bt, unverifiable=3)})
+    assert scn.state_counts() == (5, 3, 2)
+    assert any("plants exceed the 5 online" in p for p in scn.validate())
+    # 6 online users, 2 + 1 + 1 of them behind a NAT of their own
+    mob = {"never_online_stale": 3, "never_online_dark": 1,
+           "movers_country": 2}
+    bt = dict(bt, unverifiable=1)
+    scn = scenario_from_dict({"population": pop, "bt": bt, "mobility": mob})
+    assert scn.state_counts() == (6, 3, 1) and scn.validate() == []
+    scn.mobility.movers_city_as = 1
+    assert any("plants exceed the 2 online" in p for p in scn.validate())
+    scn.mobility.movers_city_as = -1
+    assert "mobility.movers_city_as must be >= 0" in scn.validate()
+
+
+@st.composite
+def small_scenarios(draw):
+    """Scenario documents of at most 40 users whose plants may or may not
+    fit the population."""
+    users = draw(st.integers(min_value=1, max_value=40))
+    count = st.integers(min_value=0, max_value=max(1, users // 5))
+    doc = {"seed": draw(st.integers(min_value=0, max_value=999)),
+           "rtc": {"supernodes": 10, "relays": 1, "noise_flows": [1, 2]},
+           "population": {
+               "users": users,
+               "online_fraction": draw(st.floats(0.0, 1.0)),
+               "stale_fraction": draw(st.floats(0.0, 1.0)),
+               "nat_fraction": draw(st.floats(0.0, 1.0))},
+           "tracker": {"clients": 1, "rounds": 2}}
+    if draw(st.booleans()):
+        doc["mobility"] = {
+            key: draw(count) for key in (
+                "movers_city_only", "movers_city_as", "movers_country",
+                "never_online_stale", "never_online_dark")}
+    if draw(st.booleans()):
+        candidates = draw(count)
+        same_host = draw(st.integers(0, candidates))
+        doc["bt"] = {
+            "swarms": 1, "dht_nodes": 2, "crawler_bots": 1,
+            "extra_peers_per_swarm": 1, "scrape_filler": 1,
+            "candidates": candidates, "same_host": same_host,
+            "shared_ip_same_host": draw(st.integers(0, same_host)),
+            "shared_ip_distinct": draw(
+                st.integers(0, candidates - same_host)),
+            "unverifiable": draw(count)}
+        doc["verifier"] = {"clients": 1}
+    return doc
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_scenarios())
+@example({"population": {"users": 3, "online_fraction": 0.5,
+                         "stale_fraction": 0.5}})
+def test_every_valid_scenario_builds_with_its_state_counts(doc):
+    scn = scenario_from_dict(doc)
+    if scn.validate():
+        with pytest.raises(ScenarioError, match="invalid scenario"):
+            build_world(scn)
+        return
+    world = build_world(scn)
+    counts = Counter(world.user_state.values())
+    assert (counts[STATE_ONLINE], counts[STATE_STALE],
+            counts[STATE_DARK]) == scn.state_counts()
+    # and every plant is planted in full
+    if scn.bt is not None:
+        b = scn.bt
+        assert Counter(world.bt.truth.values()) == Counter({
+            BT_SAME_HOST: b.same_host,
+            BT_DISTINCT_HOST: b.candidates - b.same_host,
+            BT_UNVERIFIABLE: b.unverifiable})
+    if scn.mobility is not None:
+        m, truth = scn.mobility, world.mobility_truth
+        assert (len(truth.movers_city), len(truth.movers_as),
+                len(truth.movers_country)) == (
+            m.movers_city_only + m.movers_city_as + m.movers_country,
+            m.movers_city_as + m.movers_country, m.movers_country)
 
 
 def test_validation_mobility_needs_rounds():
