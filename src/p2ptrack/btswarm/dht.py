@@ -23,6 +23,7 @@ KRPC_CLIENT_PORT = 9100
 BUCKET_CAP = 8
 CLOSEST_RETURNED = 8
 MAX_LOOKUP_QUERIES = 64
+QUERY_TIMEOUT = 1.0      # seconds a lookup waits for each reply
 PROTOCOL_ERROR = 203     # BEP 5 error code for a malformed query
 
 
@@ -262,18 +263,19 @@ class KrpcClient:
         self.node_id = random.Random(f"{seed}:krpc:{host_id}").randbytes(20)
         self._pending: dict = {}    # txn -> callback
         self._txn = 0
-        self.rejected = 0           # undecodable or malformed responses
+        self.rejected = 0           # packets that are not a valid response
         sim.set_port_handler(host_id, KRPC_CLIENT_PORT, self._on_packet)
 
     def _on_packet(self, sim, host_id, pkt, payload):
-        if payload is None:
-            return
         try:
+            if payload is None:
+                raise DhtError("no payload")
             msg = parse_krpc(payload)
         except (BencodeError, DhtError):
             self.rejected += 1
             return
         if msg.get(b"y") != b"r":
+            self.rejected += 1
             return
         txn, body = msg[b"t"], msg.get(b"r", {})
         if not isinstance(txn, bytes) or not _response_ok(body):
@@ -316,11 +318,10 @@ class LookupTask:
     responding node.  Unresponsive nodes are retried once and skipped."""
 
     def __init__(self, client: KrpcClient, bootstrap, infohash: bytes,
-                 on_done: Callable, timeout: float = 1.0):
+                 on_done: Callable):
         self.client = client
         self.infohash = infohash
         self.on_done = on_done
-        self.timeout = timeout
         self.queries = 0
         self.hops: list = []
         self.candidates: dict = {}   # node_id -> (ip, port)
@@ -373,7 +374,7 @@ class LookupTask:
         self.client.send_query(ip, port, "find_node",
                                {"id": self.client.node_id,
                                 "target": self.infohash},
-                               on_reply, on_timeout, self.timeout)
+                               on_reply, on_timeout, QUERY_TIMEOUT)
 
     def _finish(self, failed: bool) -> None:
         if failed:
@@ -395,7 +396,7 @@ class LookupTask:
         self.client.send_query(ip, port, "get_peers",
                                {"id": self.client.node_id,
                                 "info_hash": self.infohash},
-                               on_reply, on_timeout, self.timeout)
+                               on_reply, on_timeout, QUERY_TIMEOUT)
 
 
 def announce(sim: Simulator, dht: DhtNetwork, host_id: str, src_port: int,

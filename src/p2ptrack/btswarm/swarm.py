@@ -264,8 +264,8 @@ class CrawlRound:
 
 
 def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
-              t_start: float, round_index: int = 0, deadline: float = 3600.0,
-              timeout: float = 1.0) -> CrawlRound:
+              t_start: float, round_index: int = 0,
+              deadline: float = 3600.0) -> CrawlRound:
     """One crawl round: the infohash list is partitioned over the bots
     (KrpcClient instances); each bot chains lookups, appending snapshots to
     the shared sink.  Crawling is read-only for swarm state."""
@@ -287,8 +287,7 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
             remaining[bot_index] -= 1
             start_next(bot_index)
 
-        LookupTask(bots[bot_index], bootstrap, infohash, on_done,
-                   timeout=timeout).start()
+        LookupTask(bots[bot_index], bootstrap, infohash, on_done).start()
 
     for b in range(len(bots)):
         sim.schedule(t_start + 0.001 * b, start_next, b)

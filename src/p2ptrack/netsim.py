@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 IPID_MOD = 1 << 16
 NAT_PORT_BASE = 40000      # first public port a NAT box hands out
+LATENCY = 0.05             # one-way delay of every packet, in seconds
 
 IPID_SEQUENTIAL_GLOBAL = "sequential_global"
 IPID_SEQUENTIAL_PER_FLOW = "sequential_per_flow"
@@ -214,11 +215,9 @@ class Simulator:
     """Single-threaded deterministic event loop.  Every event is a queue
     entry (time, insertion seq, fn, args); drops counts packets by reason."""
 
-    def __init__(self, seed=0, default_latency: float = 0.05,
-                 default_jitter: float = 0.01):
+    def __init__(self, seed=0, default_jitter: float = 0.01):
         self.seed = seed
         self.now = 0.0
-        self.default_latency = default_latency
         self.default_jitter = default_jitter
         self.hosts: dict = {}
         self.nats: dict = {}
@@ -377,7 +376,7 @@ class Simulator:
         # route: who owns the destination public address?
         dst_host_id = self._ip_host.get(dst_ip)
         dst_nat_id = self._ip_nat.get(dst_ip) if dst_host_id is None else None
-        latency, jitter = self.default_latency, self.default_jitter
+        latency, jitter = LATENCY, self.default_jitter
         if jitter:
             latency += self._jitter_rng.uniform(-jitter, jitter)
         t_recv = now + latency

@@ -201,9 +201,7 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
         observations.extend(result.observations)
         crawl = run_crawl(world.sim, bt.dht, bt.crawler_bots,
                           bt.top_infohashes, world.sim.now + 5.0,
-                          round_index=r,
-                          deadline=scenario.bt.crawl_deadline,
-                          timeout=scenario.bt.crawl_timeout)
+                          round_index=r)
         snapshots.extend(crawl.snapshots)
         crawl_failures += crawl.failures
 

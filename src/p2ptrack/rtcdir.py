@@ -43,6 +43,7 @@ PRESENCE_REFRESH = 60.0
 # emitter parameters that no scenario sets
 START_DELAY = (0.3, 2.2)        # call request to first pattern packet
 VARYING_SIZES = (30, 120)
+NOISE_SIZES = (20, 120)         # supernode chatter; never NAT_TAIL_SIZE
 VARYING_COUNT = (4, 8)
 NOISE_WINDOW = 12.0             # supernode chatter after the call request
 KEEPALIVE_SIZE = 52
@@ -320,12 +321,7 @@ class CallTarget:
 @dataclass
 class PlacedCall:
     call_id: int
-    caller: str
-    caller_host: str
-    callee: str
     t_start: float
-    defense: str
-    answered: bool
     start_delay: float
     targets: list
     true_session_ips: frozenset
@@ -339,7 +335,6 @@ class RtcConfig:
     relays: int = 4
     noise_flows: tuple = (10, 14)
     noise_packets: tuple = (5, 20)
-    noise_sizes: tuple = (20, 120)
     pattern_jitter: float = 0.05
 
     def __post_init__(self):
@@ -496,9 +491,8 @@ class RtcOverlay:
                         call_id, rng, caller_host, base, seen[0]))
 
         noise_ips = self._plan_noise(rng, caller_host, req.t_start)
-        call = PlacedCall(call_id, req.caller, caller_host, req.callee,
-                          req.t_start, defense, req.answered, start_delay,
-                          targets, true_ips, noise_ips)
+        call = PlacedCall(call_id, req.t_start, start_delay, targets,
+                          true_ips, noise_ips)
         self.calls.append(call)
         return call
 
@@ -638,9 +632,7 @@ class RtcOverlay:
                 if rng.random() < 0.08:
                     size = rng.choice(MARKER_SIZES)
                 else:
-                    size = rng.randint(*cfg.noise_sizes)
-                    if size == NAT_TAIL_SIZE:
-                        size += 1
+                    size = rng.randint(*NOISE_SIZES)
                 if rng.random() < 0.5:
                     send(caller_host, sn_ip, sn_port, "UDP", size,
                          at=at, src_port=caller_port)

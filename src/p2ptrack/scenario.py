@@ -25,7 +25,7 @@ class ScenarioError(Exception):
 
 
 # The value types each field annotation accepts: a float field also takes
-# an int, and every tuple field is a range of ints.
+# an int, and every tuple field is a range [lo, hi] of ints, 0 <= lo <= hi.
 _TYPES = {"int": int, "float": (int, float), "str": str, "tuple": tuple,
           "Optional[str]": (str, type(None))}
 
@@ -57,18 +57,13 @@ def _checked(f, value, path):
         value = tuple(value)
     ok = isinstance(value, _TYPES[f.type]) and not isinstance(value, bool)
     if ok and f.type == "tuple":
-        ok = all(type(v) is int for v in value)
+        ok = len(value) == 2 and all(type(v) is int for v in value) and \
+            0 <= value[0] <= value[1]
     if not ok:
-        want = {"tuple": "a list of ints",
+        want = {"tuple": "[lo, hi] with ints 0 <= lo <= hi",
                 "Optional[str]": "a str or null"}.get(f.type, f.type)
         raise ScenarioError(f"{path}: expected {want}, got {value!r}")
     return value
-
-
-@dataclass
-class NetSection:
-    default_latency: float = 0.05
-    default_jitter: float = 0.01
 
 
 @dataclass
@@ -76,7 +71,6 @@ class PopulationSection:
     users: int = 20
     cities: int = 8
     nat_fraction: float = 0.3
-    hosts_per_nat: int = 1
     online_fraction: float = 0.6
     stale_fraction: float = 0.2      # offline but seen within 72 h
     blocked_fraction: float = 0.0    # callees that block the trackers
@@ -107,8 +101,6 @@ class BtSection:
     unverifiable: int = 0            # siblings behind non-accepting NATs
     scrape_filler: int = 20          # fake scrape entries below the real ones
     torrents_per_client: tuple = (1, 2)
-    crawl_deadline: float = 3600.0
-    crawl_timeout: float = 1.0
 
 
 @dataclass
@@ -116,7 +108,6 @@ class Scenario:
     name: str = "scenario"
     seed: int = 0
     directory_fixture: Optional[str] = None   # extra profiles, TSV format
-    net: NetSection = field(default_factory=NetSection)
     rtc: RtcConfig = field(default_factory=RtcConfig)
     population: PopulationSection = field(default_factory=PopulationSection)
     tracker: SchedulerConfig = field(default_factory=SchedulerConfig)
@@ -156,12 +147,16 @@ class Scenario:
                 bad.append(f"population.{name} out of [0,1]: {frac}")
         if pop.online_fraction + pop.stale_fraction > 1.0 + 1e-9:
             bad.append("population online_fraction + stale_fraction > 1")
+        if pop.blocked_fraction + pop.whitelist_fraction > 1.0 + 1e-9:
+            bad.append("population blocked_fraction + whitelist_fraction "
+                       "> 1")
         if pop.users < 1:
             bad.append("population.users must be positive")
         if pop.cities < 8 or pop.cities % 4:
             bad.append("population.cities must be a multiple of 4, >= 8")
-        if pop.hosts_per_nat < 1:
-            bad.append("population.hosts_per_nat must be >= 1")
+        for name in ("supernodes", "relays"):
+            if getattr(self.rtc, name) < 1:
+                bad.append(f"rtc.{name} must be >= 1")
         if self.rtc.supernodes < self.rtc.noise_flows[1]:
             bad.append("rtc.supernodes smaller than the noise flow maximum")
         if self.tracker.clients < 1 or self.tracker.s <= 0:
@@ -218,9 +213,7 @@ class Scenario:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a mapping")
-    known = {"name", "seed", "directory_fixture", "net", "rtc", "population",
-             "tracker", "mobility", "bt", "verifier"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(Scenario)}
     if unknown:
         raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
     tracker_data = dict(data.get("tracker") or {})
@@ -233,7 +226,6 @@ def scenario_from_dict(data: dict) -> Scenario:
            for f in fields(Scenario) if f.type in _TYPES and f.name in data}
     return Scenario(
         **top,
-        net=_section(NetSection, data.get("net"), "net"),
         rtc=_section(RtcConfig, data.get("rtc"), "rtc"),
         population=_section(PopulationSection, data.get("population"),
                             "population"),

@@ -151,8 +151,7 @@ def build_world(scenario: Scenario) -> World:
     mob = scenario.mobility
     bt = scenario.bt
 
-    sim = Simulator(seed, scenario.net.default_latency,
-                    scenario.net.default_jitter)
+    sim = Simulator(seed)
     directory = Directory()
     presence = PresenceBook()
     overlay = RtcOverlay(sim, directory, presence, scenario.rtc, seed=seed)
@@ -224,7 +223,7 @@ def build_world(scenario: Scenario) -> World:
 
     # privacy settings plant
     n_blocked = round(n * pop.blocked_fraction)
-    n_whitelist = round(n * pop.whitelist_fraction)
+    n_whitelist = min(round(n * pop.whitelist_fraction), n - n_blocked)
     privacy_pool = ([1] * n_blocked + [2] * n_whitelist
                     + [0] * (n - n_blocked - n_whitelist))
     rng.shuffle(privacy_pool)
@@ -232,8 +231,6 @@ def build_world(scenario: Scenario) -> World:
 
     # hosts and profiles
     nat_count = 0
-    nat_members = 0
-    current_nat = None
     user_home: dict = {}
     user_city: dict = {}
     for idx, user in enumerate(users):
@@ -246,23 +243,12 @@ def build_world(scenario: Scenario) -> World:
             ipid = IPID_RANDOM
         else:
             ipid = IPID_SEQUENTIAL_GLOBAL
-        if user in needs_own_nat:
+        if user in needs_own_nat or rng.random() < pop.nat_fraction:
             nat_id = f"nat{nat_count:05d}"
             nat_count += 1
             sim.add_nat(nat_id, alloc[city].alloc())
             sim.add_host(host, NAT_PRIVATE_BLOCK[0] | 2, nat=nat_id,
                          ipid_model=ipid)
-        elif rng.random() < pop.nat_fraction:
-            if current_nat is None or nat_members >= pop.hosts_per_nat or \
-                    current_nat[1] != city:
-                nat_id = f"nat{nat_count:05d}"
-                nat_count += 1
-                sim.add_nat(nat_id, alloc[city].alloc())
-                current_nat = (nat_id, city)
-                nat_members = 0
-            sim.add_host(host, NAT_PRIVATE_BLOCK[0] | (nat_members + 2),
-                         nat=current_nat[0], ipid_model=ipid)
-            nat_members += 1
         else:
             sim.add_host(host, alloc[city].alloc(), ipid_model=ipid)
         overlay.register_client(host)

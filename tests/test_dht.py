@@ -230,6 +230,31 @@ def test_ignored_packets_are_counted_without_reply():
     assert dht.rejected == 3
 
 
+def test_client_counts_every_packet_that_is_not_a_response():
+    sim, dht, client = build_dht(10)
+    sim.add_host("probe", "10.9.0.2")
+    node = dht.bootstrap_node()
+    node.responsive = False          # the query below stays pending
+    replies = []
+    client.send_query(node.ip, node.port, "find_node",
+                      {"id": client.node_id, "target": b"\x05" * 20},
+                      replies.append, lambda: replies.append("timeout"), 1.0)
+    txn = b"\x00\x00\x00\x01"        # the pending query's transaction id
+    for payload in (None,                                     # no payload
+                    bencode({"t": txn, "y": "q", "q": "ping",  # a query
+                             "a": {"id": b"\x01" * 20}}),
+                    bencode({"t": txn, "y": "e",              # an error
+                             "e": [PROTOCOL_ERROR, b"no"]})):
+        sim.schedule_send("probe", "10.9.0.1", KRPC_CLIENT_PORT, "UDP",
+                          len(payload or b"") + 8, at=sim.now,
+                          src_port=5000, payload=payload)
+    sim.advance(sim.now + 0.5)
+    assert client.rejected == 3
+    assert replies == []
+    sim.advance(sim.now + 1.0)
+    assert replies == ["timeout"]
+
+
 def test_unsorted_krpc_is_rejected_and_counted():
     # keys out of order (y before t before q): BEP 3 forbids it, so both
     # ends drop the datagram, count it, and the loop runs on to its end

@@ -173,6 +173,25 @@ def test_cli_validate(tmp_path, capsys):
             ("directory_fixture: 5\n", "directory_fixture"),
             ("tracker:\n  salt: zz\n", "tracker.salt"),
             ("rtc:\n  defense_mode: bogus\n", "rtc"),
+            # a range that is not [lo, hi] with 0 <= lo <= hi
+            ("bt:\n  torrents_per_client: [3, 1]\n",
+             "bt.torrents_per_client"),
+            ("rtc:\n  noise_flows: [14, 10]\n", "rtc.noise_flows"),
+            ("rtc:\n  noise_packets: [9, 2]\n", "rtc.noise_packets"),
+            ("rtc:\n  noise_flows: [1]\n", "rtc.noise_flows"),
+            # no infrastructure, or more privacy plants than users
+            ("rtc:\n  supernodes: 0\n  noise_flows: [0, 0]\n",
+             "rtc.supernodes"),
+            (smoke_text.replace("relays: 3", "relays: 0"), "rtc.relays"),
+            ("population:\n  users: 5\n  blocked_fraction: 0.6\n"
+             "  whitelist_fraction: 0.6\n", "whitelist_fraction"),
+            # keys whose one value is now a constant
+            ("net:\n  default_latency: 0.05\n", "unknown scenario keys"),
+            ("net:\n  default_jitter: 0.01\n", "unknown scenario keys"),
+            ("rtc:\n  noise_sizes: [20, 120]\n", "noise_sizes"),
+            ("population:\n  hosts_per_nat: 1\n", "hosts_per_nat"),
+            ("bt:\n  crawl_deadline: 3600\n", "crawl_deadline"),
+            ("bt:\n  crawl_timeout: 1.0\n", "crawl_timeout"),
             (f"name: {'n' * 66}\n", "name"),
             (smoke_text.replace("rounds: 2", "rounds: 1\n  reorders: 2"),
              "tracker.reorders"),
@@ -257,12 +276,22 @@ def test_cli_series_rejects_bad_report(tmp_path, capsys, name, text):
 
 def test_bundled_scenarios_are_valid():
     import glob
+    import importlib.util
 
     from p2ptrack.scenario import load_scenario
     paths = sorted(glob.glob("scenarios/*.yaml"))
     assert len(paths) >= 3
     for path in paths:
         assert load_scenario(path).validate() == []
+    # and so is every benchmark workload's scenario document
+    spec = importlib.util.spec_from_file_location(
+        "workloads", "perfbench/workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert set(workloads.WORKLOADS) >= {"track", "link", "crawl"}
+    for name in workloads.WORKLOADS:
+        doc = workloads.scenario_doc(name, workloads.DEV_SEED)
+        assert scenario_from_dict(doc).validate() == [], name
 
 
 def test_report_byte_identical_across_hash_seeds(tmp_path):

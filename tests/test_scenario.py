@@ -27,6 +27,15 @@ def test_unknown_keys_rejected():
         scenario_from_dict({"nonsense": 1})
     with pytest.raises(ScenarioError, match="rtc"):
         scenario_from_dict({"rtc": {"warp_drive": True}})
+    # keys whose one value is now a constant
+    for doc, key in (({"net": {"default_latency": 0.05}}, "net"),
+                     ({"net": {"default_jitter": 0.01}}, "net"),
+                     ({"rtc": {"noise_sizes": [20, 120]}}, "noise_sizes"),
+                     ({"population": {"hosts_per_nat": 1}}, "hosts_per_nat"),
+                     ({"bt": {"crawl_deadline": 3600.0}}, "crawl_deadline"),
+                     ({"bt": {"crawl_timeout": 1.0}}, "crawl_timeout")):
+        with pytest.raises(ScenarioError, match=f"unknown.*{key}"):
+            scenario_from_dict(doc)
     # a value the component rejects is a scenario error naming the section
     with pytest.raises(ScenarioError, match="tracker.classifier"):
         scenario_from_dict({"tracker": {"classifier":
@@ -38,8 +47,14 @@ def test_unknown_keys_rejected():
     # a value of the wrong type names the field; an int is a float
     with pytest.raises(ScenarioError, match="tracker.clients"):
         scenario_from_dict({"tracker": {"clients": "two"}})
-    with pytest.raises(ScenarioError, match="rtc.noise_flows"):
-        scenario_from_dict({"rtc": {"noise_flows": [10, "many"]}})
+    # every tuple field is a range [lo, hi] with 0 <= lo <= hi
+    for key, value in (("noise_flows", [10, "many"]),
+                       ("noise_flows", [1, 2, 3]),
+                       ("noise_packets", [-1, 2])):
+        with pytest.raises(ScenarioError, match=f"rtc.{key}"):
+            scenario_from_dict({"rtc": {key: value}})
+    assert scenario_from_dict({"rtc": {"noise_flows": [0, 0]}}) \
+        .rtc.noise_flows == (0, 0)
     assert scenario_from_dict({"tracker": {"s": 3}}).tracker.s == 3
     # the scalar keys are checked like section fields
     for doc, key in (({"seed": "two"}, "seed"), ({"seed": True}, "seed"),
@@ -59,6 +74,18 @@ def test_validation_catches_bad_fractions():
                                              "stale_fraction": 0.4}})
     assert any("stale_fraction" in p or "online_fraction" in p
                for p in scn.validate())
+
+
+def test_privacy_plants_never_exceed_the_users():
+    # round(1.5) + round(1.5) would be 4 privacy settings for 3 users
+    for seed in range(10):
+        world = build_world(scenario_from_dict({
+            "seed": seed, "population": {"users": 3,
+                                         "blocked_fraction": 0.5,
+                                         "whitelist_fraction": 0.5}}))
+        profiles = [world.directory.get(u) for u in world.target_ids]
+        assert sum(bool(p.blocked) for p in profiles) == 2
+        assert sum(p.whitelist_only for p in profiles) == 1
 
 
 def test_validation_bt_plants():
