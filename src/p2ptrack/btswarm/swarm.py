@@ -244,18 +244,14 @@ class HandshakeClient:
 
 @dataclass(frozen=True)
 class CrawlSnapshot:
-    round_index: int
     t: float
     infohash: bytes
     peers: tuple             # ((ip, port), ...)
     complete: bool
-    bot: int
 
 
 @dataclass
 class CrawlRound:
-    index: int
-    t_start: float
     snapshots: list
     failures: int
 
@@ -264,8 +260,7 @@ class CrawlRound:
 
 
 def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
-              t_start: float, round_index: int = 0,
-              deadline: float = 3600.0) -> CrawlRound:
+              t_start: float, deadline: float = 3600.0) -> CrawlRound:
     """One crawl round: the infohash list is partitioned over the bots
     (KrpcClient instances); each bot chains lookups, appending snapshots to
     the shared sink.  Crawling is read-only for swarm state."""
@@ -281,9 +276,8 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
         infohash = queues[bot_index].pop(0)
 
         def on_done(result):
-            snapshots.append(CrawlSnapshot(
-                round_index, sim.now, infohash, result.peers,
-                not result.failed, bot_index))
+            snapshots.append(CrawlSnapshot(sim.now, infohash, result.peers,
+                                           not result.failed))
             remaining[bot_index] -= 1
             start_next(bot_index)
 
@@ -297,11 +291,10 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
         sim.advance(min(end, sim.now + 30.0))
     for b, queue in enumerate(queues):
         for infohash in queue:   # not even attempted before the deadline
-            snapshots.append(CrawlSnapshot(round_index, end, infohash, (),
-                                           False, b))
+            snapshots.append(CrawlSnapshot(end, infohash, (), False))
     snapshots.sort(key=lambda s: (s.infohash, s.t))
     failures = sum(1 for s in snapshots if not s.complete)
-    return CrawlRound(round_index, t_start, snapshots, failures)
+    return CrawlRound(snapshots, failures)
 
 
 # -- RTC/BT matching ----------------------------------------------------------
@@ -312,7 +305,6 @@ class MatchCandidate:
     ip: int
     port: int
     infohash: bytes
-    day: int
 
 
 def match_ips(rtc_observations, snapshots,
@@ -335,7 +327,6 @@ def match_ips(rtc_observations, snapshots,
         for port, infohash in sorted(hits):
             key = (obs.user, obs.ip, port)
             if key not in out:
-                out[key] = MatchCandidate(obs.user, obs.ip, port, infohash,
-                                          day)
+                out[key] = MatchCandidate(obs.user, obs.ip, port, infohash)
     return sorted(out.values(),
                   key=lambda c: (c.user, c.ip, c.port, c.infohash))

@@ -60,10 +60,18 @@ def _cmd_series(args) -> int:
         print(f"{args.report}: not a report (needs scenario, seed and "
               f"pipeline)", file=sys.stderr)
         return 2
+    series = doc.get("series", {})
+    bad = [f"series {name!r}" for name, points in series.items()
+           if not isinstance(points, list)
+           or not all(isinstance(p, list) and len(p) == 2 for p in points)
+           ] if isinstance(series, dict) else ["series"]
+    if bad:
+        print(f"{args.report}: malformed {', '.join(bad)} (a report's "
+              f"series map names to lists of [x, y] pairs)", file=sys.stderr)
+        return 2
     report = RunReport(doc["scenario"], doc["seed"], doc["pipeline"],
                        doc.get("metrics", {}),
-                       {k: [tuple(p) for p in v]
-                        for k, v in doc.get("series", {}).items()},
+                       {k: [tuple(p) for p in v] for k, v in series.items()},
                        doc.get("diagnostics", {}), doc.get("checks", []))
     try:
         for path in emit_series(report, args.figure, args.out):

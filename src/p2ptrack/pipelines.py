@@ -200,8 +200,7 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
         result = tracker.run_round(world.target_ids, t_round, round_index=r)
         observations.extend(result.observations)
         crawl = run_crawl(world.sim, bt.dht, bt.crawler_bots,
-                          bt.top_infohashes, world.sim.now + 5.0,
-                          round_index=r)
+                          bt.top_infohashes, world.sim.now + 5.0)
         snapshots.extend(crawl.snapshots)
         crawl_failures += crawl.failures
 

@@ -337,10 +337,6 @@ class RtcConfig:
     noise_packets: tuple = (5, 20)
     pattern_jitter: float = 0.05
 
-    def __post_init__(self):
-        if self.defense_mode not in DEFENSES:
-            raise ValueError(f"defense_mode unknown: {self.defense_mode!r}")
-
 
 class _TcpAttempt:
     __slots__ = ("call_id", "callee", "callee_host", "established")

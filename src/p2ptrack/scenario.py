@@ -9,61 +9,111 @@ experiments stay reproducible and carry exact ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+import math
+import operator
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Optional, get_args, get_type_hints
 
 import yaml
 
-from .rtcdir import RtcConfig
-from .sniffer import ClassifierConfig
+from .rtcdir import DEFENSES, RtcConfig
 from .tracker import SchedulerConfig
-from .verifier import VerifierConfig, VerifierError
+from .verifier import RING_MODULUS, VerifierConfig
 
 
 class ScenarioError(Exception):
     pass
 
 
-# The value types each field annotation accepts: a float field also takes
-# an int, and every tuple field is a range [lo, hi] of ints, 0 <= lo <= hi.
-_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": tuple,
-          "Optional[str]": (str, type(None))}
+# The value types each field annotation accepts, and how a message names
+# them: a float field also takes an int, and every tuple field is a range
+# [lo, hi] of ints, 0 <= lo <= hi.
+_TYPES = {int: (int, "int"), float: ((int, float), "float"),
+          str: (str, "str"),
+          tuple: (tuple, "[lo, hi] with ints 0 <= lo <= hi"),
+          Optional[str]: ((str, type(None)), "a str or null")}
+
+# Every int and float a scenario holds must be finite and meet its bounds:
+# >= 0 unless this table states others.  The seed may be any int.
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+        "<=": operator.le}
+_AT_LEAST_0 = ((">=", 0),)
+_BOUNDS = {
+    "seed": (),
+    **dict.fromkeys((
+        "population.users", "rtc.supernodes", "rtc.relays",
+        "tracker.clients", "tracker.s", "tracker.round_period",
+        "tracker.rounds", "tracker.classifier.pattern_window",
+        "bt.swarms", "bt.dht_nodes", "bt.crawler_bots",
+        "verifier.min_rounds", "verifier.call_gap", "verifier.clients"),
+        ((">", 0),)),
+    **dict.fromkeys((
+        "population.nat_fraction", "population.online_fraction",
+        "population.stale_fraction", "population.blocked_fraction",
+        "population.whitelist_fraction", "population.random_ipid_fraction",
+        "tracker.classifier.min_score"), ((">=", 0), ("<=", 1))),
+    "tracker.classifier.timing_tolerance": ((">", 0), ("<", 0.5)),
+    # a jittered gap, nominal * (1 + uniform(-j, j)), stays positive
+    "rtc.pattern_jitter": ((">=", 0), ("<", 1)),
+    "verifier.threshold": ((">=", 0), ("<", RING_MODULUS // 2)),
+}
 
 
-def _section(cls, data, path):
-    """Build section cls from a mapping; a key cls does not declare, a value
-    of another type than its field's, or a value its constructor rejects,
-    is a ScenarioError naming the path."""
+def _key(path, name):
+    return f"{path}.{name}" if path else name
+
+
+def _section(cls, data, path=""):
+    """Build dataclass cls from a mapping, each field by its annotation: a
+    section field is built by this same rule (a null one takes its
+    defaults, or stays None if it is Optional), any other value must have
+    its field's type.  An unknown key or a value of another type is a
+    ScenarioError naming its path."""
+    where = path or "scenario"
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+        raise ScenarioError(f"{where} must be a mapping")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {f.name: _checked(f, data[f.name], f"{path}.{f.name}")
-              for f in fields(cls) if f.name in data}
-    try:
-        return cls(**kwargs)
-    except (ValueError, VerifierError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise ScenarioError(f"unknown {where} keys {sorted(unknown)}")
+    kwargs = {}
+    for name, hint in get_type_hints(cls).items():
+        if name not in data:
+            continue
+        key, value = _key(path, name), data[name]
+        section = next((t for t in get_args(hint) or (hint,)
+                        if is_dataclass(t)), None)
+        if section is None:
+            kwargs[name] = _checked(hint, value, key)
+        elif value is not None or section is hint:
+            kwargs[name] = _section(section, value, key)
+    return cls(**kwargs)
 
 
-def _checked(f, value, path):
-    """value, with a list made a tuple, if it has the type of field f;
-    otherwise a ScenarioError naming the path."""
-    if isinstance(value, list) and f.type == "tuple":
+def _checked(hint, value, path):
+    """value, with a list made a tuple, if it has the type hint; otherwise
+    a ScenarioError naming the path."""
+    if isinstance(value, list) and hint is tuple:
         value = tuple(value)
-    ok = isinstance(value, _TYPES[f.type]) and not isinstance(value, bool)
-    if ok and f.type == "tuple":
+    types, want = _TYPES[hint]
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and hint is tuple:
         ok = len(value) == 2 and all(type(v) is int for v in value) and \
             0 <= value[0] <= value[1]
     if not ok:
-        want = {"tuple": "[lo, hi] with ints 0 <= lo <= hi",
-                "Optional[str]": "a str or null"}.get(f.type, f.type)
         raise ScenarioError(f"{path}: expected {want}, got {value!r}")
     return value
+
+
+def _numbers(section, path=""):
+    """(key, value) of each int and float in a section and its sections."""
+    for f in fields(section):
+        key, value = _key(path, f.name), getattr(section, f.name)
+        if is_dataclass(value):
+            yield from _numbers(value, key)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield key, value
 
 
 @dataclass
@@ -136,36 +186,16 @@ class Scenario:
     def validate(self) -> list:
         """All violations, empty when the scenario is runnable."""
         bad = []
-        pop = self.population
-        for name, frac in (("nat_fraction", pop.nat_fraction),
-                           ("online_fraction", pop.online_fraction),
-                           ("stale_fraction", pop.stale_fraction),
-                           ("blocked_fraction", pop.blocked_fraction),
-                           ("whitelist_fraction", pop.whitelist_fraction),
-                           ("random_ipid_fraction", pop.random_ipid_fraction)):
-            if not 0.0 <= frac <= 1.0:
-                bad.append(f"population.{name} out of [0,1]: {frac}")
-        if pop.online_fraction + pop.stale_fraction > 1.0 + 1e-9:
-            bad.append("population online_fraction + stale_fraction > 1")
-        if pop.blocked_fraction + pop.whitelist_fraction > 1.0 + 1e-9:
-            bad.append("population blocked_fraction + whitelist_fraction "
-                       "> 1")
-        if pop.users < 1:
-            bad.append("population.users must be positive")
-        if pop.cities < 8 or pop.cities % 4:
-            bad.append("population.cities must be a multiple of 4, >= 8")
-        for name in ("supernodes", "relays"):
-            if getattr(self.rtc, name) < 1:
-                bad.append(f"rtc.{name} must be >= 1")
-        if self.rtc.supernodes < self.rtc.noise_flows[1]:
-            bad.append("rtc.supernodes smaller than the noise flow maximum")
-        if self.tracker.clients < 1 or self.tracker.s <= 0:
-            bad.append("tracker needs clients >= 1 and s > 0")
-        if self.tracker.rounds < 1:
-            bad.append("tracker.rounds must be >= 1")
-        if self.tracker.reorders and self.tracker.rounds < 2:
-            bad.append("tracker.reorders need >= 2 rounds for the majority "
-                       "vote to recover")
+        for key, value in _numbers(self):
+            bounds = _BOUNDS.get(key, _AT_LEAST_0)
+            if not (math.isfinite(value) and
+                    all(_OPS[op](value, lim) for op, lim in bounds)):
+                rule = " and ".join(f"{op} {lim}" for op, lim in bounds)
+                bad.append(f"{key}: need finite {key.rsplit('.', 1)[-1]} "
+                           f"{rule}, got {value!r}")
+        if self.rtc.defense_mode not in DEFENSES:
+            bad.append(f"rtc.defense_mode: need one of {', '.join(DEFENSES)}"
+                       f", got {self.rtc.defense_mode!r}")
         # the salt keys blake2b, which takes at most 64 bytes
         try:
             if len(self.salt_bytes()) > 64:
@@ -173,11 +203,21 @@ class Scenario:
                            "and name, is longer than 64 bytes")
         except ValueError:
             bad.append("tracker.salt must be a hex string")
-        for name in ("mobility", "bt"):
-            section = getattr(self, name)
-            for f in fields(section) if section is not None else ():
-                if f.type == "int" and getattr(section, f.name) < 0:
-                    bad.append(f"{name}.{f.name} must be >= 0")
+        if bad:
+            return bad   # the checks across keys assume numbers in bounds
+        pop = self.population
+        if pop.online_fraction + pop.stale_fraction > 1.0 + 1e-9:
+            bad.append("population online_fraction + stale_fraction > 1")
+        if pop.blocked_fraction + pop.whitelist_fraction > 1.0 + 1e-9:
+            bad.append("population blocked_fraction + whitelist_fraction "
+                       "> 1")
+        if pop.cities < 8 or pop.cities % 4:
+            bad.append("population.cities must be a multiple of 4, >= 8")
+        if self.rtc.supernodes < self.rtc.noise_flows[1]:
+            bad.append("rtc.supernodes smaller than the noise flow maximum")
+        if self.tracker.reorders and self.tracker.rounds < 2:
+            bad.append("tracker.reorders need >= 2 rounds for the majority "
+                       "vote to recover")
         online = self.state_counts()[0]
         own_nat = 0                  # planted users that need their own NAT
         if self.bt is not None:
@@ -194,10 +234,6 @@ class Scenario:
                            f"users")
             own_nat = (b.candidates - b.same_host + b.unverifiable
                        + b.shared_ip_same_host)
-            if b.swarms < 1 or b.dht_nodes < 1 or b.crawler_bots < 1:
-                bad.append("bt needs swarms, dht_nodes and crawler_bots >= 1")
-            if self.verifier.clients < 1:
-                bad.append("verifier.clients must be >= 1")
         if self.mobility is not None:
             m = self.mobility
             movers = (m.movers_city_only + m.movers_city_as
@@ -211,31 +247,7 @@ class Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be a mapping")
-    unknown = set(data) - {f.name for f in fields(Scenario)}
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
-    tracker_data = dict(data.get("tracker") or {})
-    classifier_data = tracker_data.pop("classifier", None)
-    tracker = _section(SchedulerConfig, tracker_data, "tracker")
-    tracker.classifier = _section(ClassifierConfig, classifier_data,
-                                  "tracker.classifier")
-    # the scalar keys; the sections are built below
-    top = {f.name: _checked(f, data[f.name], f.name)
-           for f in fields(Scenario) if f.type in _TYPES and f.name in data}
-    return Scenario(
-        **top,
-        rtc=_section(RtcConfig, data.get("rtc"), "rtc"),
-        population=_section(PopulationSection, data.get("population"),
-                            "population"),
-        tracker=tracker,
-        mobility=(_section(MobilitySection, data["mobility"], "mobility")
-                  if data.get("mobility") is not None else None),
-        bt=(_section(BtSection, data["bt"], "bt")
-            if data.get("bt") is not None else None),
-        verifier=_section(VerifierConfig, data.get("verifier"), "verifier"),
-    )
+    return _section(Scenario, data)
 
 
 def load_scenario(path) -> Scenario:

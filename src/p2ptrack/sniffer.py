@@ -18,14 +18,10 @@ from dataclasses import dataclass
 
 from .netsim import CaptureTap, Simulator
 # the signatures are the nominal sizes and gaps the emitter uses
-from .rtcdir import (MARKER_GAPS, MARKER_SIZES, NAT_FIRST_SIZE,
-                     NAT_TAIL_DELAY, NAT_TAIL_GAP, NAT_TAIL_SIZE,
-                     SYN_TIMEOUT_FIRST, SYN_TIMEOUT_SECOND, CallRequest,
-                     RtcOverlay)
-
-KIND_I = "I"
-KIND_II = "II"
-KIND_III = "III"
+from .rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC, MARKER_GAPS,
+                     MARKER_SIZES, NAT_FIRST_SIZE, NAT_TAIL_DELAY,
+                     NAT_TAIL_GAP, NAT_TAIL_SIZE, SYN_TIMEOUT_FIRST,
+                     SYN_TIMEOUT_SECOND, CallRequest, RtcOverlay)
 
 ECHO_WINDOW = 2.0
 ROUND_TAIL = 5.0    # a round runs this long past its last pattern window
@@ -56,12 +52,6 @@ class ClassifierConfig:
     min_score: float = 0.8
     pattern_window: float = 20.0
 
-    def __post_init__(self):
-        if not 0.0 < self.timing_tolerance < 0.5:
-            raise ValueError("timing_tolerance must be in (0, 0.5)")
-        if not self.pattern_window > 0.0:
-            raise ValueError("pattern_window must be positive")
-
 
 @dataclass(frozen=True)
 class PatternMatch:
@@ -77,7 +67,6 @@ class ExtractedIp:
     ip: int
     stale: bool
     score: float
-    kind: str
     t_first: float
 
 
@@ -147,10 +136,10 @@ def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
         entries = sorted(flows[remote], key=lambda e: e[0])
         inbound_any = any(not outbound for _, outbound, _ in entries)
         if inbound_any:
-            scored = ((KIND_I, _score_syn_udp(entries, tol)),
-                      (KIND_II, _score_nated(entries, tol)))
+            scored = ((KIND_PUBLIC, _score_syn_udp(entries, tol)),
+                      (KIND_NATED, _score_nated(entries, tol)))
         else:
-            scored = ((KIND_III, _score_syn_udp(entries, tol)),)
+            scored = ((KIND_OFFLINE, _score_syn_udp(entries, tol)),)
         kind, score = max(scored, key=lambda ks: ks[1])
         if score >= cfg.min_score:
             matches.append(PatternMatch(
@@ -242,7 +231,7 @@ def extract_callee_ips(matches) -> list:
         if cur is None or (m.score, -m.t_first_packet) > \
                 (cur.score, -cur.t_first):
             best[m.candidate_ip] = ExtractedIp(
-                m.candidate_ip, m.kind == KIND_III, m.score, m.kind,
+                m.candidate_ip, m.kind == KIND_OFFLINE, m.score,
                 m.t_first_packet)
     return sorted(best.values(), key=lambda e: (-e.score, e.t_first, e.ip))
 

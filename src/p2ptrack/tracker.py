@@ -61,15 +61,11 @@ class CallObservation:
     user: str
     t: float
     ip: int
-    kind: str
-    stale: bool
-    ambiguous: bool
 
 
 @dataclass
 class TrackedCall:
     client: int
-    slot: int
     t: float
     callee: str
     validation: bool
@@ -79,8 +75,6 @@ class TrackedCall:
 
 @dataclass
 class RoundResult:
-    index: int
-    t_start: float
     samples: list
     observations: list
     calls: list
@@ -216,8 +210,8 @@ class Tracker:
                         and slot < len(seq) - 1:
                     delay = s * self._reorder_rng.uniform(1.1, 1.6)
                 placed = self.pool.call(c, callee, t_call, start_delay=delay)
-                calls.append(TrackedCall(c, slot, t_call, callee,
-                                         validation, placed))
+                calls.append(TrackedCall(c, t_call, callee, validation,
+                                         placed))
 
         traces = self.pool.read([(k.client, k.t) for k in calls], s,
                                 classifier.pattern_window)
@@ -241,8 +235,8 @@ class Tracker:
                 samples.append(LocationSample(
                     call.callee, call.t, status, ip_token(e.ip, self.salt),
                     city_h, as_h, country_h, ambiguous, call.validation))
-                observations.append(CallObservation(
-                    call.callee, call.t, e.ip, e.kind, e.stale, ambiguous))
+                observations.append(CallObservation(call.callee, call.t,
+                                                    e.ip))
 
         throughput = []
         for c in range(n):
@@ -252,8 +246,7 @@ class Tracker:
                 continue
             span = (mine[-1].t - mine[0].t) + s
             throughput.append(len(mine) * 3600.0 / span if span > 0 else 0.0)
-        return RoundResult(round_index, round_start, samples, observations,
-                           calls, throughput)
+        return RoundResult(samples, observations, calls, throughput)
 
     def run_study(self, ids, rounds: int, t0: float) -> list:
         results = []

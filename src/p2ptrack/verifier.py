@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .btswarm.swarm import MatchCandidate
-from .sniffer import (KIND_III, ROUND_TAIL, CallerPool, ClassifierConfig,
+from .rtcdir import KIND_OFFLINE
+from .sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
                       classify_trace)
 
 RING_MODULUS = 1 << 16
@@ -57,15 +58,6 @@ class VerifierConfig:
     round_spacing: float = 60.0
     call_gap: float = 3.0          # slot spacing when batching candidates
     clients: int = 10              # client pairs the world builds
-
-    def __post_init__(self):
-        if self.threshold >= RING_MODULUS // 2:
-            raise VerifierError("threshold must be below RING_MODULUS/2")
-        # a slot of no length holds no pattern; no rounds measure nothing
-        if not self.call_gap > 0:
-            raise VerifierError(f"call_gap must be > 0: {self.call_gap}")
-        if self.min_rounds < 1:
-            raise VerifierError(f"min_rounds must be >= 1: {self.min_rounds}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,7 @@ class Verifier:
                 ipid_rtc = None
                 for m in matches:
                     if m.candidate_ip != res.candidate.ip or \
-                            m.kind == KIND_III:
+                            m.kind == KIND_OFFLINE:
                         continue
                     inbound = [p for p in m.packets
                                if p.src_ip == res.candidate.ip]

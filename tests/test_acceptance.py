@@ -136,7 +136,7 @@ def _calibration_world(n_cand, same, seed, min_rounds):
             if eip == ip:
                 client = world.bt.registry.clients[host]
                 cands.append(MatchCandidate(
-                    user, ip, eport, next(iter(client.torrents)), 0))
+                    user, ip, eport, next(iter(client.torrents))))
                 break
     return world, cands
 

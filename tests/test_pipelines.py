@@ -195,6 +195,23 @@ def test_cli_validate(tmp_path, capsys):
             (f"name: {'n' * 66}\n", "name"),
             (smoke_text.replace("rounds: 2", "rounds: 1\n  reorders: 2"),
              "tracker.reorders"),
+            # numbers that are not finite, or out of their bounds
+            ("tracker:\n  s: .nan\n", "tracker.s"),
+            ("tracker:\n  s: .inf\n", "tracker.s"),
+            ("tracker:\n  round_period: .nan\n", "tracker.round_period"),
+            ("tracker:\n  round_period: 0\nmobility:\n  movers_city_only: 1\n",
+             "tracker.round_period"),
+            ("tracker:\n  reorders: -1\n", "tracker.reorders"),
+            ("rtc:\n  pattern_jitter: .nan\n", "rtc.pattern_jitter"),
+            ("rtc:\n  pattern_jitter: -1.0\n", "rtc.pattern_jitter"),
+            ("verifier:\n  round_spacing: .nan\n", "verifier.round_spacing"),
+            ("population:\n  online_fraction: .nan\n",
+             "population.online_fraction"),
+            ("tracker:\n  classifier:\n    min_score: 2\n",
+             "tracker.classifier.min_score"),
+            ("verifier:\n  threshold: -1\n", "verifier.threshold"),
+            ("population:\n  volunteers: -1\n", "population.volunteers"),
+            ("tracker:\n  validation_every: -1\n", "tracker.validation_every"),
             ("seed: [\n", "bad.yaml")):
         bad.write_text(text)
         for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
@@ -252,16 +269,27 @@ def test_cli_tracker_overrides(tmp_path, capsys):
                "--out", str(out), "--s", "-1"])
     assert rc == 2
     assert "s > 0" in capsys.readouterr().err
+    for s in ("nan", "inf"):
+        rc = main(["run", "--scenario", SMOKE, "--pipeline", "mobility",
+                   "--out", str(out), "--s", s])
+        assert rc == 2
+        assert "tracker.s" in capsys.readouterr().err
     rc = main(["run", "--scenario", SMOKE, "--pipeline", "mobility",
                "--out", str(out), "--salt", "xyz"])
     assert rc == 2
     assert "tracker.salt" in capsys.readouterr().err
 
 
+REPORT = '{"scenario": "s", "seed": 1, "pipeline": "all", "series": %s}'
+
+
 @pytest.mark.parametrize("name, text", [
     ("missing.json", None),
     ("not-json.json", "{oops"),
     ("not-a-report.json", '{"series": {}}'),
+    ("series-list.json", REPORT % "[]"),
+    ("series-int.json", REPORT % '{"fig3-middle": 5}'),
+    ("series-short.json", REPORT % '{"fig4": [[1]]}'),
 ])
 def test_cli_series_rejects_bad_report(tmp_path, capsys, name, text):
     path = tmp_path / name
@@ -270,7 +298,12 @@ def test_cli_series_rejects_bad_report(tmp_path, capsys, name, text):
     rc = main(["series", "--report", str(path), "--figure", "fig4",
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err
+    # a malformed series is named
+    if name.startswith("series-"):
+        series = json.loads(text)["series"]
+        assert all(k in err for k in series) and "series" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,4 +1,7 @@
+import copy
+import math
 from collections import Counter
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -36,14 +39,17 @@ def test_unknown_keys_rejected():
                      ({"bt": {"crawl_timeout": 1.0}}, "crawl_timeout")):
         with pytest.raises(ScenarioError, match=f"unknown.*{key}"):
             scenario_from_dict(doc)
-    # a value the component rejects is a scenario error naming the section
-    with pytest.raises(ScenarioError, match="tracker.classifier"):
-        scenario_from_dict({"tracker": {"classifier":
-                                        {"timing_tolerance": 0.7}}})
-    for bad in ({"threshold": 40000}, {"call_gap": 0.0}, {"call_gap": -3.0},
-                {"min_rounds": 0}):
-        with pytest.raises(ScenarioError, match="verifier"):
-            scenario_from_dict({"verifier": bad})
+    # a value out of its bounds is a scenario problem naming the key
+    cases = (({"tracker": {"classifier": {"timing_tolerance": 0.7}}},
+              "tracker.classifier.timing_tolerance"),
+             ({"verifier": {"threshold": 40000}}, "verifier.threshold"),
+             ({"verifier": {"call_gap": 0.0}}, "verifier.call_gap"),
+             ({"verifier": {"call_gap": -3.0}}, "verifier.call_gap"),
+             ({"verifier": {"min_rounds": 0}}, "verifier.min_rounds"),
+             ({"rtc": {"defense_mode": "bogus"}}, "rtc.defense_mode"))
+    for doc, key in cases:
+        assert any(p.startswith(f"{key}:")
+                   for p in scenario_from_dict(doc).validate())
     # a value of the wrong type names the field; an int is a float
     with pytest.raises(ScenarioError, match="tracker.clients"):
         scenario_from_dict({"tracker": {"clients": "two"}})
@@ -74,6 +80,60 @@ def test_validation_catches_bad_fractions():
                                              "stale_fraction": 0.4}})
     assert any("stale_fraction" in p or "online_fraction" in p
                for p in scn.validate())
+
+
+# every int and float but the seed is finite and >= 0; these are > 0
+POSITIVE = {"population.users", "rtc.supernodes", "rtc.relays",
+            "tracker.clients", "tracker.s", "tracker.round_period",
+            "tracker.rounds", "tracker.classifier.timing_tolerance",
+            "tracker.classifier.pattern_window", "bt.swarms", "bt.dht_nodes",
+            "bt.crawler_bots", "verifier.min_rounds", "verifier.call_gap",
+            "verifier.clients"}
+# and these are bounded above: each (key, first value out of bounds)
+ABOVE = [(f"population.{name}_fraction", 1.5)
+         for name in ("nat", "online", "stale", "blocked", "whitelist",
+                      "random_ipid")] + [
+    ("tracker.classifier.min_score", 1.5),
+    ("tracker.classifier.timing_tolerance", 0.5),
+    ("rtc.pattern_jitter", 1.0),
+    ("verifier.threshold", 32768)]
+
+
+def _number_keys(section, path=""):
+    for f in fields(section):
+        key = f"{path}{f.name}"
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from _number_keys(value, key + ".")
+        elif type(value) in (int, float):
+            yield key
+
+
+def _set(scn, key, value):
+    *sections, name = key.split(".")
+    for section in sections:
+        scn = getattr(scn, section)
+    setattr(scn, name, value)
+
+
+def test_every_number_is_bounded():
+    scn = scenario_from_dict({"mobility": {}, "bt": {}})
+    assert scn.validate() == []
+    keys = [k for k in _number_keys(scn) if k != "seed"]
+    assert len(keys) == 41 and POSITIVE <= set(keys)
+    cases = [(k, v) for k in keys for v in (math.nan, math.inf, -1)]
+    cases += [(k, 0) for k in sorted(POSITIVE)] + ABOVE
+    for key, value in cases:
+        bad = copy.deepcopy(scn)
+        _set(bad, key, value)
+        assert any(p.startswith(f"{key}:") for p in bad.validate()), \
+            (key, value)
+    # the seed is any int, and the bounds themselves are in bounds
+    for key, value in [("seed", -1)] + [(k, 0) for k in keys
+                                        if k not in POSITIVE]:
+        ok = copy.deepcopy(scn)
+        _set(ok, key, value)
+        assert not any(p.startswith(f"{key}:") for p in ok.validate()), key
 
 
 def test_privacy_plants_never_exceed_the_users():
@@ -125,23 +185,32 @@ def test_validation_plants_fit_the_online_users():
     scn.mobility.movers_city_as = 1
     assert any("plants exceed the 2 online" in p for p in scn.validate())
     scn.mobility.movers_city_as = -1
-    assert "mobility.movers_city_as must be >= 0" in scn.validate()
+    assert scn.validate() == [
+        "mobility.movers_city_as: need finite movers_city_as >= 0, got -1"]
 
 
 @st.composite
 def small_scenarios(draw):
     """Scenario documents of at most 40 users whose plants may or may not
-    fit the population."""
+    fit the population, and whose numbers may be out of bounds."""
     users = draw(st.integers(min_value=1, max_value=40))
     count = st.integers(min_value=0, max_value=max(1, users // 5))
+    out = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 2.0])
+
+    def number(lo, hi):
+        return draw(st.one_of(st.floats(lo, hi), out))
+
     doc = {"seed": draw(st.integers(min_value=0, max_value=999)),
-           "rtc": {"supernodes": 10, "relays": 1, "noise_flows": [1, 2]},
+           "rtc": {"supernodes": 10, "relays": 1, "noise_flows": [1, 2],
+                   "pattern_jitter": number(0.0, 0.99)},
            "population": {
                "users": users,
-               "online_fraction": draw(st.floats(0.0, 1.0)),
+               "online_fraction": number(0.0, 1.0),
                "stale_fraction": draw(st.floats(0.0, 1.0)),
                "nat_fraction": draw(st.floats(0.0, 1.0))},
-           "tracker": {"clients": 1, "rounds": 2}}
+           "tracker": {"clients": 1, "rounds": 2, "s": number(0.5, 10.0),
+                       "reorders": draw(st.integers(-2, 3)),
+                       "classifier": {"min_score": number(0.0, 1.0)}}}
     if draw(st.booleans()):
         doc["mobility"] = {
             key: draw(count) for key in (
@@ -167,6 +236,7 @@ def small_scenarios(draw):
 @given(small_scenarios())
 @example({"population": {"users": 3, "online_fraction": 0.5,
                          "stale_fraction": 0.5}})
+@example({"population": {"users": 3, "online_fraction": math.nan}})
 def test_every_valid_scenario_builds_with_its_state_counts(doc):
     scn = scenario_from_dict(doc)
     if scn.validate():
@@ -190,6 +260,8 @@ def test_every_valid_scenario_builds_with_its_state_counts(doc):
                 len(truth.movers_country)) == (
             m.movers_city_only + m.movers_city_as + m.movers_country,
             m.movers_city_as + m.movers_country, m.movers_country)
+    # and a tracking round runs on it
+    world.make_tracker().run_round(world.target_ids, world.base_t)
 
 
 def test_validation_mobility_needs_rounds():

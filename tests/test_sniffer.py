@@ -1,16 +1,16 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2ptrack.netsim import CaptureTap, SimPacket, Simulator, parse_ip
-from p2ptrack.rtcdir import (KEEPALIVE_SIZE, MARKER_GAPS, MARKER_SIZES,
+from p2ptrack.rtcdir import (KEEPALIVE_SIZE, KIND_NATED, KIND_OFFLINE,
+                             KIND_PUBLIC, MARKER_GAPS, MARKER_SIZES,
                              NAT_FIRST_SIZE, NAT_TAIL_DELAY, NAT_TAIL_GAP,
                              NAT_TAIL_SIZE, SYN_SIZE, SYN_TIMEOUT_FIRST,
                              SYN_TIMEOUT_SECOND, VARYING_SIZES, CallRequest,
                              Directory, PresenceBook, RtcOverlay)
-from p2ptrack.sniffer import (KIND_I, KIND_II, KIND_III, ROUND_TAIL,
-                              CallerPool, ClassifierConfig, FlowIndex,
-                              PatternMatch, SynFilterPolicy,
+from p2ptrack.scenario import scenario_from_dict
+from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
+                              FlowIndex, PatternMatch, SynFilterPolicy,
                               apply_syn_filter, classify_trace,
                               extract_callee_ips)
 CFG = ClassifierConfig()
@@ -30,12 +30,12 @@ def _window(mini, t_call, span=25.0):
 
 
 def test_classifier_config_validation():
-    with pytest.raises(ValueError):
-        ClassifierConfig(timing_tolerance=0.6)
-    with pytest.raises(ValueError):
-        ClassifierConfig(timing_tolerance=0.0)
-    with pytest.raises(ValueError, match="pattern_window"):
-        ClassifierConfig(pattern_window=0.0)
+    # the scenario states the classifier's bounds, and names a key it breaks
+    for key, value in (("timing_tolerance", 0.6), ("timing_tolerance", 0.0),
+                       ("pattern_window", 0.0)):
+        scn = scenario_from_dict({"tracker": {"classifier": {key: value}}})
+        assert any(p.startswith(f"tracker.classifier.{key}:")
+                   for p in scn.validate())
 
 
 def test_case_i_classified_against_noise(mini):
@@ -45,7 +45,7 @@ def test_case_i_classified_against_noise(mini):
     mini.sim.advance(140.0)
     matches = classify_trace(_window(mini, 100.0), CFG, _observer(mini))
     assert len(matches) == 1
-    assert matches[0].kind == KIND_I
+    assert matches[0].kind == KIND_PUBLIC
     assert matches[0].candidate_ip == mini.sim.hosts[host].ip
     assert matches[0].score >= CFG.min_score
 
@@ -59,7 +59,7 @@ def test_case_ii_and_dual_login(mini):
         CallRequest(mini.tracker_user, "dualuser", 100.0))
     mini.sim.advance(140.0)
     matches = classify_trace(_window(mini, 100.0), CFG, _observer(mini))
-    assert sorted(m.kind for m in matches) == [KIND_I, KIND_II]
+    assert sorted(m.kind for m in matches) == [KIND_PUBLIC, KIND_NATED]
     assert {m.candidate_ip for m in matches} == \
         {t.expect_ip for t in placed.targets}
 
@@ -71,7 +71,7 @@ def test_case_iii_no_responses(mini):
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 700.0))
     mini.sim.advance(740.0)
     matches = classify_trace(_window(mini, 700.0), CFG, _observer(mini))
-    assert [m.kind for m in matches] == [KIND_III]
+    assert [m.kind for m in matches] == [KIND_OFFLINE]
     assert matches[0].candidate_ip == mini.sim.hosts[host].ip
 
 
@@ -85,11 +85,11 @@ def test_kind_i_and_iii_mutually_exclusive(mini):
     flow = [p for p in window if callee_ip in (p.src_ip, p.dst_ip)]
     # with responses present the flow scores as I...
     full = classify_trace(flow, CFG, _observer(mini))
-    assert [m.kind for m in full] == [KIND_I]
+    assert [m.kind for m in full] == [KIND_PUBLIC]
     # ...and with callee packets removed, the same emission scores as III
     outbound_only = [p for p in flow if p.src_ip != callee_ip]
     bare = classify_trace(outbound_only, CFG, _observer(mini))
-    assert [m.kind for m in bare] == [KIND_III]
+    assert [m.kind for m in bare] == [KIND_OFFLINE]
 
 
 def test_noise_only_windows_never_match(mini):
@@ -119,9 +119,9 @@ def test_noise_only_windows_never_match(mini):
 
 def test_extract_ranks_by_score_then_time():
     a, b, c = parse_ip("1.1.1.1"), parse_ip("2.2.2.2"), parse_ip("3.3.3.3")
-    matches = [PatternMatch(KIND_I, a, 5.0, 0.9, ()),
-               PatternMatch(KIND_III, b, 1.0, 1.0, ()),
-               PatternMatch(KIND_II, c, 0.5, 0.9, ())]
+    matches = [PatternMatch(KIND_PUBLIC, a, 5.0, 0.9, ()),
+               PatternMatch(KIND_OFFLINE, b, 1.0, 1.0, ()),
+               PatternMatch(KIND_NATED, c, 0.5, 0.9, ())]
     ranked = extract_callee_ips(matches)
     assert [e.ip for e in ranked] == [b, c, a]
     assert ranked[0].stale is True

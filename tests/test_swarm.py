@@ -202,7 +202,7 @@ def test_crawl_is_readonly_and_sees_joins_next_round():
     before = {(c.external_ip, c.external_port): dict(c.torrents)
               for c in registry.clients.values()}
     round1 = run_crawl(sim, dht, bots, [infohash], sim.now + 1.0,
-                       round_index=0, deadline=600.0)
+                       deadline=600.0)
     after = {(c.external_ip, c.external_port): dict(c.torrents)
              for c in registry.clients.values()}
     assert before == after          # crawling changed nothing
@@ -212,7 +212,7 @@ def test_crawl_is_readonly_and_sees_joins_next_round():
     registry.join("late", infohash, sim.now + 5.0)
     sim.advance(sim.now + 10.0)
     round2 = run_crawl(sim, dht, bots, [infohash], sim.now + 1.0,
-                       round_index=1, deadline=600.0)
+                       deadline=600.0)
     members2 = round2.membership()[infohash]
     assert (late.external_ip, late.external_port) in members2
     assert members1 < members2
@@ -244,7 +244,7 @@ class _Snap:
 
 
 def _obs(user, t, ip):
-    return CallObservation(user, t, parse_ip(ip), "I", False, False)
+    return CallObservation(user, t, parse_ip(ip))
 
 
 def test_match_ips_joins_same_day_only():

@@ -10,8 +10,8 @@ from p2ptrack.netsim import IPID_SEQUENTIAL_PER_FLOW, Simulator
 from p2ptrack.scenario import scenario_from_dict
 from p2ptrack.verifier import (RING_MODULUS, VERDICT_NOT_VERIFIED,
                                VERDICT_UNVERIFIABLE, VERDICT_VERIFIED,
-                               VerifierConfig, VerifierError,
-                               percentile_nearest_rank, ring_distance)
+                               VerifierError, percentile_nearest_rank,
+                               ring_distance)
 from p2ptrack.worldgen import build_world
 
 
@@ -73,8 +73,12 @@ def test_percentile_matches_sorted_index(values, p):
 
 
 def test_verifier_config_threshold_bound():
-    with pytest.raises(VerifierError):
-        VerifierConfig(threshold=40000)
+    # the scenario states the bound: a threshold below half the ring
+    for threshold, problems in ((40000, 1), (RING_MODULUS // 2, 1),
+                                (RING_MODULUS // 2 - 1, 0)):
+        scn = scenario_from_dict({"verifier": {"threshold": threshold}})
+        assert sum(p.startswith("verifier.threshold:")
+                   for p in scn.validate()) == problems
 
 
 # -- IP-ID sequential distance bound -----------------------------------------------
@@ -118,7 +122,7 @@ def _verify_world(n, same, seed, min_rounds=10, ipid_override=None):
                 if ipid_override:
                     world.sim.hosts[host].ipid_model = ipid_override
                 cands.append(MatchCandidate(
-                    user, ip, eport, next(iter(client.torrents)), 0))
+                    user, ip, eport, next(iter(client.torrents))))
                 break
     return world, cands
 
