@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -342,3 +343,18 @@ def test_report_byte_identical_across_hash_seeds(tmp_path):
     # pinned: a change that alters the smoke report must say why
     assert digests == {
         "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c"}
+
+
+def test_smoke_trace_digest_is_pinned_and_sees_packets():
+    spec = importlib.util.spec_from_file_location(
+        "check_trace_hashes", "scripts/check_trace_hashes.py")
+    traces = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traces)
+    pinned = traces.PINNED["smoke --pipeline all"]
+    assert traces.trace_digest(load_scenario(SMOKE), "all") == pinned
+    # a witness that can fail: the report does not see the supernode noise
+    # or the pattern jitter, but the packets do
+    for key, value in (("noise_flows", (0, 0)), ("pattern_jitter", 0.0)):
+        scenario = load_scenario(SMOKE)
+        setattr(scenario.rtc, key, value)
+        assert traces.trace_digest(scenario, "all") != pinned, key
