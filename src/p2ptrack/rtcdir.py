@@ -313,9 +313,10 @@ class NotificationEvent:
 class CallTarget:
     kind: str          # pattern kind the caller-side trace should show
     expect_ip: int     # remote address of the pattern at the caller tap
-    host_id: Optional[str]
-    port: int
-    stale: bool
+
+    @property
+    def stale(self) -> bool:
+        return self.kind == KIND_OFFLINE
 
 
 @dataclass
@@ -326,6 +327,13 @@ class PlacedCall:
     targets: list
     true_session_ips: frozenset
     noise_ips: frozenset
+
+
+# The role of a planned send, its last field: None for a pattern packet, the
+# _TcpAttempt a SYN opens, RETRY for a SYN re-sent unless a SYN-ACK came
+# back, or NOISE for supernode chatter.
+RETRY = "retry"
+NOISE = "noise"
 
 
 @dataclass
@@ -446,148 +454,105 @@ class RtcOverlay:
 
     def place_call(self, req: CallRequest,
                    start_delay: Optional[float] = None) -> PlacedCall:
+        call, plan = self.plan_call(req, start_delay)
+        self._schedule(plan)
+        self.calls.append(call)
+        return call
+
+    def plan_call(self, req: CallRequest,
+                  start_delay: Optional[float] = None) -> tuple:
+        """(PlacedCall, plan): the call's sends in schedule order, each
+        (t, src host, dst host, proto, size, flags, role)."""
         if req.callee not in self.directory:
             raise CallError(f"unknown callee {req.callee!r}")
         caller_sessions = self.presence.online_sessions(req.caller, req.t_start)
         if not caller_sessions:
             raise CallError(f"caller {req.caller!r} is offline")
-        caller_host = caller_sessions[0].host_id
-        if self.sim.hosts[caller_host].nat is not None:
+        caller = caller_sessions[0].host_id
+        if self.sim.hosts[caller].nat is not None:
             raise CallError("tracking callers must not be behind a NAT")
 
-        defense = self.config.defense_mode
         call_id = self._next_call
         self._next_call += 1
         rng = random.Random(f"{self.seed}:call:{call_id}")
         if start_delay is None:
             start_delay = rng.uniform(*START_DELAY)
-
         online = self.presence.online_sessions(req.callee, req.t_start)
         true_ips = frozenset(self._endpoint(s.host_id)[0] for s in online)
-        targets: list = []
         base = req.t_start + start_delay
+        if self.config.defense_mode == DEFENSE_REVEAL_AFTER_ACCEPT and \
+                req.answered:
+            base += rng.uniform(1.0, 3.0)  # accept happens first
 
-        if defense == DEFENSE_REVEAL_AFTER_ACCEPT and not req.answered:
-            pass  # pre-accept signaling stays on supernodes: no targets
-        elif defense == DEFENSE_RELAY_ALL:
-            targets = self._plan_relayed(call_id, rng, caller_host, base,
-                                         online, req)
-        else:
-            if defense == DEFENSE_REVEAL_AFTER_ACCEPT:
-                base += rng.uniform(1.0, 3.0)  # accept happens first
-            if online:
-                for s in online:
-                    targets.append(self._plan_session(
-                        call_id, rng, caller_host, base, s, req))
+        plan: list = []
+        targets = []
+        for kind, remote, notify in self._targets(req, rng, online):
+            attempt = _TcpAttempt(call_id, notify, remote)
+            if kind == KIND_NATED:
+                self._nated_plan(plan, rng, caller, remote, base, attempt)
             else:
-                seen = self.presence.last_seen(req.callee, req.t_start)
-                if seen is not None and \
-                        req.t_start - seen[1] <= LAST_SEEN_WINDOW:
-                    targets.append(self._plan_offline(
-                        call_id, rng, caller_host, base, seen[0]))
+                self._public_plan(plan, rng, caller, remote, base, attempt)
+            targets.append(CallTarget(kind, self._endpoint(remote)[0]))
+        noise = self._noise_plan(plan, rng, caller, req.t_start)
+        return PlacedCall(call_id, req.t_start, start_delay, targets, true_ips,
+                          frozenset(map(self.sim.public_ip_of, noise))), plan
 
-        noise_ips = self._plan_noise(rng, caller_host, req.t_start)
-        call = PlacedCall(call_id, req.t_start, start_delay, targets,
-                          true_ips, noise_ips)
-        self.calls.append(call)
-        return call
-
-    def _plan_session(self, call_id, rng, caller_host, base, session,
-                      req) -> CallTarget:
-        callee_host = session.host_id
-        if self.sim.hosts[callee_host].nat is None:
-            ip, port = self._endpoint(callee_host)
-            self._emit_public_pattern(call_id, rng, caller_host, ip, port,
-                                      base, req.callee, callee_host)
-            return CallTarget(KIND_PUBLIC, ip, callee_host, port, False)
-        self._emit_nated_pattern(call_id, rng, callee_host, caller_host,
-                                 base, req.callee)
-        ip, port = self._endpoint(callee_host)
-        return CallTarget(KIND_NATED, ip, callee_host, port, False)
-
-    def _plan_offline(self, call_id, rng, caller_host, base,
-                      last_host) -> CallTarget:
-        ip, port = self._endpoint(last_host)
-        self._emit_public_pattern(call_id, rng, caller_host, ip, port, base,
-                                  None, None)
-        return CallTarget(KIND_OFFLINE, ip, last_host, port, True)
-
-    def _plan_relayed(self, call_id, rng, caller_host, base, online,
-                      req) -> list:
-        if not self.relays:
-            raise CallError("relay_all defense requires relays")
-        relay = rng.choice(self.relays)
-        ip, port = self._endpoint(relay)
-        if online and self.sim.hosts[online[0].host_id].nat is not None:
-            # relay plays the callee side of the NATed exchange
-            self._emit_nated_pattern(call_id, rng, relay, caller_host, base,
-                                     None)
-            return [CallTarget(KIND_NATED, ip, relay, port, False)]
-        self._emit_public_pattern(call_id, rng, caller_host, ip, port, base,
-                                  None, relay if online else None)
-        kind = KIND_PUBLIC if online else KIND_OFFLINE
-        return [CallTarget(kind, ip, relay, port, not online)]
+    def _targets(self, req, rng, online) -> list:
+        """(kind, remote host, callee to notify or None) of each pattern
+        the call shows the caller; a relay stands in for the callee."""
+        defense = self.config.defense_mode
+        if defense == DEFENSE_REVEAL_AFTER_ACCEPT and not req.answered:
+            return []  # pre-accept signaling stays on supernodes
+        nated = [self.sim.hosts[s.host_id].nat is not None for s in online]
+        if defense == DEFENSE_RELAY_ALL:
+            if not self.relays:
+                raise CallError("relay_all defense requires relays")
+            relay = rng.choice(self.relays)
+            # the relay plays the callee side of the first session's pattern
+            kind = KIND_OFFLINE if not online else \
+                KIND_NATED if nated[0] else KIND_PUBLIC
+            return [(kind, relay, None)]
+        if online:
+            return [(KIND_NATED if n else KIND_PUBLIC, s.host_id, req.callee)
+                    for s, n in zip(online, nated)]
+        seen = self.presence.last_seen(req.callee, req.t_start)
+        if seen is not None and req.t_start - seen[1] <= LAST_SEEN_WINDOW:
+            return [(KIND_OFFLINE, seen[0], None)]
+        return []
 
     def _jit(self, rng, nominal: float) -> float:
         j = self.config.pattern_jitter
         return nominal * (1.0 + rng.uniform(-j, j)) if j else nominal
 
-    def _emit_syn_series(self, call_id, rng, src_host, dst_ip, dst_port,
-                         base, callee, callee_host):
-        """SYN plus two conditional retransmits (3 s then 1 s timeouts)."""
-        lport = self._ports[src_host]
-        key = (src_host, dst_ip, dst_port, lport)
-        self._pending_tcp[key] = _TcpAttempt(call_id, callee, callee_host)
-        self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP", SYN_SIZE,
-                               flags=("SYN",), at=base, src_port=lport)
-        t1 = base + self._jit(rng, SYN_TIMEOUT_FIRST)
+    def _syn_plan(self, plan, rng, src, dst, t, attempt) -> None:
+        """A SYN plus two conditional retransmits (3 s then 1 s timeouts)."""
+        t1 = t + self._jit(rng, SYN_TIMEOUT_FIRST)
         t2 = t1 + self._jit(rng, SYN_TIMEOUT_SECOND)
-        self.sim.schedule(t1, self._retry_syn, key)
-        self.sim.schedule(t2, self._retry_syn, key)
+        plan += ((t, src, dst, "TCP", SYN_SIZE, ("SYN",), attempt),
+                 (t1, src, dst, "TCP", SYN_SIZE, ("SYN",), RETRY),
+                 (t2, src, dst, "TCP", SYN_SIZE, ("SYN",), RETRY))
 
-    def _retry_syn(self, key) -> None:
-        attempt = self._pending_tcp.get(key)
-        if attempt is not None and not attempt.established:
-            src_host, dst_ip, dst_port, lport = key
-            self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
-                                   SYN_SIZE, flags=("SYN",), src_port=lport)
-
-    def _emit_public_pattern(self, call_id, rng, caller_host, dst_ip,
-                             dst_port, base, callee, callee_host):
-        """Case (i)/(iii) caller-side emissions; responses, if any, come
-        from the remote client's handler."""
-        self._emit_syn_series(call_id, rng, caller_host, dst_ip, dst_port,
-                              base, callee, callee_host)
-        lport = self._ports[caller_host]
+    def _public_plan(self, plan, rng, caller, remote, base, attempt) -> None:
+        """Case (i)/(iii): the caller's SYNs and three 59/58-byte markers;
+        responses, if any, come from the remote client's handler."""
+        self._syn_plan(plan, rng, caller, remote, base, attempt)
         t = base + rng.uniform(0.05, 0.25)
-        gaps = (0.0,) + MARKER_GAPS
-        for gap in gaps:
+        for gap in (0.0,) + MARKER_GAPS:
             t += self._jit(rng, gap) if gap else 0.0
-            self.sim.schedule_send(caller_host, dst_ip, dst_port, "UDP",
-                                   rng.choice(MARKER_SIZES), at=t,
-                                   src_port=lport)
+            plan.append((t, caller, remote, "UDP", rng.choice(MARKER_SIZES),
+                         (), None))
 
-    def _emit_nated_pattern(self, call_id, rng, callee_host, caller_host,
-                            base, callee):
-        """Case (ii): the NATed callee initiates toward the public caller."""
-        caller_ip = self.sim.hosts[caller_host].ip
-        caller_port = self._ports[caller_host]
-        cport = self._ports[callee_host]
-        callee_pub_ip = self.sim.public_ip_of(callee_host)
-        send = self.sim.schedule_send
+    def _nated_plan(self, plan, rng, caller, remote, base, attempt) -> None:
+        """Case (ii): the NATed remote initiates toward the public caller."""
+        # first contact: 28-byte UDP; remember the remote initiated so the
+        # caller's echo is not re-echoed
+        host = self.sim.hosts[caller]
+        self._sent28[(remote, host.ip, self._ports[caller])] = base
+        plan.append((base, remote, caller, "UDP", NAT_FIRST_SIZE, (), None))
+        self._syn_plan(plan, rng, remote, caller,
+                       base + self._jit(rng, 0.4), attempt)
 
-        # first contact: 28-byte UDP; remember we initiated so the caller's
-        # echo is not re-echoed
-        self._sent28[(callee_host, caller_ip, caller_port)] = base
-        send(callee_host, caller_ip, caller_port, "UDP", NAT_FIRST_SIZE,
-             at=base, src_port=cport)
-
-        # callee-side TCP attempt toward the caller
-        self._emit_syn_series(call_id, rng, callee_host, caller_ip,
-                              caller_port, base + self._jit(rng, 0.4),
-                              callee, callee_host)
-
-        # varying-size exchange, both directions
+        # varying-size exchange, alternating directions
         lo, hi = VARYING_SIZES
         n = rng.randint(*VARYING_COUNT)
         t = base + rng.uniform(0.4, 0.7)
@@ -595,59 +560,64 @@ class RtcOverlay:
             size = rng.randint(lo, hi)
             while size in (NAT_FIRST_SIZE, NAT_TAIL_SIZE):
                 size = rng.randint(lo, hi)
-            if k % 2 == 0:
-                send(callee_host, caller_ip, caller_port, "UDP", size,
-                     at=t, src_port=cport)
-            else:
-                send(caller_host, callee_pub_ip,
-                     self._endpoint(callee_host)[1], "UDP", size,
-                     at=t, src_port=caller_port)
+            src, dst = (caller, remote) if k % 2 else (remote, caller)
+            plan.append((t, src, dst, "UDP", size, (), None))
             t += rng.uniform(0.25, 1.1)
 
         # 3-byte tail after about 10 seconds
         t = base + self._jit(rng, NAT_TAIL_DELAY)
         for _ in range(NAT_TAIL_COUNT):
-            send(callee_host, caller_ip, caller_port, "UDP",
-                 NAT_TAIL_SIZE, at=t, src_port=cport)
+            plan.append((t, remote, caller, "UDP", NAT_TAIL_SIZE, (), None))
             t += self._jit(rng, NAT_TAIL_GAP)
 
-    def _plan_noise(self, rng, caller_host, t_start) -> frozenset:
+    def _noise_plan(self, plan, rng, caller, t_start) -> list:
+        """Supernode chatter after the call request, and one keepalive each
+        way on the caller's home supernode connection; returns the chosen
+        supernodes."""
         cfg = self.config
-        send = self.sim.schedule_send
+        add = plan.append
         count = min(rng.randint(*cfg.noise_flows), len(self.supernodes))
         chosen = rng.sample(self.supernodes, count)
-        caller_ip = self.sim.hosts[caller_host].ip
-        caller_port = self._ports[caller_host]
-        ips = []
         for sn in chosen:
-            sn_ip = self.sim.public_ip_of(sn)
-            sn_port = self._ports[sn]
-            ips.append(sn_ip)
             for _ in range(rng.randint(*cfg.noise_packets)):
                 at = t_start + rng.uniform(0.0, NOISE_WINDOW)
                 if rng.random() < 0.08:
                     size = rng.choice(MARKER_SIZES)
                 else:
                     size = rng.randint(*NOISE_SIZES)
-                if rng.random() < 0.5:
-                    send(caller_host, sn_ip, sn_port, "UDP", size,
-                         at=at, src_port=caller_port)
-                else:
-                    send(sn, caller_ip, caller_port, "UDP", size,
-                         at=at, src_port=sn_port)
-        # keepalives on the pre-established supernode TCP connection
-        home = self._home_supernode.get(caller_host)
+                src, dst = (caller, sn) if rng.random() < 0.5 else (sn, caller)
+                add((at, src, dst, "UDP", size, (), NOISE))
+        home = self._home_supernode.get(caller)
         if home is not None:
-            sn_ip = self.sim.public_ip_of(home)
             at = t_start + rng.uniform(0.5, NOISE_WINDOW)
-            send(caller_host, sn_ip, self._ports[home], "TCP",
-                 KEEPALIVE_SIZE, flags=("ACK",), at=at,
-                 src_port=caller_port)
-            send(home, caller_ip, caller_port, "TCP",
-                 KEEPALIVE_SIZE, flags=("ACK",),
-                 at=at + rng.uniform(0.05, 0.4),
-                 src_port=self._ports[home])
-        return frozenset(ips)
+            add((at, caller, home, "TCP", KEEPALIVE_SIZE, ("ACK",), NOISE))
+            add((at + rng.uniform(0.05, 0.4), home, caller, "TCP",
+                 KEEPALIVE_SIZE, ("ACK",), NOISE))
+        return chosen
+
+    def _schedule(self, plan) -> None:
+        """Put a plan on the loop in its order.  Each destination host
+        resolves to its endpoint once, and each send leaves from its source
+        host's RTC port; a SYN registers the attempt it opens."""
+        sim, ports, ends = self.sim, self._ports, {}
+        for t, src, dst, proto, size, flags, role in plan:
+            ep = ends.get(dst)
+            if ep is None:
+                ep = ends[dst] = self._endpoint(dst)
+            if role is RETRY:
+                sim.schedule(t, self._retry_syn, (src, *ep, ports[src]))
+                continue
+            if type(role) is _TcpAttempt:
+                self._pending_tcp[(src, *ep, ports[src])] = role
+            sim.schedule_send(src, ep[0], ep[1], proto, size, flags, t,
+                              ports[src])
+
+    def _retry_syn(self, key) -> None:
+        attempt = self._pending_tcp.get(key)
+        if attempt is not None and not attempt.established:
+            src_host, dst_ip, dst_port, lport = key
+            self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
+                                   SYN_SIZE, flags=("SYN",), src_port=lport)
 
     # -- client behavior ------------------------------------------------------
 

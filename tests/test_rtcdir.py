@@ -1,8 +1,9 @@
 import pytest
 
-from p2ptrack.rtcdir import (LAST_SEEN_WINDOW, CallError, CallRequest,
-                             Directory, DirectoryError, PresenceBook,
-                             UserProfile, harvest_ids)
+from p2ptrack.rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC,
+                             LAST_SEEN_WINDOW, NOISE, RETRY, CallError,
+                             CallRequest, Directory, DirectoryError,
+                             PresenceBook, UserProfile, harvest_ids)
 
 
 # -- directory search ---------------------------------------------------------
@@ -342,3 +343,105 @@ def test_relay_all_hides_callee_ip():
            {p.dst_ip for p in w.tap.trace()}
     assert w.sim.hosts[phost].ip not in seen
     assert w.sim.public_ip_of(nhost) not in seen
+
+
+# -- call plans ----------------------------------------------------------------
+
+def _plan(w, callee, t, answered=False):
+    """The call's (placed, pattern sends, noise sends), planned without
+    scheduling anything; every noise send is caller <-> supernode."""
+    seq, now = w.sim._evseq, w.sim.now
+    placed, plan = w.overlay.plan_call(
+        CallRequest(w.tracker_user, callee, t, answered=answered))
+    assert (w.sim._evseq, w.sim.now) == (seq, now)
+    pattern = [s for s in plan if s[-1] is not NOISE]
+    noise = [s for s in plan if s[-1] is NOISE]
+    assert noise
+    for _, src, dst, *_ in noise:
+        (sn,) = {src, dst} - {w.tracker_host}
+        assert sn in w.overlay.supernodes
+    return placed, pattern, noise
+
+
+def _public_shape(pattern, caller, remote, base):
+    """A SYN plus 2 retries, then 3 markers, all caller -> remote."""
+    assert [s[1:3] for s in pattern] == [(caller, remote)] * 6
+    syns, markers = pattern[:3], pattern[3:]
+    assert [(s[3], s[4], s[5]) for s in syns] == [("TCP", 44, ("SYN",))] * 3
+    assert syns[0][0] == base and syns[0][-1].callee_host == remote
+    assert [s[-1] for s in syns[1:]] == [RETRY, RETRY]
+    assert syns[1][0] - syns[0][0] == pytest.approx(3.0, rel=0.06)
+    assert syns[2][0] - syns[1][0] == pytest.approx(1.0, rel=0.06)
+    assert [(s[3], s[4] in (59, 58), s[-1]) for s in markers] == \
+        [("UDP", True, None)] * 3
+    return syns[0][-1]
+
+
+def _nated_shape(pattern, caller, remote, base):
+    """28 bytes first, a SYN plus 2 retries, 4-8 varying sizes in
+    alternating directions, then 3 x 3-byte tail, remote first."""
+    first, syns, varying, tail = \
+        pattern[0], pattern[1:4], pattern[4:-3], pattern[-3:]
+    assert first[:5] == (base, remote, caller, "UDP", 28)
+    assert [s[1:6] for s in syns] == \
+        [(remote, caller, "TCP", 44, ("SYN",))] * 3
+    assert [s[-1] for s in syns[1:]] == [RETRY, RETRY]
+    assert 4 <= len(varying) <= 8
+    assert [s[1:3] for s in varying] == \
+        [(remote, caller) if k % 2 == 0 else (caller, remote)
+         for k in range(len(varying))]
+    assert all(30 <= s[4] <= 120 and s[4] != 28 for s in varying)
+    assert [s[1:5] for s in tail] == [(remote, caller, "UDP", 3)] * 3
+    return syns[0][-1]
+
+
+def test_call_plan_shapes(mini):
+    pub, phost = mini.add_public_user()
+    nat, nhost = mini.add_nated_user()
+    off, ohost = mini.add_public_user(online=(0.0, 20.0))
+    mini.start(at=30.0)
+    caller = mini.tracker_host
+    placed, pattern, _ = _plan(mini, pub, 100.0)
+    base = placed.t_start + placed.start_delay
+    attempt = _public_shape(pattern, caller, phost, base)
+    assert attempt.callee == pub
+    assert [t.kind for t in placed.targets] == [KIND_PUBLIC]
+    placed, pattern, _ = _plan(mini, nat, 200.0)
+    base = placed.t_start + placed.start_delay
+    attempt = _nated_shape(pattern, caller, nhost, base)
+    assert attempt.callee == nat
+    assert [t.kind for t in placed.targets] == [KIND_NATED]
+    # offline: the public pattern toward the last-seen host, nobody rung
+    placed, pattern, _ = _plan(mini, off, 300.0)
+    base = placed.t_start + placed.start_delay
+    assert _public_shape(pattern, caller, ohost, base).callee is None
+    assert [t.kind for t in placed.targets] == [KIND_OFFLINE]
+
+
+def test_relayed_and_unanswered_call_plans():
+    from tests.conftest import MiniWorld
+    w = MiniWorld(defense="relay_all")
+    pub, _ = w.add_public_user()
+    nat, _ = w.add_nated_user()
+    w.start()
+    # the relay is the remote of the pattern the callee would have shown
+    placed, pattern, _ = _plan(w, pub, 100.0)
+    relay = pattern[0][2]
+    assert relay in w.overlay.relays
+    base = placed.t_start + placed.start_delay
+    assert _public_shape(pattern, w.tracker_host, relay, base).callee is None
+    placed, pattern, _ = _plan(w, nat, 200.0)
+    relay = pattern[0][1]
+    assert relay in w.overlay.relays
+    base = placed.t_start + placed.start_delay
+    assert _nated_shape(pattern, w.tracker_host, relay, base).callee is None
+    # reveal-after-accept: only noise before an answer, then a pattern
+    w = MiniWorld(defense="reveal_after_accept")
+    user, host = w.add_public_user()
+    w.start()
+    placed, pattern, _ = _plan(w, user, 100.0)
+    assert pattern == [] and placed.targets == []
+    placed, pattern, _ = _plan(w, user, 300.0, answered=True)
+    base = pattern[0][0]
+    assert base - placed.t_start - placed.start_delay >= 1.0
+    assert _public_shape(pattern, w.tracker_host, host, base).callee == user
