@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 import random
 from collections import Counter
 from typing import Callable, NamedTuple, Optional
@@ -298,8 +299,8 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, at: float, fn: Callable, *args) -> int:
-        """Run fn(*args) at time at."""
-        if not at >= self.now:      # also rejects NaN
+        """Run fn(*args) at time at, which is finite and not past."""
+        if not self.now <= at < math.inf:   # also rejects NaN
             raise NetsimError(f"cannot schedule at {at}: now is {self.now}")
         self._evseq += 1
         event = (at, self._evseq, fn, args)
@@ -333,7 +334,7 @@ class Simulator:
         batch, latest first; the events they schedule go to the heap.
         Each step runs the smaller of the two heads.  A running event may
         schedule but not advance."""
-        if not until >= self.now:   # also rejects NaN
+        if not self.now <= until < math.inf:   # also rejects NaN
             raise NetsimError(f"cannot advance to {until}: now is {self.now}")
         if self._running:
             raise NetsimError("advance called from a running event")

@@ -1,7 +1,7 @@
 """Simulated real-time-communication overlay.
 
 A user directory with email/id/birth-name search semantics, presence with
-the 72-hour last-seen rule, and the call-establishment packet emitter.
+the 72-hour last-seen rule, and call plans: a call's packets as data.
 Calling an online public user produces the SYN-triple + 59/58-byte UDP
 pattern; a NATed callee initiates with a 28-byte UDP packet and ends with
 3-byte keepalives after ~10 s; a recently-offline callee yields the public

@@ -17,6 +17,7 @@ from typing import Optional, get_args, get_type_hints
 import yaml
 
 from .rtcdir import DEFENSES, RtcConfig
+from .sniffer import ROUND_TAIL
 from .tracker import SchedulerConfig
 from .verifier import RING_MODULUS, VerifierConfig
 
@@ -33,6 +34,11 @@ _TYPES = {int: (int, "int"), float: ((int, float), "float"),
           tuple: (tuple, "[lo, hi] with ints 0 <= lo <= hi"),
           Optional[str]: ((str, type(None)), "a str or null")}
 
+BASE_T = 266400.0          # first round start: 74 h into simulated time
+# Simulated time is a float.  A run ends by MAX_TIME, where floats lie about
+# 1e-6 s apart, and a time step must be large enough to move a time there.
+MAX_TIME = 2.0 ** 32
+
 # Every int and float a scenario holds must be finite and meet its bounds:
 # >= 0 unless this table states others.  The seed may be any int.
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
@@ -42,11 +48,13 @@ _BOUNDS = {
     "seed": (),
     **dict.fromkeys((
         "population.users", "rtc.supernodes", "rtc.relays",
-        "tracker.clients", "tracker.s", "tracker.round_period",
-        "tracker.rounds", "tracker.classifier.pattern_window",
+        "tracker.clients", "tracker.rounds",
         "bt.swarms", "bt.dht_nodes", "bt.crawler_bots",
-        "verifier.min_rounds", "verifier.call_gap", "verifier.clients"),
-        ((">", 0),)),
+        "verifier.min_rounds", "verifier.clients"), ((">", 0),)),
+    **dict.fromkeys((
+        "tracker.s", "tracker.round_period",
+        "tracker.classifier.pattern_window", "verifier.call_gap"),
+        ((">", math.ulp(MAX_TIME) / 2),)),
     **dict.fromkeys((
         "population.nat_fraction", "population.online_fraction",
         "population.stale_fraction", "population.blocked_fraction",
@@ -183,6 +191,26 @@ class Scenario:
                     users - online)
         return online, stale, users - online - stale
 
+    def horizon(self) -> tuple:
+        """(t, term): about the last time a run reaches, counting one
+        volunteer call after each target call and one verifier candidate
+        per user, and the keys of its largest term."""
+        t = self.tracker
+        window = t.classifier.pattern_window
+        terms = {"tracker.rounds * tracker.round_period":
+                 t.rounds * t.round_period,
+                 "tracker.s * a client's calls":
+                 2 * math.ceil(self.population.users / t.clients) * t.s,
+                 "tracker.classifier.pattern_window": window}
+        if self.bt is not None:
+            v = self.verifier
+            slots = math.ceil(self.population.users / v.clients)
+            terms["verifier.min_rounds * (verifier.round_spacing or the "
+                  "verifier.call_gap slots)"] = v.min_rounds * max(
+                v.round_spacing, slots * v.call_gap + window + ROUND_TAIL)
+        return (BASE_T + sum(terms.values()) + ROUND_TAIL,
+                max(terms, key=terms.get))
+
     def validate(self) -> list:
         """All violations, empty when the scenario is runnable."""
         bad = []
@@ -205,6 +233,10 @@ class Scenario:
             bad.append("tracker.salt must be a hex string")
         if bad:
             return bad   # the checks across keys assume numbers in bounds
+        end, term = self.horizon()
+        if not end <= MAX_TIME:
+            bad.append(f"{term}: the run would reach t = {end:.4g} s, past "
+                       f"{MAX_TIME:.0f} s; this term is the largest")
         pop = self.population
         if pop.online_fraction + pop.stale_fraction > 1.0 + 1e-9:
             bad.append("population online_fraction + stale_fraction > 1")

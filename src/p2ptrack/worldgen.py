@@ -20,12 +20,11 @@ from .btswarm.swarm import (HandshakeClient, ScrapeEntry, SwarmRegistry,
                             build_scrape, parse_scrape, top_k)
 from .netsim import IPID_RANDOM, IPID_SEQUENTIAL_GLOBAL, Simulator, ip_str
 from .rtcdir import Directory, PresenceBook, RtcOverlay, UserProfile
-from .scenario import Scenario, ScenarioError
+from .scenario import BASE_T, Scenario, ScenarioError
 from .sniffer import CallerPool, SynFilterPolicy, apply_syn_filter
 from .tracker import GeoTable, Tracker
 from .verifier import Verifier
 
-BASE_T = 266400.0          # first round start: 74 h into simulated time
 SETUP_T = 10.0             # tracking-client connection setup
 DARK_LOGOUT = 3000.0       # dark users' last logout (> 72 h before BASE_T)
 STALE_OFFSET = 1800.0      # stale users' logout before BASE_T

@@ -201,6 +201,22 @@ def test_advance_rejects_nan(sim):
         sim.schedule(0.5, lambda: None)
 
 
+def test_loop_rejects_infinite_time(sim):
+    # at now = inf a 30 s echo guard reads inf - inf = nan, which compares
+    # False, so the loop must never get there
+    sim.add_host("h", "10.0.0.1")
+    ran = []
+    with pytest.raises(NetsimError, match="inf"):
+        sim.schedule(math.inf, ran.append, "inf")
+    with pytest.raises(NetsimError, match="inf"):
+        sim.schedule_send("h", "1.2.3.4", 1, "UDP", 10, at=math.inf)
+    with pytest.raises(NetsimError, match="inf"):
+        sim.advance(math.inf)
+    sim.schedule(1.0, ran.append, "e1")
+    sim.advance(2.0)
+    assert ran == ["e1"] and sim.now == 2.0
+
+
 def test_advance_from_a_running_event_rejected(sim):
     sim.schedule(1.0, sim.advance, 3.0)
     with pytest.raises(NetsimError, match="running event"):

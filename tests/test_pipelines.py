@@ -213,6 +213,11 @@ def test_cli_validate(tmp_path, capsys):
             ("verifier:\n  threshold: -1\n", "verifier.threshold"),
             ("population:\n  volunteers: -1\n", "population.volunteers"),
             ("tracker:\n  validation_every: -1\n", "tracker.validation_every"),
+            # finite times past the float horizon, or steps too small to
+            # move a time there
+            ("tracker:\n  s: 1.0e+308\n", "tracker.s"),
+            ("tracker:\n  round_period: 1.0e-300\nmobility:\n"
+             "  movers_city_only: 1\n", "tracker.round_period"),
             ("seed: [\n", "bad.yaml")):
         bad.write_text(text)
         for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
@@ -269,7 +274,7 @@ def test_cli_tracker_overrides(tmp_path, capsys):
     rc = main(["run", "--scenario", SMOKE, "--pipeline", "mobility",
                "--out", str(out), "--s", "-1"])
     assert rc == 2
-    assert "s > 0" in capsys.readouterr().err
+    assert f"need finite s > {2.0 ** -21}" in capsys.readouterr().err
     for s in ("nan", "inf"):
         rc = main(["run", "--scenario", SMOKE, "--pipeline", "mobility",
                    "--out", str(out), "--s", s])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from p2ptrack.scenario import (Scenario, ScenarioError, load_scenario,
-                               scenario_from_dict)
+from p2ptrack.scenario import (MAX_TIME, Scenario, ScenarioError,
+                               load_scenario, scenario_from_dict)
 from p2ptrack.worldgen import (BT_DISTINCT_HOST, BT_SAME_HOST,
                                BT_UNVERIFIABLE, STATE_DARK, STATE_ONLINE,
                                STATE_STALE, build_world)
@@ -136,6 +136,35 @@ def test_every_number_is_bounded():
         assert not any(p.startswith(f"{key}:") for p in ok.validate()), key
 
 
+def test_run_ends_within_the_float_horizon():
+    # 20 users, 2 clients: 2 * 10 calls a client, s apart, end the run
+    scn = scenario_from_dict({"tracker": {"round_period": 1.0}})
+    s = (MAX_TIME - scn.horizon()[0]) / 20 + scn.tracker.s
+    scn.tracker.s = s
+    assert scn.horizon() == (pytest.approx(MAX_TIME),
+                             "tracker.s * a client's calls")
+    scn.tracker.s = s * (1 - 1e-12)
+    assert scn.validate() == []
+    scn.tracker.s = s * (1 + 1e-12)
+    assert [p.split(":")[0] for p in scn.validate()] == \
+        ["tracker.s * a client's calls"]
+    # the verifier's rounds count only with a bt section
+    scn = scenario_from_dict({"verifier": {"round_spacing": 1e300}})
+    assert scn.validate() == []
+    scn = scenario_from_dict({"bt": {}, "verifier": {"round_spacing": 1e300}})
+    assert scn.validate()[0].startswith("verifier.min_rounds * (verifier."
+                                        "round_spacing")
+    # and every time step moves a time at the horizon
+    for key in ("tracker.s", "tracker.round_period",
+                "tracker.classifier.pattern_window", "verifier.call_gap"):
+        for step, ok in ((1e-300, False), (2.0 ** -21, False),
+                         (1e-6, True)):
+            scn = scenario_from_dict({})
+            _set(scn, key, step)
+            assert (scn.validate() == []) == ok, (key, step)
+            assert ok or scn.validate()[0].startswith(f"{key}:")
+
+
 def test_privacy_plants_never_exceed_the_users():
     # round(1.5) + round(1.5) would be 4 privacy settings for 3 users
     for seed in range(10):
@@ -208,7 +237,9 @@ def small_scenarios(draw):
                "online_fraction": number(0.0, 1.0),
                "stale_fraction": draw(st.floats(0.0, 1.0)),
                "nat_fraction": draw(st.floats(0.0, 1.0))},
-           "tracker": {"clients": 1, "rounds": 2, "s": number(0.5, 10.0),
+           "tracker": {"clients": 1, "rounds": 2,
+                       "s": draw(st.one_of(st.floats(0.5, 10.0),
+                                           st.floats(1e6, 1e308), out)),
                        "reorders": draw(st.integers(-2, 3)),
                        "classifier": {"min_score": number(0.0, 1.0)}}}
     if draw(st.booleans()):
