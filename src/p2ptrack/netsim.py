@@ -302,13 +302,12 @@ class Simulator:
         """Run fn(*args) at time at, which is finite and not past."""
         if not self.now <= at < math.inf:   # also rejects NaN
             raise NetsimError(f"cannot schedule at {at}: now is {self.now}")
-        self._evseq += 1
-        event = (at, self._evseq, fn, args)
+        self._evseq = seq = self._evseq + 1
         if self._running:
-            heapq.heappush(self._heap, event)
+            heapq.heappush(self._heap, (at, seq, fn, args))
         else:
-            self._fresh.append(event)
-        return self._evseq
+            self._fresh.append((at, seq, fn, args))
+        return seq
 
     def schedule_send(self, src: str, dst_ip, dst_port: int, proto: str,
                       size: int, flags: tuple = (), at: Optional[float] = None,

@@ -546,8 +546,7 @@ class RtcOverlay:
         """Case (ii): the NATed remote initiates toward the public caller."""
         # first contact: 28-byte UDP; remember the remote initiated so the
         # caller's echo is not re-echoed
-        host = self.sim.hosts[caller]
-        self._sent28[(remote, host.ip, self._ports[caller])] = base
+        self._sent28[(remote, *self._endpoint(caller))] = base
         plan.append((base, remote, caller, "UDP", NAT_FIRST_SIZE, (), None))
         self._syn_plan(plan, rng, remote, caller,
                        base + self._jit(rng, 0.4), attempt)
@@ -585,8 +584,10 @@ class RtcOverlay:
                     size = rng.choice(MARKER_SIZES)
                 else:
                     size = rng.randint(*NOISE_SIZES)
-                src, dst = (caller, sn) if rng.random() < 0.5 else (sn, caller)
-                add((at, src, dst, "UDP", size, (), NOISE))
+                if rng.random() < 0.5:
+                    add((at, caller, sn, "UDP", size, (), NOISE))
+                else:
+                    add((at, sn, caller, "UDP", size, (), NOISE))
         home = self._home_supernode.get(caller)
         if home is not None:
             at = t_start + rng.uniform(0.5, NOISE_WINDOW)
@@ -600,17 +601,19 @@ class RtcOverlay:
         resolves to its endpoint once, and each send leaves from its source
         host's RTC port; a SYN registers the attempt it opens."""
         sim, ports, ends = self.sim, self._ports, {}
+        send = sim.schedule_send
         for t, src, dst, proto, size, flags, role in plan:
-            ep = ends.get(dst)
-            if ep is None:
-                ep = ends[dst] = self._endpoint(dst)
-            if role is RETRY:
-                sim.schedule(t, self._retry_syn, (src, *ep, ports[src]))
-                continue
-            if type(role) is _TcpAttempt:
-                self._pending_tcp[(src, *ep, ports[src])] = role
-            sim.schedule_send(src, ep[0], ep[1], proto, size, flags, t,
-                              ports[src])
+            try:
+                ip, port = ends[dst]
+            except KeyError:
+                ip, port = ends[dst] = self._endpoint(dst)
+            if role is NOISE or role is None:
+                send(src, ip, port, proto, size, flags, t, ports[src])
+            elif role is RETRY:
+                sim.schedule(t, self._retry_syn, (src, ip, port, ports[src]))
+            else:   # a SYN, and the _TcpAttempt it opens
+                self._pending_tcp[(src, ip, port, ports[src])] = role
+                send(src, ip, port, proto, size, flags, t, ports[src])
 
     def _retry_syn(self, key) -> None:
         attempt = self._pending_tcp.get(key)
