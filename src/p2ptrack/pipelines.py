@@ -72,7 +72,7 @@ def _call_accuracy(calls) -> dict:
     total = fp = miss = extracted_online = online = 0
     for call in calls:
         expected = {t.expect_ip for t in call.placed.targets}
-        got = {e.ip for e in call.extracted}
+        got = {m.candidate_ip for m in call.extracted}
         total += 1
         if got - expected:
             fp += 1
@@ -286,7 +286,7 @@ def run_defense_eval(scenario: Scenario, report: RunReport) -> None:
         extracted_total = sum(len(c.extracted) for c in calls)
         true_hits = 0
         for c in calls:
-            got = {e.ip for e in c.extracted}
+            got = {m.candidate_ip for m in c.extracted}
             if got & c.placed.true_session_ips:
                 true_hits += 1
         online = sum(1 for c in calls

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Optional
 
 from .netsim import CaptureTap, Simulator
 # the signatures are the nominal sizes and gaps the emitter uses
@@ -53,21 +54,20 @@ class ClassifierConfig:
     pattern_window: float = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternMatch:
+    """One remote's call pattern in a trace.  ip_id is the IP-ID of the
+    first packet the remote sent: None for kind III, whose flow has none."""
     kind: str
     candidate_ip: int
     t_first_packet: float
     score: float
-    packets: tuple
+    ip_id: Optional[int]
 
-
-@dataclass(frozen=True)
-class ExtractedIp:
-    ip: int
-    stale: bool
-    score: float
-    t_first: float
+    @property
+    def stale(self) -> bool:
+        """Kind III: the last-seen address, not a current one."""
+        return self.kind == KIND_OFFLINE
 
 
 def _within(gap: float, nominal: float, tol: float) -> bool:
@@ -121,8 +121,9 @@ def _score_nated(entries, tol: float) -> float:
 
 
 def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
-    """All per-IP pattern matches scoring at least cfg.min_score, for a
-    trace captured at the host whose address is observer_ip."""
+    """One match per remote address scoring at least cfg.min_score, for a
+    trace captured at the host whose address is observer_ip; ranked by
+    score, then earliest first packet, then address."""
     flows: dict = {}
     for pkt in trace:
         outbound = pkt.src_ip == observer_ip
@@ -134,17 +135,18 @@ def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
     matches = []
     for remote in sorted(flows):
         entries = sorted(flows[remote], key=lambda e: e[0])
-        inbound_any = any(not outbound for _, outbound, _ in entries)
-        if inbound_any:
+        first_in = next((p for _, outbound, p in entries if not outbound),
+                        None)
+        if first_in is None:
+            scored = ((KIND_OFFLINE, _score_syn_udp(entries, tol)),)
+        else:
             scored = ((KIND_PUBLIC, _score_syn_udp(entries, tol)),
                       (KIND_NATED, _score_nated(entries, tol)))
-        else:
-            scored = ((KIND_OFFLINE, _score_syn_udp(entries, tol)),)
         kind, score = max(scored, key=lambda ks: ks[1])
         if score >= cfg.min_score:
             matches.append(PatternMatch(
                 kind, remote, entries[0][0], score,
-                tuple(p for _, _, p in entries)))
+                None if first_in is None else first_in.ip_id))
     matches.sort(key=lambda m: (-m.score, m.t_first_packet, m.candidate_ip))
     return matches
 
@@ -220,18 +222,4 @@ class CallerPool:
         for tap in self.taps:
             tap.clear()
         return traces
-
-
-def extract_callee_ips(matches) -> list:
-    """Candidate addresses ranked by score, ties by earliest first packet;
-    kind III results are flagged stale (last-seen, not current)."""
-    best: dict = {}
-    for m in matches:
-        cur = best.get(m.candidate_ip)
-        if cur is None or (m.score, -m.t_first_packet) > \
-                (cur.score, -cur.t_first):
-            best[m.candidate_ip] = ExtractedIp(
-                m.candidate_ip, m.kind == KIND_OFFLINE, m.score,
-                m.t_first_packet)
-    return sorted(best.values(), key=lambda e: (-e.score, e.t_first, e.ip))
 

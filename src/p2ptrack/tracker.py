@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .netsim import ip_str, parse_ip
-from .sniffer import (CallerPool, ClassifierConfig, classify_trace,
-                      extract_callee_ips)
+from .sniffer import CallerPool, ClassifierConfig, classify_trace
 
 STATUS_ONLINE = "online"
 STATUS_STALE = "stale"
@@ -70,7 +69,7 @@ class TrackedCall:
     callee: str
     validation: bool
     placed: object          # rtcdir.PlacedCall
-    extracted: tuple = ()
+    extracted: tuple = ()   # the call's sniffer.PatternMatch results
 
 
 @dataclass
@@ -218,25 +217,23 @@ class Tracker:
         samples: list = []
         observations: list = []
         for call, trace in zip(calls, traces):
-            matches = classify_trace(trace, classifier,
-                                     self.pool.observer_ips[call.client])
-            extracted = extract_callee_ips(matches)
-            call.extracted = tuple(extracted)
+            call.extracted = extracted = tuple(classify_trace(
+                trace, classifier, self.pool.observer_ips[call.client]))
             ambiguous = len(extracted) > 1
             if not extracted:
                 samples.append(LocationSample(call.callee, call.t,
                                               STATUS_OFFLINE,
                                               validation=call.validation))
                 continue
-            for e in extracted:
-                status = STATUS_STALE if e.stale else STATUS_ONLINE
-                city_h, as_h, country_h = geo_anonymize(e.ip, self.geo,
+            for m in extracted:
+                ip = m.candidate_ip
+                status = STATUS_STALE if m.stale else STATUS_ONLINE
+                city_h, as_h, country_h = geo_anonymize(ip, self.geo,
                                                         self.salt)
                 samples.append(LocationSample(
-                    call.callee, call.t, status, ip_token(e.ip, self.salt),
+                    call.callee, call.t, status, ip_token(ip, self.salt),
                     city_h, as_h, country_h, ambiguous, call.validation))
-                observations.append(CallObservation(call.callee, call.t,
-                                                    e.ip))
+                observations.append(CallObservation(call.callee, call.t, ip))
 
         throughput = []
         for c in range(n):

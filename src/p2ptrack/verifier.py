@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .btswarm.swarm import MatchCandidate
-from .rtcdir import KIND_OFFLINE
 from .sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
                       classify_trace)
 
@@ -118,18 +117,10 @@ class Verifier:
                 res = results[j]
                 matches = classify_trace(trace, self.classifier,
                                          self.pool.observer_ips[j % pool])
-                ipid_rtc = None
-                for m in matches:
-                    if m.candidate_ip != res.candidate.ip or \
-                            m.kind == KIND_OFFLINE:
-                        continue
-                    inbound = [p for p in m.packets
-                               if p.src_ip == res.candidate.ip]
-                    if inbound:
-                        first = min(inbound, key=lambda p: p.t_recv)
-                        ipid_rtc = first.ip_id
-                        res.call_matches += 1
-                    break
+                ipid_rtc = next((m.ip_id for m in matches
+                                 if m.candidate_ip == res.candidate.ip), None)
+                if ipid_rtc is not None:
+                    res.call_matches += 1
                 ipid_bt = None
                 if probe.response is not None:
                     ipid_bt = probe.response.ip_id

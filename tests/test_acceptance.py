@@ -103,7 +103,7 @@ def test_criterion_3_inconspicuousness():
         for call in rnd.calls:
             want = {t.expect_ip for t in call.placed.targets}
             online += 1
-            if want <= {e.ip for e in call.extracted}:
+            if want <= {m.candidate_ip for m in call.extracted}:
                 extracted += 1
     ok = (calls >= 1000 and notifications == 0 and extracted == online
           and blocked >= 20 and whitelisted >= 20)
@@ -331,7 +331,7 @@ def test_criterion_7_defense_evaluation():
                                              world2.base_t)
     relay_hits = sum(
         1 for c in result.calls
-        if {e.ip for e in c.extracted} & c.placed.true_session_ips)
+        if {m.candidate_ip for m in c.extracted} & c.placed.true_session_ips)
     relay_extractions = sum(len(c.extracted) for c in result.calls)
 
     ok = raa_calls >= 1000 and raa_extracted == 0 and relay_hits == 0

@@ -11,8 +11,7 @@ from p2ptrack.rtcdir import (KEEPALIVE_SIZE, KIND_NATED, KIND_OFFLINE,
 from p2ptrack.scenario import scenario_from_dict
 from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
                               FlowIndex, PatternMatch, SynFilterPolicy,
-                              apply_syn_filter, classify_trace,
-                              extract_callee_ips)
+                              apply_syn_filter, classify_trace)
 CFG = ClassifierConfig()
 OBSERVER = parse_ip("10.0.0.1")
 
@@ -117,19 +116,48 @@ def test_noise_only_windows_never_match(mini):
     assert hits == 0
 
 
-def test_extract_ranks_by_score_then_time():
-    a, b, c = parse_ip("1.1.1.1"), parse_ip("2.2.2.2"), parse_ip("3.3.3.3")
-    matches = [PatternMatch(KIND_PUBLIC, a, 5.0, 0.9, ()),
-               PatternMatch(KIND_OFFLINE, b, 1.0, 1.0, ()),
-               PatternMatch(KIND_NATED, c, 0.5, 0.9, ())]
-    ranked = extract_callee_ips(matches)
-    assert [e.ip for e in ranked] == [b, c, a]
-    assert ranked[0].stale is True
-    assert ranked[1].stale is False
+def _syn_udp_rows(t, remote, inbound=True, syn_gap=SYN_TIMEOUT_SECOND):
+    """_host_tap rows of a kind I pattern from t (kind III without the
+    inbound reply); a wrong syn_gap fails one of its six checks."""
+    rows = [(t, remote, True, "TCP", ("SYN",), SYN_SIZE),
+            (t + SYN_TIMEOUT_FIRST, remote, True, "TCP", ("SYN",), SYN_SIZE),
+            (t + SYN_TIMEOUT_FIRST + syn_gap, remote, True, "TCP", ("SYN",),
+             SYN_SIZE)]
+    mark = t + 0.1
+    for gap in (0.0,) + MARKER_GAPS:
+        mark += gap
+        rows.append((mark, remote, True, "UDP", (), MARKER_SIZES[0]))
+    if inbound:
+        rows.append((t + 0.3, remote, False, "UDP", (), MARKER_SIZES[1]))
+    return rows
 
 
-def test_extract_empty():
-    assert extract_callee_ips([]) == []
+def test_classify_ranks_by_score_then_time_then_address():
+    a, b, c, d = (parse_ip(f"10.0.1.{k}") for k in (2, 4, 1, 3))
+    rows = (_syn_udp_rows(5.0, a) + _syn_udp_rows(1.0, b, inbound=False)
+            + _syn_udp_rows(0.0, c, syn_gap=3.0) + _syn_udp_rows(5.0, d))
+    rows.sort(key=lambda r: r[0])
+    trace = _host_tap(rows).trace()
+    ranked = classify_trace(trace, CFG, OBSERVER)
+    # b, a and d score 1 and b starts first; d ties a on time and follows
+    # it by address; c fails one of its six checks
+    assert [m.candidate_ip for m in ranked] == [b, a, d, c]
+    assert [m.kind for m in ranked] == [KIND_OFFLINE] + [KIND_PUBLIC] * 3
+    assert [m.score for m in ranked] == [1.0, 1.0, 1.0, 5 / 6]
+    assert [m.t_first_packet for m in ranked] == [1.0, 5.0, 5.0, 0.0]
+    # each online match carries its remote's first inbound IP-ID
+    first_in = {}
+    for p in trace:
+        first_in.setdefault(p.src_ip, p.ip_id)
+    assert [m.ip_id for m in ranked] == [None] + [first_in[ip]
+                                                  for ip in (a, d, c)]
+
+
+def test_pattern_match_stale_is_kind_iii():
+    ip = parse_ip("1.1.1.1")
+    assert [PatternMatch(kind, ip, 0.0, 1.0, None).stale
+            for kind in (KIND_PUBLIC, KIND_NATED, KIND_OFFLINE)] == \
+        [False, False, True]
 
 
 def test_classify_empty_trace():
@@ -139,15 +167,16 @@ def test_classify_empty_trace():
 def _host_tap(observations):
     """A tap at OBSERVER recording (t, remote, outbound, proto, flags, size)
     observations the way a host tap does: outbound packets at t_send,
-    inbound ones at t_recv."""
+    inbound ones at t_recv.  A packet's IP-ID is its row index."""
     tap = CaptureTap()
-    for t, remote, outbound, proto, flags, size in observations:
+    for ip_id, (t, remote, outbound, proto, flags, size) in \
+            enumerate(observations):
         if outbound:
             pkt = SimPacket(t, t + 0.05, OBSERVER, 5000, remote, 6000, proto,
-                            frozenset(flags), size, 0)
+                            frozenset(flags), size, ip_id)
         else:
             pkt = SimPacket(t - 0.05, t, remote, 6000, OBSERVER, 5000, proto,
-                            frozenset(flags), size, 0)
+                            frozenset(flags), size, ip_id)
         tap.record(t, pkt)
     return tap
 
@@ -204,10 +233,15 @@ def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
     want = [m for m in classify_trace(tap.window(t - window, t + window),
                                       cfg, OBSERVER)
             if t <= m.t_first_packet < t + length]
-    got = classify_trace(FlowIndex(tap, OBSERVER).slot_trace(t, length,
-                                                             window),
-                         cfg, OBSERVER)
+    slot = FlowIndex(tap, OBSERVER).slot_trace(t, length, window)
+    got = classify_trace(slot, cfg, OBSERVER)
     assert got == want
+    # a match carries the IP-ID of the first packet its remote sent in the
+    # slot trace, and has none exactly when it is stale
+    for m in got:
+        assert m.ip_id == next((p.ip_id for p in slot
+                                if p.src_ip == m.candidate_ip), None)
+        assert (m.ip_id is None) == m.stale
 
 
 # -- the calling-client pool ---------------------------------------------------
@@ -348,7 +382,7 @@ def test_soundness_extracted_equals_true_sessions(mini):
             CallRequest(mini.tracker_user, user, t))
         mini.sim.advance(t + 35.0)
         matches = classify_trace(mini.tap.trace(), CFG, observer_ip=obs_ip)
-        got = {e.ip for e in extract_callee_ips(matches)}
+        got = {m.candidate_ip for m in matches}
         want = {tt.expect_ip for tt in placed.targets}
         assert got == want
         assert not (got & placed.noise_ips)

@@ -241,7 +241,7 @@ def test_reorder_plant_causes_false_positive_then_vote_removes_it():
     for rnd in rounds:
         for call in rnd.calls:
             want = {t.expect_ip for t in call.placed.targets}
-            got = {e.ip for e in call.extracted}
+            got = {m.candidate_ip for m in call.extracted}
             if got - want:
                 fp += 1
                 # the victim slot saw two pattern starts: flagged ambiguous
