@@ -326,7 +326,6 @@ class PlacedCall:
     start_delay: float
     targets: list
     true_session_ips: frozenset
-    noise_ips: frozenset
 
 
 # The role of a planned send, its last field: None for a pattern packet, the
@@ -493,9 +492,9 @@ class RtcOverlay:
             else:
                 self._public_plan(plan, rng, caller, remote, base, attempt)
             targets.append(CallTarget(kind, self._endpoint(remote)[0]))
-        noise = self._noise_plan(plan, rng, caller, req.t_start)
-        return PlacedCall(call_id, req.t_start, start_delay, targets, true_ips,
-                          frozenset(map(self.sim.public_ip_of, noise))), plan
+        self._noise_plan(plan, rng, caller, req.t_start)
+        return PlacedCall(call_id, req.t_start, start_delay, targets,
+                          true_ips), plan
 
     def _targets(self, req, rng, online) -> list:
         """(kind, remote host, callee to notify or None) of each pattern
@@ -569,15 +568,13 @@ class RtcOverlay:
             plan.append((t, remote, caller, "UDP", NAT_TAIL_SIZE, (), None))
             t += self._jit(rng, NAT_TAIL_GAP)
 
-    def _noise_plan(self, plan, rng, caller, t_start) -> list:
+    def _noise_plan(self, plan, rng, caller, t_start) -> None:
         """Supernode chatter after the call request, and one keepalive each
-        way on the caller's home supernode connection; returns the chosen
-        supernodes."""
+        way on the caller's home supernode connection."""
         cfg = self.config
         add = plan.append
         count = min(rng.randint(*cfg.noise_flows), len(self.supernodes))
-        chosen = rng.sample(self.supernodes, count)
-        for sn in chosen:
+        for sn in rng.sample(self.supernodes, count):
             for _ in range(rng.randint(*cfg.noise_packets)):
                 at = t_start + rng.uniform(0.0, NOISE_WINDOW)
                 if rng.random() < 0.08:
@@ -594,7 +591,6 @@ class RtcOverlay:
             add((at, caller, home, "TCP", KEEPALIVE_SIZE, ("ACK",), NOISE))
             add((at + rng.uniform(0.05, 0.4), home, caller, "TCP",
                  KEEPALIVE_SIZE, ("ACK",), NOISE))
-        return chosen
 
     def _schedule(self, plan) -> None:
         """Put a plan on the loop in its order.  Each destination host
