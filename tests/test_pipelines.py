@@ -363,3 +363,15 @@ def test_smoke_trace_digest_is_pinned_and_sees_packets():
         scenario = load_scenario(SMOKE)
         setattr(scenario.rtc, key, value)
         assert traces.trace_digest(scenario, "all") != pinned, key
+
+
+def test_perfbench_hooks_resolve():
+    # perfbench's tracer wraps these attributes by name, so a rename or a
+    # removal in the program fails here as well as in perfbench's own tests
+    spec = importlib.util.spec_from_file_location("spans",
+                                                  "perfbench/spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for owner, attr, *_ in spans.SPANS + spans.COUNTED:
+        assert callable(getattr(spans.resolve(owner), attr, None)), \
+            (owner, attr)
