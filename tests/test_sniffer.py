@@ -10,8 +10,8 @@ from p2ptrack.rtcdir import (KEEPALIVE_SIZE, KIND_NATED, KIND_OFFLINE,
                              Directory, PresenceBook, RtcOverlay)
 from p2ptrack.scenario import scenario_from_dict
 from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
-                              FlowIndex, PatternMatch, SynFilterPolicy,
-                              apply_syn_filter, classify_trace)
+                              FlowIndex, SynFilterPolicy, apply_syn_filter,
+                              classify_trace)
 CFG = ClassifierConfig()
 OBSERVER = parse_ip("10.0.0.1")
 
@@ -143,6 +143,7 @@ def test_classify_ranks_by_score_then_time_then_address():
     # it by address; c fails one of its six checks
     assert [m.candidate_ip for m in ranked] == [b, a, d, c]
     assert [m.kind for m in ranked] == [KIND_OFFLINE] + [KIND_PUBLIC] * 3
+    assert [m.stale for m in ranked] == [True, False, False, False]
     assert [m.score for m in ranked] == [1.0, 1.0, 1.0, 5 / 6]
     assert [m.t_first_packet for m in ranked] == [1.0, 5.0, 5.0, 0.0]
     # each online match carries its remote's first inbound IP-ID
@@ -151,13 +152,6 @@ def test_classify_ranks_by_score_then_time_then_address():
         first_in.setdefault(p.src_ip, p.ip_id)
     assert [m.ip_id for m in ranked] == [None] + [first_in[ip]
                                                   for ip in (a, d, c)]
-
-
-def test_pattern_match_stale_is_kind_iii():
-    ip = parse_ip("1.1.1.1")
-    assert [PatternMatch(kind, ip, 0.0, 1.0, None).stale
-            for kind in (KIND_PUBLIC, KIND_NATED, KIND_OFFLINE)] == \
-        [False, False, True]
 
 
 def test_classify_empty_trace():
