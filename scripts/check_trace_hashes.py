@@ -39,19 +39,19 @@ from p2ptrack.scenario import load_scenario, scenario_from_dict  # noqa: E402
 # (run name) -> sha256 of its tap packets and probe replies
 PINNED = {
     "smoke --pipeline all":
-        "5d5d2370455d74dc53630d6d1692c1adcde7e08e65ea3121af83a99da41b4131",
+        "b4c69b7de5cdbfd95b520a181d99e88b4fded563296db2809ce19941f0e717bb",
     "benchmark track seed 1":
-        "e7a154bc7145968702f97c3c78e47870c0c1ca8b3aed0ca21fdb2174028d5e6a",
+        "1550bf469633fcc75eae858b8bc62f859d48bd0f545f497f515aa18223e4dfac",
     "benchmark track seed 77":
-        "838cc28afffa2bd5aa312432f7c5e90303e51894da01d526557f6d4a376b0ee7",
+        "314248c83ac9d642c39a4845f8a8ea695522e1deec9ba5f913a8002ad4df20e3",
     "benchmark track seed 9173":
-        "5ad857e83eed052c5202cfa1b81ace86a02bd4c479fd4220b37025c6f08ad3c1",
+        "1f4ae7b387738bfd2211d158b6bc0db8fdf6b6c7107cf0539d18b48593852767",
     "benchmark link seed 1":
-        "0c8a711e8c9bea00cef453e3a199aa0e5d482040392df1bc447142ec5f6538fa",
+        "b6d8476001c404702fdf36384af690d24c83ecf8ec73542ce97de9ea018e27f0",
     "benchmark link seed 77":
-        "1cbe73e30fb2a7ccae0d4287879909abd9184cb7bf36277cc408ad3ec5e571c8",
+        "68e7650c481bd934646b4ee9507b27fcb7711777d8a068761dc86660a0c29d76",
     "benchmark link seed 9173":
-        "64dfc8cc0a4b7eaec5fdb6eeab68d708644ccf1fdc39ac3692f32957ae57df6b",
+        "a1bb408f56fe66861799fa89f47e2ac3e4019ddfea50d6b3c6e38425579d8558",
 }
 SEEDS = (1, 77, 9173)
 

@@ -4,7 +4,10 @@ Hosts (optionally behind NAT middleboxes) exchange UDP/TCP packets over
 links with seeded latency jitter.  Every packet carries a 16-bit IP-ID
 drawn from its sender's generator; NATs rewrite addresses and ports but
 never touch the IP-ID.  Capture taps record traffic at host edges, with
-addresses as the host sees them.
+addresses as the host sees them: the loop records each packet as it is
+observed, and a writer outside the loop (the RTC overlay's supernode
+noise) may record a packet ahead of the loop, so a tap sorts itself by
+observation time when it is next read.
 
 The loop is single threaded: events run in (time, insertion) order, so a
 given (topology, seed) always produces byte-identical traces.  The queue
@@ -180,26 +183,43 @@ class NatBox:
 
 
 class CaptureTap:
-    """Ordered packet capture at one attach point.  Packets are recorded
-    when they are observed, so both lists stay sorted by observation time
-    without ever being re-sorted."""
+    """Packet capture at one attach point, in observation order.  The loop
+    records in time order, but a writer outside it may record ahead of
+    the loop or out of order, so the tap sorts itself, stably by
+    observation time, when it is next read: entries with equal times keep
+    the order they were recorded in."""
 
-    __slots__ = ("_times", "_packets")
+    __slots__ = ("_times", "_packets", "_unsorted")
 
     def __init__(self):
-        self._times: list = []     # observation times, non-decreasing
+        self._times: list = []     # observation times
         self._packets: list = []
+        self._unsorted = False
 
     def record(self, obs_t: float, pkt: SimPacket) -> None:
-        self._times.append(obs_t)
+        times = self._times
+        if times and obs_t < times[-1]:
+            self._unsorted = True
+        times.append(obs_t)
         self._packets.append(pkt)
 
+    def _sort(self) -> None:
+        times, packets = self._times, self._packets
+        order = sorted(range(len(times)), key=times.__getitem__)
+        self._times = [times[i] for i in order]
+        self._packets = [packets[i] for i in order]
+        self._unsorted = False
+
     def trace(self) -> list:
-        """Packets in observation order, ties in event order."""
+        """Packets in observation order, ties in recording order."""
+        if self._unsorted:
+            self._sort()
         return list(self._packets)
 
     def window(self, t_lo: float, t_hi: float) -> list:
         """The packets of trace() observed in [t_lo, t_hi]."""
+        if self._unsorted:
+            self._sort()
         lo = bisect.bisect_left(self._times, t_lo)
         hi = bisect.bisect_right(self._times, t_hi, lo)
         return self._packets[lo:hi]
@@ -207,6 +227,7 @@ class CaptureTap:
     def clear(self) -> None:
         self._times.clear()
         self._packets.clear()
+        self._unsorted = False
 
     def __len__(self) -> int:
         return len(self._packets)
@@ -365,6 +386,12 @@ class Simulator:
     def _drop(self, reason: str) -> None:
         self.drops[reason] += 1
 
+    def latency(self, rng: random.Random) -> float:
+        """A packet's one-way delay: LATENCY, plus jitter drawn from rng
+        uniformly in [-default_jitter, default_jitter]."""
+        jitter = self.default_jitter
+        return LATENCY + rng.uniform(-jitter, jitter) if jitter else LATENCY
+
     def _emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
               proto: str, size: int, flags: frozenset,
               payload: Optional[bytes]) -> None:
@@ -376,10 +403,7 @@ class Simulator:
         # route: who owns the destination public address?
         dst_host_id = self._ip_host.get(dst_ip)
         dst_nat_id = self._ip_nat.get(dst_ip) if dst_host_id is None else None
-        latency, jitter = LATENCY, self.default_jitter
-        if jitter:
-            latency += self._jitter_rng.uniform(-jitter, jitter)
-        t_recv = now + latency
+        t_recv = now + self.latency(self._jitter_rng)
 
         # capture at sender edge: host's own view of addresses
         wire = SimPacket(now, t_recv, host.ip, src_port, dst_ip, dst_port,

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2ptrack.netsim import (IPID_MOD, IPID_RANDOM,
-                             IPID_SEQUENTIAL_PER_FLOW, NetsimError, SimPacket,
-                             Simulator, ip_str, parse_ip)
+                             IPID_SEQUENTIAL_PER_FLOW, LATENCY, NetsimError,
+                             SimPacket, Simulator, ip_str, parse_ip)
 
 
 def test_ipid_sequential_from_start(sim):
@@ -144,6 +144,43 @@ def test_trace_ties_in_event_order():
     sim.advance(2.0)
     assert [ip_str(p.src_ip) for p in tap.trace()] == ["10.0.0.9", "10.0.0.1"]
     assert tap.window(1.05, 1.05) == tap.trace()
+
+
+def test_tap_merges_written_entries_with_loop_records():
+    # zero jitter: the loop records b's packets at 1.05, 2.05 and 3.05; a
+    # writer records around, between and on those times, out of order
+    sim = Simulator(seed=1, default_jitter=0.0)
+    sim.add_host("a", "10.0.0.1")
+    sim.add_host("b", "10.0.0.2")
+    tap = sim.tap("b")
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule_send("a", "10.0.0.2", 80, "UDP", 10, at=t, src_port=1)
+
+    def write(obs_t, size):
+        tap.record(obs_t, SimPacket(obs_t - LATENCY, obs_t,
+                                    parse_ip("10.0.0.3"), 2,
+                                    parse_ip("10.0.0.2"), 80, "UDP",
+                                    frozenset(), size, 0))
+
+    write(2.5, 20)
+    write(0.5, 21)
+    sim.advance(1.5)                # records 1.0 + LATENCY
+    write(2.0 + LATENCY, 22)        # ties a loop record still to come
+    write(1.0 + LATENCY, 23)        # ties the loop record already made
+    sim.advance(4.0)
+    write(9.0, 24)
+    assert len(tap) == 8
+    # equal observation times keep their recording order
+    order = [21, 10, 23, 22, 10, 20, 10, 24]
+    assert [p.size for p in tap.window(1.0 + LATENCY, 3.0 + LATENCY)] == \
+        order[1:7]
+    trace = tap.trace()
+    assert [p.size for p in trace] == order
+    assert [p.t_recv for p in trace] == sorted(p.t_recv for p in trace)
+    tap.clear()
+    assert len(tap) == 0 and tap.trace() == [] and tap.window(0, 10) == []
+    write(0.5, 25)                  # earlier than anything cleared
+    assert [p.size for p in tap.trace()] == [25]
 
 
 def test_drops_count_packets_per_reason(sim):

@@ -445,3 +445,67 @@ def test_relayed_and_unanswered_call_plans():
     base = pattern[0][0]
     assert base - placed.t_start - placed.start_delay >= 1.0
     assert _public_shape(pattern, w.tracker_host, host, base).callee == user
+
+
+# -- supernode noise -----------------------------------------------------------
+
+def _dark_call_trace(write, seed=11):
+    """The tracking client's trace of one zero-jitter call to a callee who
+    was never online, whose plan is therefore noise only: written by
+    place_call, or each noise send put on the loop by hand.  Returns the
+    plan's noise sends (None when written) and the trace."""
+    from tests.conftest import MiniWorld
+    w = MiniWorld(seed=seed)
+    w.sim.default_jitter = 0.0
+    w.overlay.config.noise_packets = (40, 60)
+    user, _ = w.add_public_user(online=None)
+    w.start()
+    w.tap.clear()
+    req = CallRequest(w.tracker_user, user, 50.0)
+    noise = None
+    if write:
+        placed = w.overlay.place_call(req)
+    else:
+        placed, noise = w.overlay.plan_call(req)
+        ports = w.overlay._ports
+        for t, src, dst, proto, size, flags, role in noise:
+            assert role is NOISE
+            w.sim.schedule_send(src, w.sim.public_ip_of(dst), ports[dst],
+                                proto, size, flags, t, ports[src])
+    assert placed.targets == []
+    w.sim.advance(90.0)
+    return w, noise, w.tap.trace()
+
+
+def test_written_noise_equals_noise_through_the_loop():
+    w, noise, looped = _dark_call_trace(write=False)
+    _, _, written = _dark_call_trace(write=True)
+    caller = w.tracker_host
+    # 28-byte and marker noise, each in both directions
+    shapes = {(size if size == 28 else size in (58, 59), src == caller)
+              for _, src, _, proto, size, *_ in noise if proto == "UDP"}
+    assert shapes >= {(28, True), (28, False), (True, True), (True, False)}
+    # the noise triggers echoes, re-echoes and marker replies
+    planned = {(t, w.sim.public_ip_of(src)) for t, src, *_ in noise}
+    replies = [p for p in looped if (p.t_send, p.src_ip) not in planned]
+    assert {p.size == 28 for p in replies} == {True, False}
+    assert len(written) == len(looped) == len(noise) + len(replies)
+    reply_sizes = set(range(30, 121)) - {28, 58, 59}
+    for a, b in zip(looped, written):
+        # every field but the IP-ID; a marker reply's size only in range
+        assert a[:8] == b[:8]
+        if a in replies and a.size != 28:
+            assert {a.size, b.size} <= reply_sizes
+        else:
+            assert a.size == b.size
+
+
+def test_noise_to_a_supernode_behind_a_nat_is_refused(mini):
+    user, _ = mini.add_public_user(online=None)
+    mini.start()
+    mini.sim.add_nat("snnat", "9.7.0.1")
+    mini.sim.add_host("sn_nat", "192.168.5.5", nat="snnat")
+    mini.overlay.add_supernode("sn_nat")
+    mini.overlay.supernodes[:] = ["sn_nat"]
+    with pytest.raises(CallError, match="crosses a NAT"):
+        mini.overlay.place_call(CallRequest(mini.tracker_user, user, 50.0))

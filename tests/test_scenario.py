@@ -14,6 +14,9 @@ from p2ptrack.worldgen import (BT_DISTINCT_HOST, BT_SAME_HOST,
                                STATE_STALE, build_world)
 
 SMOKE = "scenarios/smoke.yaml"
+# One tracking round of small_scenarios: at most 40 calls, and a call to a
+# NATed callee, the dearest, makes 32 loop events.
+ROUND_EVENT_BUDGET = 2000
 
 
 def test_load_bundled_smoke():
@@ -268,6 +271,9 @@ def small_scenarios(draw):
 @example({"population": {"users": 3, "online_fraction": 0.5,
                          "stale_fraction": 0.5}})
 @example({"population": {"users": 3, "online_fraction": math.nan}})
+@example({"population": {"users": 12, "online_fraction": 1.0,
+                         "stale_fraction": 0.0, "nat_fraction": 1.0},
+          "tracker": {"clients": 1, "rounds": 2}})
 def test_every_valid_scenario_builds_with_its_state_counts(doc):
     scn = scenario_from_dict(doc)
     if scn.validate():
@@ -291,7 +297,18 @@ def test_every_valid_scenario_builds_with_its_state_counts(doc):
                 len(truth.movers_country)) == (
             m.movers_city_only + m.movers_city_as + m.movers_country,
             m.movers_city_as + m.movers_country, m.movers_country)
-    # and a tracking round runs on it
+    # and a tracking round runs on it, within a fixed event budget
+    events, schedule = 0, world.sim.schedule
+
+    def counted(*args):
+        nonlocal events
+        events += 1
+        if events > ROUND_EVENT_BUDGET:
+            raise AssertionError(f"a round of {len(world.target_ids)} calls "
+                                 f"ran past {ROUND_EVENT_BUDGET} events")
+        return schedule(*args)
+
+    world.sim.schedule = counted
     world.make_tracker().run_round(world.target_ids, world.base_t)
 
 
