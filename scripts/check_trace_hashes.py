@@ -39,19 +39,19 @@ from p2ptrack.scenario import load_scenario, scenario_from_dict  # noqa: E402
 # (run name) -> sha256 of its tap packets and probe replies
 PINNED = {
     "smoke --pipeline all":
-        "b4c69b7de5cdbfd95b520a181d99e88b4fded563296db2809ce19941f0e717bb",
+        "eb9c77bd235761fa9ae6a6ec24bbfa03514f807aa70fd6c8afbab132ba7852c6",
     "benchmark track seed 1":
-        "1550bf469633fcc75eae858b8bc62f859d48bd0f545f497f515aa18223e4dfac",
+        "befe2c20ecf8cb5a58d026da50240760d91067712eacfd3bda9ccce5b0acca12",
     "benchmark track seed 77":
-        "314248c83ac9d642c39a4845f8a8ea695522e1deec9ba5f913a8002ad4df20e3",
+        "101570caca0ba5f0eb211b5f5a83a3ac89a51facad160c7dc37bb2ef8e6a7f1d",
     "benchmark track seed 9173":
-        "1f4ae7b387738bfd2211d158b6bc0db8fdf6b6c7107cf0539d18b48593852767",
+        "4245e7402da695dcd3c39c7909c44ead984b08b027b4de485622c3fb34b632bd",
     "benchmark link seed 1":
-        "b6d8476001c404702fdf36384af690d24c83ecf8ec73542ce97de9ea018e27f0",
+        "f28cf1af58de363fd98483c1e7599dae01e3fce284d2c0f637fa10ff5464c590",
     "benchmark link seed 77":
-        "68e7650c481bd934646b4ee9507b27fcb7711777d8a068761dc86660a0c29d76",
+        "83c7f13fb779b34ae4dcbbe2e21d00aed2b3f396895b4fc3b24b69c734948100",
     "benchmark link seed 9173":
-        "a1bb408f56fe66861799fa89f47e2ac3e4019ddfea50d6b3c6e38425579d8558",
+        "209f8486db651a98942c775853e6bf4fcbd7f2bfd315e8bc4eaebdc541dcc0d6",
 }
 SEEDS = (1, 77, 9173)
 

@@ -6,10 +6,9 @@ Calling an online public user produces the SYN-triple + 59/58-byte UDP
 pattern; a NATed callee initiates with a 28-byte UDP packet and ends with
 3-byte keepalives after ~10 s; a recently-offline callee yields the public
 pattern with no responses.  Every call also talks to a set of supernodes
-(classifier noise).  A call's pattern packets run on the event loop; its
-noise, and the echoes and replies the noise triggers, are written straight
-into the caller's tap when the call is placed.  Two defense modes can be
-toggled: reveal-after-accept and relay-everything.
+(classifier noise).  A call's pattern runs on the event loop; its noise is
+drawn and written straight into the taps when the call is placed.  Two
+defense modes can be toggled: reveal-after-accept and relay-everything.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ PRESENCE_REFRESH = 60.0
 # emitter parameters that no scenario sets
 START_DELAY = (0.3, 2.2)        # call request to first pattern packet
 VARYING_SIZES = (30, 120)
-NOISE_SIZES = (20, 120)         # supernode chatter; never NAT_TAIL_SIZE
+NOISE_SIZES = range(20, 121)    # supernode chatter; never NAT_TAIL_SIZE
 VARYING_COUNT = (4, 8)
 NOISE_WINDOW = 12.0             # supernode chatter after the call request
 KEEPALIVE_SIZE = 52
@@ -332,13 +331,12 @@ class PlacedCall:
     start_delay: float
     targets: list
     true_session_ips: frozenset
+    caller: str        # the calling host
 
 
-# The role of a planned send, its last field: None for a pattern packet, the
-# _TcpAttempt a SYN opens, RETRY for a SYN re-sent unless a SYN-ACK came
-# back, or NOISE for supernode chatter, which bypasses the loop.
+# A planned send's role, its last field: None for a pattern packet, the
+# _TcpAttempt a SYN opens, or RETRY for a SYN re-sent unless a SYN-ACK came.
 RETRY = "retry"
-NOISE = "noise"
 
 
 @dataclass
@@ -460,15 +458,16 @@ class RtcOverlay:
     def place_call(self, req: CallRequest,
                    start_delay: Optional[float] = None) -> PlacedCall:
         call, plan = self.plan_call(req, start_delay)
-        self._schedule(plan, call.call_id)
+        self._schedule(plan)
+        self._write_noise(call)
         self.calls.append(call)
         return call
 
     def plan_call(self, req: CallRequest,
                   start_delay: Optional[float] = None) -> tuple:
-        """(PlacedCall, plan): the call's sends in schedule order, each
-        (t, src host, dst host, proto, size, flags, role); flags is a
-        tuple of TCP flag names, or for noise the frozenset a tap keeps."""
+        """(PlacedCall, plan): the call's pattern sends in schedule order,
+        each (t, src host, dst host, proto, size, flags, role); flags is a
+        tuple of TCP flag names.  Noise is not planned: see _write_noise."""
         if req.callee not in self.directory:
             raise CallError(f"unknown callee {req.callee!r}")
         caller_sessions = self.presence.online_sessions(req.caller, req.t_start)
@@ -499,9 +498,8 @@ class RtcOverlay:
             else:
                 self._public_plan(plan, rng, caller, remote, base, attempt)
             targets.append(CallTarget(kind, self._endpoint(remote)[0]))
-        self._noise_plan(plan, rng, caller, req.t_start)
         return PlacedCall(call_id, req.t_start, start_delay, targets,
-                          true_ips), plan
+                          true_ips, caller), plan
 
     def _targets(self, req, rng, online) -> list:
         """(kind, remote host, callee to notify or None) of each pattern
@@ -575,42 +573,13 @@ class RtcOverlay:
             plan.append((t, remote, caller, "UDP", NAT_TAIL_SIZE, (), None))
             t += self._jit(rng, NAT_TAIL_GAP)
 
-    def _noise_plan(self, plan, rng, caller, t_start) -> None:
-        """Supernode chatter after the call request, and one keepalive each
-        way on the caller's home supernode connection."""
-        cfg = self.config
-        add = plan.append
-        count = min(rng.randint(*cfg.noise_flows), len(self.supernodes))
-        for sn in rng.sample(self.supernodes, count):
-            for _ in range(rng.randint(*cfg.noise_packets)):
-                at = t_start + rng.uniform(0.0, NOISE_WINDOW)
-                if rng.random() < 0.08:
-                    size = rng.choice(MARKER_SIZES)
-                else:
-                    size = rng.randint(*NOISE_SIZES)
-                if rng.random() < 0.5:
-                    add((at, caller, sn, "UDP", size, NO_FLAGS, NOISE))
-                else:
-                    add((at, sn, caller, "UDP", size, NO_FLAGS, NOISE))
-        home = self._home_supernode.get(caller)
-        if home is not None:
-            at = t_start + rng.uniform(0.5, NOISE_WINDOW)
-            add((at, caller, home, "TCP", KEEPALIVE_SIZE, ACK_ONLY, NOISE))
-            add((at + rng.uniform(0.05, 0.4), home, caller, "TCP",
-                 KEEPALIVE_SIZE, ACK_ONLY, NOISE))
-
-    def _schedule(self, plan, call_id: int) -> None:
-        """Put a plan's pattern sends on the loop in its order, and hand its
-        noise to _write_noise.  Each destination host resolves to its
-        endpoint once, and each send leaves from its source host's RTC
-        port; a SYN registers the attempt it opens."""
-        sim, ports, ends, noise = self.sim, self._ports, {}, []
+    def _schedule(self, plan) -> None:
+        """Put a plan's sends on the loop in its order.  Each destination
+        host resolves to its endpoint once, and each send leaves from its
+        source host's RTC port; a SYN registers the attempt it opens."""
+        sim, ports, ends = self.sim, self._ports, {}
         send = sim.schedule_send
-        for entry in plan:
-            t, src, dst, proto, size, flags, role = entry
-            if role is NOISE:
-                noise.append(entry)
-                continue
+        for t, src, dst, proto, size, flags, role in plan:
             try:
                 ip, port = ends[dst]
             except KeyError:
@@ -622,51 +591,82 @@ class RtcOverlay:
             else:   # a SYN, and the _TcpAttempt it opens
                 self._pending_tcp[(src, ip, port, ports[src])] = role
                 send(src, ip, port, proto, size, flags, t, ports[src])
-        self._write_noise(call_id, noise)
 
-    def _write_noise(self, call_id: int, noise: list) -> None:
-        """Write a call's supernode chatter, and every echo or reply it
-        triggers under _udp_reply, straight into the taps of both ends, in
-        arrival order over a local queue and with no loop events.  Jitter
-        and reply sizes come from the call's own stream, IP-IDs from each
-        sender as it is written.  The echo state is the overlay's, so the
-        30 s rule spans calls, but it is applied per call at placement:
-        calls whose noise overlaps on one (caller, supernode) pair may echo
-        differently from the loop (on the track benchmark at seed 1 the
-        classifier reads 27,585 packets, against 27,583 with noise on the
-        loop).  Noise carries no SYN and both ends must be public, so no
-        NAT or SYN filter could touch it."""
+    def _write_noise(self, call: PlacedCall) -> list:
+        """Draw a call's supernode chatter from its own stream and write it
+        into the taps of both ends, flow by flow (UDP each way to each of
+        its supernodes, then a keepalive each way to the home supernode),
+        with no loop events; return the packets drawn.  A marker's reply
+        (_udp_reply) is written right after it, as it never draws another
+        answer; 28-byte arrivals, whose answers hang on the 30 s echo state,
+        wait on a heap and are answered in arrival order.  The state spans
+        calls but is applied per call (on the track benchmark at seed 1 the
+        classifier reads 27,639 packets).  Noise has no SYN and both ends
+        must be public, so no NAT or SYN filter could touch it."""
         sim, hosts, ports = self.sim, self.sim.hosts, self._ports
-        latency, now = sim.latency, sim.now
-        rng = random.Random(f"{self.seed}:noise:{call_id}")
-        queue = []
-        for t, src, dst, proto, size, flags, _ in noise:
-            if not now <= t < math.inf:   # also rejects NaN
-                raise NetsimError(f"cannot write noise at {t}: now is {now}")
-            if hosts[src].nat is not None or hosts[dst].nat is not None:
-                raise CallError(f"noise between {src} and {dst} crosses "
-                                "a NAT")
-            queue.append((t + latency(rng), len(queue), t, src, dst, proto,
-                          size, flags))
-        heapq.heapify(queue)
-        seq = len(queue)
-        while queue:
-            t_recv, _, t, src, dst, proto, size, flags = heapq.heappop(queue)
-            s, d = hosts[src], hosts[dst]
-            sport, dport = ports[src], ports[dst]
-            pkt = SimPacket(t, t_recv, s.ip, sport, d.ip, dport, proto, flags,
-                            size, s.next_ipid((sport, d.ip, dport, proto)))
+        t0, caller = call.t_start, call.caller
+        if not sim.now <= t0 < math.inf:   # also rejects NaN
+            raise NetsimError(f"cannot write noise at {t0}: now is {sim.now}")
+        c, cport = hosts[caller], ports[caller]
+        rng = random.Random(f"{self.seed}:noise:{call.call_id}")
+        draw, latency = rng.random, sim.latency
+        sends, echoes = [], []   # echoes: (t_recv, pkt, ways, k) heap
+
+        def flow(sn, proto):
+            """Each way to sn: (src Host, port, dst, Host, port, flow key)."""
+            s, sport = hosts[sn], ports[sn]
+            if s.nat is not None:
+                raise CallError(f"noise to {sn} crosses a NAT")
+            return ((c, cport, sn, s, sport, (cport, s.ip, sport, proto)),
+                    (s, sport, caller, c, cport, (sport, c.ip, cport, proto)))
+
+        def write(t, ways, k, proto, size, flags):
+            """Write a packet the k-th way, queueing a 28-byte arrival."""
+            s, sport, _, d, dport, key = ways[k]
+            t_recv = t + latency(rng)
+            pkt = tuple.__new__(SimPacket, (   # SimPacket(...), minus a frame
+                t, t_recv, s.ip, sport, d.ip, dport, proto, flags, size,
+                s.next_ipid(key)))
             if s.tap is not None:
                 s.tap.record(t, pkt)
             if d.tap is not None:
                 d.tap.record(t_recv, pkt)
-            if proto == "UDP":
-                reply = self._udp_reply(dst, s.ip, sport, size, t_recv, rng)
-                if reply is not None:
-                    t = t_recv + reply[0]
-                    heapq.heappush(queue, (t + latency(rng), seq, t, dst, src,
-                                           "UDP", reply[1], NO_FLAGS))
-                    seq += 1
+            if size == NAT_FIRST_SIZE:
+                heapq.heappush(echoes, (t_recv, pkt, ways, k))
+            return pkt
+
+        def answer(pkt, ways, k):
+            """Write the answer _udp_reply gives pkt, if any."""
+            reply = self._udp_reply(ways[k][2], pkt.src_ip, pkt.src_port,
+                                    pkt.size, pkt.t_recv, rng)
+            if reply is not None:
+                write(pkt.t_recv + reply[0], ways, 1 - k, "UDP", reply[1],
+                      NO_FLAGS)
+
+        count = min(rng.randint(*self.config.noise_flows),
+                    len(self.supernodes))
+        for sn in rng.sample(self.supernodes, count):
+            ways = flow(sn, "UDP")
+            for _ in range(rng.randint(*self.config.noise_packets)):
+                t = t0 + NOISE_WINDOW * draw()
+                if draw() < 0.08:
+                    size = MARKER_SIZES[draw() < 0.5]
+                else:
+                    size = NOISE_SIZES[int(draw() * len(NOISE_SIZES))]
+                k = draw() >= 0.5   # 0: caller -> sn, 1: sn -> caller
+                sends.append(write(t, ways, k, "UDP", size, NO_FLAGS))
+                if size in MARKER_SIZES:
+                    answer(sends[-1], ways, k)
+        home = self._home_supernode.get(caller)
+        if home is not None:
+            ways = flow(home, "TCP")
+            t = t0 + rng.uniform(0.5, NOISE_WINDOW)
+            for k, t in enumerate((t, t + rng.uniform(0.05, 0.4))):
+                sends.append(write(t, ways, k, "TCP", KEEPALIVE_SIZE,
+                                   ACK_ONLY))
+        while echoes:
+            answer(*heapq.heappop(echoes)[1:])
+        return sends
 
     def _retry_syn(self, key) -> None:
         attempt = self._pending_tcp.get(key)

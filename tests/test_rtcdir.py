@@ -1,9 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 
 from p2ptrack.rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC,
-                             LAST_SEEN_WINDOW, NOISE, RETRY, CallError,
-                             CallRequest, Directory, DirectoryError,
-                             PresenceBook, UserProfile, harvest_ids)
+                             LAST_SEEN_WINDOW, MARKER_SIZES, NAT_FIRST_SIZE,
+                             NAT_TAIL_SIZE, RETRY, CallError, CallRequest,
+                             Directory, DirectoryError, PresenceBook,
+                             UserProfile, harvest_ids)
 
 
 # -- directory search ---------------------------------------------------------
@@ -348,19 +352,15 @@ def test_relay_all_hides_callee_ip():
 # -- call plans ----------------------------------------------------------------
 
 def _plan(w, callee, t, answered=False):
-    """The call's (placed, pattern sends, noise sends), planned without
-    scheduling anything; every noise send is caller <-> supernode."""
+    """The call's (placed, pattern sends), planned without scheduling
+    anything; a plan holds no supernode send, as the noise is not planned."""
     seq, now = w.sim._evseq, w.sim.now
     placed, plan = w.overlay.plan_call(
         CallRequest(w.tracker_user, callee, t, answered=answered))
     assert (w.sim._evseq, w.sim.now) == (seq, now)
-    pattern = [s for s in plan if s[-1] is not NOISE]
-    noise = [s for s in plan if s[-1] is NOISE]
-    assert noise
-    for _, src, dst, *_ in noise:
-        (sn,) = {src, dst} - {w.tracker_host}
-        assert sn in w.overlay.supernodes
-    return placed, pattern, noise
+    supernodes = set(w.overlay.supernodes)
+    assert not any({src, dst} & supernodes for _, src, dst, *_ in plan)
+    return placed, plan
 
 
 def _public_shape(pattern, caller, remote, base):
@@ -401,18 +401,18 @@ def test_call_plan_shapes(mini):
     off, ohost = mini.add_public_user(online=(0.0, 20.0))
     mini.start(at=30.0)
     caller = mini.tracker_host
-    placed, pattern, _ = _plan(mini, pub, 100.0)
+    placed, pattern = _plan(mini, pub, 100.0)
     base = placed.t_start + placed.start_delay
     attempt = _public_shape(pattern, caller, phost, base)
     assert attempt.callee == pub
     assert [t.kind for t in placed.targets] == [KIND_PUBLIC]
-    placed, pattern, _ = _plan(mini, nat, 200.0)
+    placed, pattern = _plan(mini, nat, 200.0)
     base = placed.t_start + placed.start_delay
     attempt = _nated_shape(pattern, caller, nhost, base)
     assert attempt.callee == nat
     assert [t.kind for t in placed.targets] == [KIND_NATED]
     # offline: the public pattern toward the last-seen host, nobody rung
-    placed, pattern, _ = _plan(mini, off, 300.0)
+    placed, pattern = _plan(mini, off, 300.0)
     base = placed.t_start + placed.start_delay
     assert _public_shape(pattern, caller, ohost, base).callee is None
     assert [t.kind for t in placed.targets] == [KIND_OFFLINE]
@@ -425,12 +425,12 @@ def test_relayed_and_unanswered_call_plans():
     nat, _ = w.add_nated_user()
     w.start()
     # the relay is the remote of the pattern the callee would have shown
-    placed, pattern, _ = _plan(w, pub, 100.0)
+    placed, pattern = _plan(w, pub, 100.0)
     relay = pattern[0][2]
     assert relay in w.overlay.relays
     base = placed.t_start + placed.start_delay
     assert _public_shape(pattern, w.tracker_host, relay, base).callee is None
-    placed, pattern, _ = _plan(w, nat, 200.0)
+    placed, pattern = _plan(w, nat, 200.0)
     relay = pattern[0][1]
     assert relay in w.overlay.relays
     base = placed.t_start + placed.start_delay
@@ -439,9 +439,9 @@ def test_relayed_and_unanswered_call_plans():
     w = MiniWorld(defense="reveal_after_accept")
     user, host = w.add_public_user()
     w.start()
-    placed, pattern, _ = _plan(w, user, 100.0)
+    placed, pattern = _plan(w, user, 100.0)
     assert pattern == [] and placed.targets == []
-    placed, pattern, _ = _plan(w, user, 300.0, answered=True)
+    placed, pattern = _plan(w, user, 300.0, answered=True)
     base = pattern[0][0]
     assert base - placed.t_start - placed.start_delay >= 1.0
     assert _public_shape(pattern, w.tracker_host, host, base).callee == user
@@ -449,11 +449,9 @@ def test_relayed_and_unanswered_call_plans():
 
 # -- supernode noise -----------------------------------------------------------
 
-def _dark_call_trace(write, seed=11):
-    """The tracking client's trace of one zero-jitter call to a callee who
-    was never online, whose plan is therefore noise only: written by
-    place_call, or each noise send put on the loop by hand.  Returns the
-    plan's noise sends (None when written) and the trace."""
+def _dark_call(seed=12):
+    """A world whose tracking client, at zero jitter, calls a callee who was
+    never online, so that the call is noise only; and the call's request."""
     from tests.conftest import MiniWorld
     w = MiniWorld(seed=seed)
     w.sim.default_jitter = 0.0
@@ -461,36 +459,43 @@ def _dark_call_trace(write, seed=11):
     user, _ = w.add_public_user(online=None)
     w.start()
     w.tap.clear()
-    req = CallRequest(w.tracker_user, user, 50.0)
-    noise = None
-    if write:
-        placed = w.overlay.place_call(req)
-    else:
-        placed, noise = w.overlay.plan_call(req)
-        ports = w.overlay._ports
-        for t, src, dst, proto, size, flags, role in noise:
-            assert role is NOISE
-            w.sim.schedule_send(src, w.sim.public_ip_of(dst), ports[dst],
-                                proto, size, flags, t, ports[src])
-    assert placed.targets == []
-    w.sim.advance(90.0)
-    return w, noise, w.tap.trace()
+    return w, CallRequest(w.tracker_user, user, 50.0)
 
 
 def test_written_noise_equals_noise_through_the_loop():
-    w, noise, looped = _dark_call_trace(write=False)
-    _, _, written = _dark_call_trace(write=True)
-    caller = w.tracker_host
-    # 28-byte and marker noise, each in both directions
-    udp = [(size, src == caller)
-           for _, src, _, proto, size, *_ in noise if proto == "UDP"]
+    # the writer's trace, and its sends as data; every supernode tapped
+    w, req = _dark_call()
+    sn_taps = {w.sim.hosts[sn].ip: w.sim.tap(sn) for sn in w.overlay.supernodes}
+    placed, plan = w.overlay.plan_call(req)
+    assert plan == [] and placed.targets == []
+    noise = w.overlay._write_noise(placed)
+    w.sim.advance(90.0)
+    written = w.tap.trace()
+    # every send is caller <-> supernode; 28-byte and marker noise each
+    # way
+    caller = w.sim.hosts[w.tracker_host].ip
+    for p in noise:
+        (ip,) = {p.src_ip, p.dst_ip} - {caller}
+        assert ip in sn_taps
+    udp = [(p.size, p.src_ip == caller) for p in noise if p.proto == "UDP"]
     for outbound in (True, False):
         assert (28, outbound) in udp
         assert (58, outbound) in udp or (59, outbound) in udp
+    # the same sends put on the loop by hand, on an identical world
+    w, req = _dark_call()
+    w.overlay.plan_call(req)
+    host = {h.ip: h.host_id for h in w.sim.hosts.values()}
+    for p in noise:
+        w.sim.schedule_send(host[p.src_ip], p.dst_ip, p.dst_port, p.proto,
+                            p.size, p.tcp_flags, p.t_send, p.src_port)
+    w.sim.advance(90.0)
+    looped = w.tap.trace()
     # the noise triggers echoes, re-echoes and marker replies
-    planned = {(t, w.sim.public_ip_of(src)) for t, src, *_ in noise}
+    planned = {(p.t_send, p.src_ip) for p in noise}
     replies = [p for p in looped if (p.t_send, p.src_ip) not in planned]
     assert {p.size == 28 for p in replies} == {True, False}
+    assert {p.src_ip == caller for p in replies if p.size == 28} == \
+        {True, False}
     assert len(written) == len(looped) == len(noise) + len(replies)
     reply_sizes = set(range(30, 121)) - {28, 58, 59}
     for a, b in zip(looped, written):
@@ -500,6 +505,24 @@ def test_written_noise_equals_noise_through_the_loop():
             assert {a.size, b.size} <= reply_sizes
         else:
             assert a.size == b.size
+    # each supernode's tap holds the caller's flow to it, both ways
+    assert sum(len(tap) > 0 for tap in sn_taps.values()) >= 10
+    for ip, tap in sn_taps.items():
+        assert Counter(tap.trace()) == Counter(
+            p for p in written if ip in (p.src_ip, p.dst_ip))
+
+
+def test_a_marker_reply_never_draws_another_answer(mini):
+    # _write_noise writes a marker's reply at once and answers only 28-byte
+    # arrivals in arrival order: that holds while no marker reply has a
+    # size that draws an answer, or a size of the call pattern
+    overlay, rng = mini.overlay, random.Random("marker replies")
+    sn, peer = overlay.supernodes[0], mini.sim.hosts[mini.tracker_host].ip
+    drawing = {NAT_FIRST_SIZE, NAT_TAIL_SIZE, *MARKER_SIZES}
+    for k in range(10_000):
+        _, size = overlay._udp_reply(sn, peer, 20000, MARKER_SIZES[k % 2],
+                                     50.0, rng)
+        assert size not in drawing
 
 
 def test_noise_to_a_supernode_behind_a_nat_is_refused(mini):

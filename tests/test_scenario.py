@@ -224,27 +224,39 @@ def test_validation_plants_fit_the_online_users():
 @st.composite
 def small_scenarios(draw):
     """Scenario documents of at most 40 users whose plants may or may not
-    fit the population, and whose numbers may be out of bounds."""
+    fit the population; in about a quarter of them one number is out of its
+    bounds, so that most reach a tracking round."""
     users = draw(st.integers(min_value=1, max_value=40))
     count = st.integers(min_value=0, max_value=max(1, users // 5))
-    out = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 2.0])
+    out = [math.nan, math.inf, -math.inf, -1.0]
+    # number -> (values in its bounds, values out of them)
+    numbers = {
+        "pattern_jitter": (st.floats(0.0, 0.99), st.sampled_from(out + [1.0])),
+        "online_fraction": (st.floats(0.0, 1.0),
+                            st.sampled_from(out + [2.0])),
+        "min_score": (st.floats(0.0, 1.0), st.sampled_from(out + [2.0])),
+        "s": (st.floats(0.5, 10.0),
+              st.one_of(st.sampled_from(out + [0.0]), st.floats(1e12, 1e308))),
+        "reorders": (st.integers(0, 3), st.integers(-2, -1))}
+    bad = draw(st.sampled_from([None] * 3 * len(numbers) + list(numbers)))
 
-    def number(lo, hi):
-        return draw(st.one_of(st.floats(lo, hi), out))
+    def number(key):
+        valid, invalid = numbers[key]
+        return draw(invalid if key == bad else valid)
 
+    online = number("online_fraction")
     doc = {"seed": draw(st.integers(min_value=0, max_value=999)),
            "rtc": {"supernodes": 10, "relays": 1, "noise_flows": [1, 2],
-                   "pattern_jitter": number(0.0, 0.99)},
+                   "pattern_jitter": number("pattern_jitter")},
            "population": {
                "users": users,
-               "online_fraction": number(0.0, 1.0),
-               "stale_fraction": draw(st.floats(0.0, 1.0)),
+               "online_fraction": online,
+               "stale_fraction": draw(st.floats(
+                   0.0, 1.0 - online if 0.0 <= online <= 1.0 else 1.0)),
                "nat_fraction": draw(st.floats(0.0, 1.0))},
-           "tracker": {"clients": 1, "rounds": 2,
-                       "s": draw(st.one_of(st.floats(0.5, 10.0),
-                                           st.floats(1e6, 1e308), out)),
-                       "reorders": draw(st.integers(-2, 3)),
-                       "classifier": {"min_score": number(0.0, 1.0)}}}
+           "tracker": {"clients": 1, "rounds": 2, "s": number("s"),
+                       "reorders": number("reorders"),
+                       "classifier": {"min_score": number("min_score")}}}
     if draw(st.booleans()):
         doc["mobility"] = {
             key: draw(count) for key in (
