@@ -324,7 +324,7 @@ class CallTarget:
         return self.kind == KIND_OFFLINE
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacedCall:
     call_id: int
     t_start: float
@@ -374,7 +374,7 @@ class RtcOverlay:
         self.notifications: list = []
         self._ports: dict = {}          # host_id -> rtc port
         self._service_hosts: set = set()  # always-responding infrastructure
-        self._home_supernode: dict = {}  # host_id -> (sn_host, established)
+        self._home_supernode: dict = {}  # host_id -> its home supernode
         self._pending_tcp: dict = {}    # (host, peer_ip, peer_port, lport)
         self._sent28: dict = {}         # (host, peer_ip, peer_port) -> t
         self._echoed: dict = {}         # same key -> t of last echo
