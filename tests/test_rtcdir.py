@@ -465,7 +465,8 @@ def _dark_call(seed=12):
 def test_written_noise_equals_noise_through_the_loop():
     # the writer's trace, and its sends as data; every supernode tapped
     w, req = _dark_call()
-    sn_taps = {w.sim.hosts[sn].ip: w.sim.tap(sn) for sn in w.overlay.supernodes}
+    sn_taps = {w.sim.hosts[sn].ip: w.sim.tap(sn)
+               for sn in w.overlay.supernodes}
     placed, plan = w.overlay.plan_call(req)
     assert plan == [] and placed.targets == []
     noise = w.overlay._write_noise(placed)
