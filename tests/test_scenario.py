@@ -235,7 +235,8 @@ def small_scenarios(draw):
         "online_fraction": (st.floats(0.0, 1.0),
                             st.sampled_from(out + [2.0])),
         "min_score": (st.floats(0.0, 1.0), st.sampled_from(out + [2.0])),
-        "s": (st.floats(0.5, 10.0),
+        # s up to 1e7 keeps a run of 40 users far inside MAX_TIME
+        "s": (st.one_of(st.floats(0.5, 10.0), st.floats(1e6, 1e7)),
               st.one_of(st.sampled_from(out + [0.0]), st.floats(1e12, 1e308))),
         "reorders": (st.integers(0, 3), st.integers(-2, -1))}
     bad = draw(st.sampled_from([None] * 3 * len(numbers) + list(numbers)))
