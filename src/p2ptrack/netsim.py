@@ -389,8 +389,8 @@ class Simulator:
     def latency(self, rng: random.Random) -> float:
         """A packet's one-way delay: LATENCY, plus jitter drawn from rng
         uniformly in [-default_jitter, default_jitter]."""
-        j = self.default_jitter   # rng.uniform(-j, j), inlined
-        return LATENCY + (-j + 2.0 * j * rng.random()) if j else LATENCY
+        jitter = self.default_jitter
+        return LATENCY + rng.uniform(-jitter, jitter) if jitter else LATENCY
 
     def _emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
               proto: str, size: int, flags: frozenset,

@@ -331,7 +331,6 @@ class PlacedCall:
     start_delay: float
     targets: list
     true_session_ips: frozenset
-    caller: str        # the calling host
 
 
 # A planned send's role, its last field: None for a pattern packet, the
@@ -457,17 +456,18 @@ class RtcOverlay:
 
     def place_call(self, req: CallRequest,
                    start_delay: Optional[float] = None) -> PlacedCall:
-        call, plan = self.plan_call(req, start_delay)
+        call, caller, plan = self.plan_call(req, start_delay)
         self._schedule(plan)
-        self._write_noise(call)
+        self._write_noise(call, caller)
         self.calls.append(call)
         return call
 
     def plan_call(self, req: CallRequest,
                   start_delay: Optional[float] = None) -> tuple:
-        """(PlacedCall, plan): the call's pattern sends in schedule order,
-        each (t, src host, dst host, proto, size, flags, role); flags is a
-        tuple of TCP flag names.  Noise is not planned: see _write_noise."""
+        """(PlacedCall, calling host, plan): the call's pattern sends in
+        schedule order, each (t, src host, dst host, proto, size, flags,
+        role); flags is a tuple of TCP flag names.  Noise is not planned:
+        see _write_noise."""
         if req.callee not in self.directory:
             raise CallError(f"unknown callee {req.callee!r}")
         caller_sessions = self.presence.online_sessions(req.caller, req.t_start)
@@ -499,7 +499,7 @@ class RtcOverlay:
                 self._public_plan(plan, rng, caller, remote, base, attempt)
             targets.append(CallTarget(kind, self._endpoint(remote)[0]))
         return PlacedCall(call_id, req.t_start, start_delay, targets,
-                          true_ips, caller), plan
+                          true_ips), caller, plan
 
     def _targets(self, req, rng, online) -> list:
         """(kind, remote host, callee to notify or None) of each pattern
@@ -592,7 +592,7 @@ class RtcOverlay:
                 self._pending_tcp[(src, ip, port, ports[src])] = role
                 send(src, ip, port, proto, size, flags, t, ports[src])
 
-    def _write_noise(self, call: PlacedCall) -> list:
+    def _write_noise(self, call: PlacedCall, caller: str) -> list:
         """Draw a call's supernode chatter from its own stream and write it
         into the taps of both ends, flow by flow (UDP each way to each of
         its supernodes, then a keepalive each way to the home supernode),
@@ -604,7 +604,7 @@ class RtcOverlay:
         classifier reads 27,639 packets).  Noise has no SYN and both ends
         must be public, so no NAT or SYN filter could touch it."""
         sim, hosts, ports = self.sim, self.sim.hosts, self._ports
-        t0, caller = call.t_start, call.caller
+        t0 = call.t_start
         if not sim.now <= t0 < math.inf:   # also rejects NaN
             raise NetsimError(f"cannot write noise at {t0}: now is {sim.now}")
         c, cport = hosts[caller], ports[caller]
@@ -624,9 +624,8 @@ class RtcOverlay:
             """Write a packet the k-th way, queueing a 28-byte arrival."""
             s, sport, _, d, dport, key = ways[k]
             t_recv = t + latency(rng)
-            pkt = tuple.__new__(SimPacket, (   # SimPacket(...), minus a frame
-                t, t_recv, s.ip, sport, d.ip, dport, proto, flags, size,
-                s.next_ipid(key)))
+            pkt = SimPacket(t, t_recv, s.ip, sport, d.ip, dport, proto,
+                            flags, size, s.next_ipid(key))
             if s.tap is not None:
                 s.tap.record(t, pkt)
             if d.tap is not None:

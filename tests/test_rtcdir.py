@@ -355,7 +355,7 @@ def _plan(w, callee, t, answered=False):
     """The call's (placed, pattern sends), planned without scheduling
     anything; a plan holds no supernode send, as the noise is not planned."""
     seq, now = w.sim._evseq, w.sim.now
-    placed, plan = w.overlay.plan_call(
+    placed, _, plan = w.overlay.plan_call(
         CallRequest(w.tracker_user, callee, t, answered=answered))
     assert (w.sim._evseq, w.sim.now) == (seq, now)
     supernodes = set(w.overlay.supernodes)
@@ -467,9 +467,9 @@ def test_written_noise_equals_noise_through_the_loop():
     w, req = _dark_call()
     sn_taps = {w.sim.hosts[sn].ip: w.sim.tap(sn)
                for sn in w.overlay.supernodes}
-    placed, plan = w.overlay.plan_call(req)
-    assert plan == [] and placed.targets == []
-    noise = w.overlay._write_noise(placed)
+    placed, caller, plan = w.overlay.plan_call(req)
+    assert plan == [] and placed.targets == [] and caller == w.tracker_host
+    noise = w.overlay._write_noise(placed, caller)
     w.sim.advance(90.0)
     written = w.tap.trace()
     # every send is caller <-> supernode; 28-byte and marker noise each
