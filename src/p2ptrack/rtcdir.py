@@ -324,7 +324,7 @@ class CallTarget:
         return self.kind == KIND_OFFLINE
 
 
-@dataclass(slots=True)
+@dataclass
 class PlacedCall:
     call_id: int
     t_start: float
