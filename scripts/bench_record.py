@@ -5,17 +5,22 @@ alternating pairs.
     python3 scripts/bench_record.py --label noise_direct --parent HEAD~1 \
         --pairs 10 --seconds 20 --seeds 1 9173
 
-Exports the parent commit's files with `git archive` into a temporary
-directory, and runs `perfbench/run.py --trace 0` there and in this checkout
-for every workload of BENCHMARK.json and every seed: `--pairs` pairs each,
-the parent first in odd pairs and the change first in even ones.  Then runs
-`scripts/check_trace_hashes.py` on each side that has it.  An archive holds
-exactly the committed files and leaves no state in the repository, so a
-killed run leaves nothing behind but its temporary directory.
+Exports the parent commit's files and the change's with `git archive`
+into two temporary directories, and runs `perfbench/run.py --trace 0` in
+both for every workload of BENCHMARK.json and every seed: `--pairs` pairs
+each, the parent first in odd pairs and the change first in even ones.
+Then runs `scripts/check_trace_hashes.py` on each side that has it.  The
+change is the tracked files of this working tree: a `git stash create`
+snapshot when they differ from HEAD, else HEAD itself; untracked files are
+left out.  Both sides thus run from the same kind of fresh directory.  An
+archive holds exactly the files of its commit and leaves no state in the
+repository, so a killed run leaves nothing behind but its temporary
+directories.
 
 Writes `BENCH_<label>.json` at the root of this checkout: the parent and
-change commits (the change is this working tree; `dirty` says whether it
-differs from HEAD), the Python version, `nproc`, the pair count and run
+change commits (`change` is HEAD; `dirty` says whether the working tree
+differs from it, and `change_tree` is the commit that was run), the
+Python version, `nproc`, the pair count and run
 length, every run's end-to-end metrics on both sides, each metric's median
 and quartiles per side and the number of pairs the change won, the report
 sha256 of every workload and seed on both sides, and both sides' trace
@@ -106,6 +111,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
+        "change_tree": git("stash", "create") or git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
@@ -113,9 +119,11 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "runs": {}, "summary": {}, "report_sha256": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change:
         export(record["parent"], parent)
-        sides = {"parent": parent, "change": ROOT}
+        export(record["change_tree"], change)
+        sides = {"parent": parent, "change": change}
         for workload in (w["name"] for w in benchmark["workloads"]):
             for seed in args.seeds:
                 key = f"{workload} seed {seed}"

@@ -9,14 +9,8 @@ observed, and a writer outside the loop (the RTC overlay's supernode
 noise) may record a packet ahead of the loop, so a tap sorts itself by
 observation time when it is next read.
 
-The loop is single threaded: events run in (time, insertion) order, so a
-given (topology, seed) always produces byte-identical traces.  The queue
-has two tiers.  What is scheduled between two `advance` calls (a round
-of calls, say) is sorted once, latest first, when `advance` starts; what
-the running events schedule (deliveries, replies, retries, timeouts) goes
-to a heap that holds little more than the packets in flight.  Each step
-runs the smaller of the two heads by (time, insertion), so the order is
-exactly that of one heap over all events.
+The loop is single threaded: one heap runs its events in (time, insertion)
+order, so a given (topology, seed) always produces byte-identical traces.
 """
 
 from __future__ import annotations
@@ -234,7 +228,7 @@ class CaptureTap:
 
 
 class Simulator:
-    """Single-threaded deterministic event loop.  Every event is a queue
+    """Single-threaded deterministic event loop.  Every event is a heap
     entry (time, insertion seq, fn, args); drops counts packets by reason."""
 
     def __init__(self, seed=0, default_jitter: float = 0.01):
@@ -244,9 +238,7 @@ class Simulator:
         self.hosts: dict = {}
         self.nats: dict = {}
         self.drops: Counter = Counter()
-        self._fresh: list = []     # scheduled since advance last started
-        self._batch: list = []     # sorted, latest first; runs from the end
-        self._heap: list = []      # scheduled by running events
+        self._heap: list = []
         self._running = False
         self._evseq = 0
         self._flagsets: dict = {}  # flag tuple -> its interned frozenset
@@ -319,20 +311,17 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, at: float, fn: Callable, *args) -> int:
+    def schedule(self, at: float, fn: Callable, *args) -> None:
         """Run fn(*args) at time at, which is finite and not past."""
         if not self.now <= at < math.inf:   # also rejects NaN
             raise NetsimError(f"cannot schedule at {at}: now is {self.now}")
-        self._evseq = seq = self._evseq + 1
-        if self._running:
-            heapq.heappush(self._heap, (at, seq, fn, args))
-        else:
-            self._fresh.append((at, seq, fn, args))
-        return seq
+        self._evseq += 1
+        heapq.heappush(self._heap, (at, self._evseq, fn, args))
 
     def schedule_send(self, src: str, dst_ip, dst_port: int, proto: str,
                       size: int, flags: tuple = (), at: Optional[float] = None,
-                      src_port: int = 0, payload: Optional[bytes] = None) -> int:
+                      src_port: int = 0,
+                      payload: Optional[bytes] = None) -> None:
         """Emit a packet from src at time at (default now); flags is a
         tuple of TCP flag names, interned as one frozenset per tuple."""
         if src not in self.hosts:
@@ -344,37 +333,23 @@ class Simulator:
         flagset = self._flagsets.get(flags)
         if flagset is None:
             flagset = self._flagsets[flags] = frozenset(flags)
-        return self.schedule(at, self._emit, src, src_port, dst_ip, dst_port,
-                             proto, size, flagset, payload)
+        self.schedule(at, self._emit, src, src_port, dst_ip, dst_port,
+                      proto, size, flagset, payload)
 
     def advance(self, until: float) -> None:
-        """Run all events with time <= until, in (time, insertion) order.
-
-        The events scheduled since the last call are sorted once into the
-        batch, latest first; the events they schedule go to the heap.
-        Each step runs the smaller of the two heads.  A running event may
-        schedule but not advance."""
+        """Run all events with time <= until, in (time, insertion) order,
+        then set now to until.  A running event may schedule but not
+        advance: the outer call would then set now back to its own until,
+        below the time a nested advance had reached."""
         if not self.now <= until < math.inf:   # also rejects NaN
             raise NetsimError(f"cannot advance to {until}: now is {self.now}")
         if self._running:
             raise NetsimError("advance called from a running event")
-        batch, heap = self._batch, self._heap
-        if self._fresh:
-            batch += self._fresh
-            self._fresh.clear()
-            batch.sort(reverse=True)
-        pop, heappop = batch.pop, heapq.heappop
+        heap, heappop = self._heap, heapq.heappop
         self._running = True
         try:
-            while True:
-                if heap and (not batch or heap[0] < batch[-1]):
-                    if heap[0][0] > until:
-                        break
-                    t, _, fn, args = heappop(heap)
-                elif batch and batch[-1][0] <= until:
-                    t, _, fn, args = pop()
-                else:
-                    break
+            while heap and heap[0][0] <= until:
+                t, _, fn, args = heappop(heap)
                 self.now = t
                 fn(*args)
         finally:
@@ -425,7 +400,7 @@ class Simulator:
                              dst_port, proto, flags, size, ip_id)
 
         if dst_host_id is None and dst_nat_id is None:
-            self.schedule(t_recv, self._drop, "no_route")
+            self._drop("no_route")
             return
         self.schedule(t_recv, self._deliver, wire, dst_host_id, dst_nat_id,
                       payload)

@@ -574,16 +574,13 @@ class RtcOverlay:
             t += self._jit(rng, NAT_TAIL_GAP)
 
     def _schedule(self, plan) -> None:
-        """Put a plan's sends on the loop in its order.  Each destination
-        host resolves to its endpoint once, and each send leaves from its
-        source host's RTC port; a SYN registers the attempt it opens."""
-        sim, ports, ends = self.sim, self._ports, {}
+        """Put a plan's sends on the loop in its order.  Each send leaves
+        from its source host's RTC port; a SYN registers the attempt it
+        opens."""
+        sim, ports = self.sim, self._ports
         send = sim.schedule_send
         for t, src, dst, proto, size, flags, role in plan:
-            try:
-                ip, port = ends[dst]
-            except KeyError:
-                ip, port = ends[dst] = self._endpoint(dst)
+            ip, port = self._endpoint(dst)
             if role is None:
                 send(src, ip, port, proto, size, flags, t, ports[src])
             elif role is RETRY:

@@ -189,7 +189,7 @@ def test_drops_count_packets_per_reason(sim):
         sim.schedule_send("a", "10.9.9.9", 80, "UDP", 10, at=float(k),
                           src_port=1)
     sim.advance(1.0)
-    assert sim.drops == {"no_route": 1}   # counted when the packet arrives
+    assert sim.drops == {"no_route": 2}   # counted when the packet leaves
     sim.advance(5.0)
     assert sim.drops == {"no_route": 3}
 
