@@ -23,8 +23,9 @@ differs from it, and `change_tree` is the commit that was run), the
 Python version, `nproc`, the pair count and run
 length, every run's end-to-end metrics on both sides, each metric's median
 and quartiles per side and the number of pairs the change won, the report
-sha256 of every workload and seed on both sides, and both sides' trace
-digests.  Exits 1 if a benchmark run fails or is not correct.
+sha256 of every workload and seed on both sides, both sides' trace
+digests, and the line count of each side's `src/` Python files.  Exits 1
+if a benchmark run fails or is not correct.
 """
 
 import argparse
@@ -79,6 +80,17 @@ def trace_digests(checkout: str):
                          capture_output=True, text=True).stdout
     return {m.group(1): m.group(2)
             for m in map(TRACE_LINE.match, out.splitlines()) if m}
+
+
+def src_lines(checkout: str) -> int:
+    """Lines of the checkout's Python files under src/, as `wc -l` counts."""
+    total = 0
+    for folder, _, files in os.walk(os.path.join(checkout, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def summary(parent: list, change: list, better: str) -> dict:
@@ -150,6 +162,8 @@ def main(argv=None) -> int:
                     for name, better in metrics.items()}
         record["trace_digests"] = {side: trace_digests(path)
                                    for side, path in sides.items()}
+        record["src_lines"] = {side: src_lines(path)
+                               for side, path in sides.items()}
 
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:

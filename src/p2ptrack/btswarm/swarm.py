@@ -173,7 +173,7 @@ class SwarmRegistry:
                               src_port=client.bt_port, payload=reply)
         else:
             sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "TCP",
-                              REFUSAL_SIZE, flags=("RST",),
+                              REFUSAL_SIZE, flags="RST",
                               at=sim.now + 0.01, src_port=client.bt_port)
 
 

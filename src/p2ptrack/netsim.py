@@ -3,11 +3,13 @@
 Hosts (optionally behind NAT middleboxes) exchange UDP/TCP packets over
 links with seeded latency jitter.  Every packet carries a 16-bit IP-ID
 drawn from its sender's generator; NATs rewrite addresses and ports but
-never touch the IP-ID.  Capture taps record traffic at host edges, with
-addresses as the host sees them: the loop records each packet as it is
-observed, and a writer outside the loop (the RTC overlay's supernode
-noise) may record a packet ahead of the loop, so a tap sorts itself by
-observation time when it is next read.
+never touch the IP-ID.  A packet's TCP flags are one string, the flag
+names sorted and joined by ",": "", "SYN", "ACK", "ACK,SYN" or "RST".
+Capture taps record traffic at host edges, with addresses as the host
+sees them: the loop records each packet as it is observed, and a writer
+outside the loop (the RTC overlay's supernode noise) may record a packet
+ahead of the loop, so a tap sorts itself by observation time when it is
+next read.
 
 The loop is single threaded: one heap runs its events in (time, insertion)
 order, so a given (topology, seed) always produces byte-identical traces.
@@ -66,7 +68,7 @@ class SimPacket(NamedTuple):
     dst_ip: int
     dst_port: int
     proto: str  # "TCP" | "UDP"
-    tcp_flags: frozenset
+    tcp_flags: str  # flag names sorted and joined by ",", e.g. "ACK,SYN"
     size: int
     ip_id: int
 
@@ -241,7 +243,6 @@ class Simulator:
         self._heap: list = []
         self._running = False
         self._evseq = 0
-        self._flagsets: dict = {}  # flag tuple -> its interned frozenset
         self._ip_host: dict = {}       # public ip -> host_id
         self._ip_nat: dict = {}        # public ip -> nat_id
         self._nat_members: dict = {}   # nat_id -> {priv_ip: host_id}
@@ -319,22 +320,19 @@ class Simulator:
         heapq.heappush(self._heap, (at, self._evseq, fn, args))
 
     def schedule_send(self, src: str, dst_ip, dst_port: int, proto: str,
-                      size: int, flags: tuple = (), at: Optional[float] = None,
+                      size: int, flags: str = "", at: Optional[float] = None,
                       src_port: int = 0,
                       payload: Optional[bytes] = None) -> None:
-        """Emit a packet from src at time at (default now); flags is a
-        tuple of TCP flag names, interned as one frozenset per tuple."""
+        """Emit a packet from src at time at (default now) with TCP flags
+        flags, in SimPacket's form."""
         if src not in self.hosts:
             raise NetsimError(f"unknown host {src!r}")
         if isinstance(dst_ip, str):
             dst_ip = parse_ip(dst_ip)
         if at is None:
             at = self.now
-        flagset = self._flagsets.get(flags)
-        if flagset is None:
-            flagset = self._flagsets[flags] = frozenset(flags)
         self.schedule(at, self._emit, src, src_port, dst_ip, dst_port,
-                      proto, size, flagset, payload)
+                      proto, size, flags, payload)
 
     def advance(self, until: float) -> None:
         """Run all events with time <= until, in (time, insertion) order,
@@ -368,7 +366,7 @@ class Simulator:
         return LATENCY + rng.uniform(-jitter, jitter) if jitter else LATENCY
 
     def _emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
-              proto: str, size: int, flags: frozenset,
+              proto: str, size: int, flags: str,
               payload: Optional[bytes]) -> None:
         host = self.hosts[src]
         now = self.now
@@ -396,8 +394,7 @@ class Simulator:
             box = self.nats[host.nat]
             pub_port = box.bind(host.ip, src_port, proto)
             box.remotes[(pub_port, proto)].add(dst_ip)
-            wire = SimPacket(now, t_recv, box.public_ip, pub_port, dst_ip,
-                             dst_port, proto, flags, size, ip_id)
+            wire = wire._replace(src_ip=box.public_ip, src_port=pub_port)
 
         if dst_host_id is None and dst_nat_id is None:
             self._drop("no_route")
@@ -420,9 +417,7 @@ class Simulator:
                 return
             priv_ip, priv_port = inner
             dst_host_id = self._nat_members[dst_nat_id][priv_ip]
-            pkt = SimPacket(wire.t_send, wire.t_recv, wire.src_ip,
-                            wire.src_port, priv_ip, priv_port, wire.proto,
-                            wire.tcp_flags, wire.size, wire.ip_id)
+            pkt = wire._replace(dst_ip=priv_ip, dst_port=priv_port)
 
         host = self.hosts[dst_host_id]
         if host.tap is not None:

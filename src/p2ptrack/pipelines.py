@@ -186,8 +186,6 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
 
 
 def run_linkage(scenario: Scenario, report: RunReport) -> None:
-    if scenario.bt is None:
-        raise PipelineError("linkage pipeline requires a bt section")
     world = build_world(scenario)
     bt = world.bt
     tracker = world.make_tracker()

@@ -52,9 +52,6 @@ NOISE_WINDOW = 12.0             # supernode chatter after the call request
 KEEPALIVE_SIZE = 52
 
 SYN_SIZE = 44
-SYN_ONLY = frozenset(("SYN",))     # tcp_flags of a connection request
-NO_FLAGS = frozenset()
-ACK_ONLY = frozenset(("ACK",))     # a keepalive on an open connection
 SYNACK_SIZE = 44
 LOGIN_SIZE = 32
 
@@ -415,7 +412,7 @@ class RtcOverlay:
         self._pending_tcp[key] = _TcpAttempt(None, None, None)
         self.sim.schedule_send(
             host_id, sn_ip, self._ports[sn], "TCP", SYN_SIZE,
-            flags=("SYN",), at=t, src_port=self._ports[host_id])
+            flags="SYN", at=t, src_port=self._ports[host_id])
 
     def bootstrap_logins(self) -> None:
         """Each session opens with one login datagram to a supernode; this
@@ -466,7 +463,7 @@ class RtcOverlay:
                   start_delay: Optional[float] = None) -> tuple:
         """(PlacedCall, calling host, plan): the call's pattern sends in
         schedule order, each (t, src host, dst host, proto, size, flags,
-        role); flags is a tuple of TCP flag names.  Noise is not planned:
+        role); flags is in SimPacket.tcp_flags form.  Noise is not planned:
         see _write_noise."""
         if req.callee not in self.directory:
             raise CallError(f"unknown callee {req.callee!r}")
@@ -483,7 +480,7 @@ class RtcOverlay:
         if start_delay is None:
             start_delay = rng.uniform(*START_DELAY)
         online = self.presence.online_sessions(req.callee, req.t_start)
-        true_ips = frozenset(self._endpoint(s.host_id)[0] for s in online)
+        true_ips = self.user_session_ips(req.callee, req.t_start)
         base = req.t_start + start_delay
         if self.config.defense_mode == DEFENSE_REVEAL_AFTER_ACCEPT and \
                 req.answered:
@@ -532,9 +529,9 @@ class RtcOverlay:
         """A SYN plus two conditional retransmits (3 s then 1 s timeouts)."""
         t1 = t + self._jit(rng, SYN_TIMEOUT_FIRST)
         t2 = t1 + self._jit(rng, SYN_TIMEOUT_SECOND)
-        plan += ((t, src, dst, "TCP", SYN_SIZE, ("SYN",), attempt),
-                 (t1, src, dst, "TCP", SYN_SIZE, ("SYN",), RETRY),
-                 (t2, src, dst, "TCP", SYN_SIZE, ("SYN",), RETRY))
+        plan += ((t, src, dst, "TCP", SYN_SIZE, "SYN", attempt),
+                 (t1, src, dst, "TCP", SYN_SIZE, "SYN", RETRY),
+                 (t2, src, dst, "TCP", SYN_SIZE, "SYN", RETRY))
 
     def _public_plan(self, plan, rng, caller, remote, base, attempt) -> None:
         """Case (i)/(iii): the caller's SYNs and three 59/58-byte markers;
@@ -544,14 +541,14 @@ class RtcOverlay:
         for gap in (0.0,) + MARKER_GAPS:
             t += self._jit(rng, gap) if gap else 0.0
             plan.append((t, caller, remote, "UDP", rng.choice(MARKER_SIZES),
-                         (), None))
+                         "", None))
 
     def _nated_plan(self, plan, rng, caller, remote, base, attempt) -> None:
         """Case (ii): the NATed remote initiates toward the public caller."""
         # first contact: 28-byte UDP; remember the remote initiated so the
         # caller's echo is not re-echoed
         self._sent28[(remote, *self._endpoint(caller))] = base
-        plan.append((base, remote, caller, "UDP", NAT_FIRST_SIZE, (), None))
+        plan.append((base, remote, caller, "UDP", NAT_FIRST_SIZE, "", None))
         self._syn_plan(plan, rng, remote, caller,
                        base + self._jit(rng, 0.4), attempt)
 
@@ -564,13 +561,13 @@ class RtcOverlay:
             while size in (NAT_FIRST_SIZE, NAT_TAIL_SIZE):
                 size = rng.randint(lo, hi)
             src, dst = (caller, remote) if k % 2 else (remote, caller)
-            plan.append((t, src, dst, "UDP", size, (), None))
+            plan.append((t, src, dst, "UDP", size, "", None))
             t += rng.uniform(0.25, 1.1)
 
         # 3-byte tail after about 10 seconds
         t = base + self._jit(rng, NAT_TAIL_DELAY)
         for _ in range(NAT_TAIL_COUNT):
-            plan.append((t, remote, caller, "UDP", NAT_TAIL_SIZE, (), None))
+            plan.append((t, remote, caller, "UDP", NAT_TAIL_SIZE, "", None))
             t += self._jit(rng, NAT_TAIL_GAP)
 
     def _schedule(self, plan) -> None:
@@ -636,8 +633,7 @@ class RtcOverlay:
             reply = self._udp_reply(ways[k][2], pkt.src_ip, pkt.src_port,
                                     pkt.size, pkt.t_recv, rng)
             if reply is not None:
-                write(pkt.t_recv + reply[0], ways, 1 - k, "UDP", reply[1],
-                      NO_FLAGS)
+                write(pkt.t_recv + reply[0], ways, 1 - k, "UDP", reply[1], "")
 
         count = min(rng.randint(*self.config.noise_flows),
                     len(self.supernodes))
@@ -650,7 +646,7 @@ class RtcOverlay:
                 else:
                     size = NOISE_SIZES[int(draw() * len(NOISE_SIZES))]
                 k = draw() >= 0.5   # 0: caller -> sn, 1: sn -> caller
-                sends.append(write(t, ways, k, "UDP", size, NO_FLAGS))
+                sends.append(write(t, ways, k, "UDP", size, ""))
                 if size in MARKER_SIZES:
                     answer(sends[-1], ways, k)
         home = self._home_supernode.get(caller)
@@ -658,8 +654,7 @@ class RtcOverlay:
             ways = flow(home, "TCP")
             t = t0 + rng.uniform(0.5, NOISE_WINDOW)
             for k, t in enumerate((t, t + rng.uniform(0.05, 0.4))):
-                sends.append(write(t, ways, k, "TCP", KEEPALIVE_SIZE,
-                                   ACK_ONLY))
+                sends.append(write(t, ways, k, "TCP", KEEPALIVE_SIZE, "ACK"))
         while echoes:
             answer(*heapq.heappop(echoes)[1:])
         return sends
@@ -669,7 +664,7 @@ class RtcOverlay:
         if attempt is not None and not attempt.established:
             src_host, dst_ip, dst_port, lport = key
             self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
-                                   SYN_SIZE, flags=("SYN",), src_port=lport)
+                                   SYN_SIZE, flags="SYN", src_port=lport)
 
     # -- client behavior ------------------------------------------------------
 
@@ -681,13 +676,13 @@ class RtcOverlay:
     def _client_handler(self, sim, host_id, pkt, payload):
         now = sim.now
         if pkt.proto == "TCP":
-            if pkt.tcp_flags == SYN_ONLY:
+            if pkt.tcp_flags == "SYN":
                 if self._host_active(host_id, now):
                     self.sim.schedule_send(
                         host_id, pkt.src_ip, pkt.src_port, "TCP", SYNACK_SIZE,
-                        flags=("SYN", "ACK"), at=now + 0.02,
+                        flags="ACK,SYN", at=now + 0.02,
                         src_port=pkt.dst_port)
-            elif "SYN" in pkt.tcp_flags and "ACK" in pkt.tcp_flags:
+            elif pkt.tcp_flags == "ACK,SYN":
                 key = (host_id, pkt.src_ip, pkt.src_port, pkt.dst_port)
                 attempt = self._pending_tcp.get(key)
                 if attempt is not None and not attempt.established:

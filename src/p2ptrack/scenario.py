@@ -206,8 +206,8 @@ class Scenario:
             v = self.verifier
             slots = math.ceil(self.population.users / v.clients)
             terms["verifier.min_rounds * (verifier.round_spacing or the "
-                  "verifier.call_gap slots)"] = v.min_rounds * max(
-                v.round_spacing, slots * v.call_gap + window + ROUND_TAIL)
+                  "verifier.call_gap slots)"] = v.min_rounds * v.stride(
+                slots, window)
         return (BASE_T + sum(terms.values()) + ROUND_TAIL,
                 max(terms, key=terms.get))
 

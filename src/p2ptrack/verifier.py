@@ -58,6 +58,12 @@ class VerifierConfig:
     call_gap: float = 3.0          # slot spacing when batching candidates
     clients: int = 10              # client pairs the world builds
 
+    def stride(self, slots: int, window: float) -> float:
+        """Seconds from one round's start to the next: round_spacing, or
+        what slots call slots, the pattern window and the tail need."""
+        return max(self.round_spacing,
+                   slots * self.call_gap + window + ROUND_TAIL)
+
 
 @dataclass(frozen=True)
 class ProbeRound:
@@ -94,8 +100,7 @@ class Verifier:
         gap = self.cfg.call_gap
         window = self.classifier.pattern_window
         slots = max(1, math.ceil(len(candidates) / pool))
-        stride = max(self.cfg.round_spacing,
-                     slots * gap + window + ROUND_TAIL)
+        stride = self.cfg.stride(slots, window)
         results = [VerificationResult(c, [], None, VERDICT_UNVERIFIABLE)
                    for c in candidates]
 

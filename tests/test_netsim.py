@@ -79,7 +79,7 @@ def test_nat_unsolicited_inbound_dropped(sim):
     sim.add_host("inside", "192.168.0.2", nat="n1")
     sim.add_host("a", "10.0.0.1")
     inside_tap = sim.tap("inside")
-    sim.schedule_send("a", "5.5.5.5", 40000, "TCP", 44, flags=("SYN",),
+    sim.schedule_send("a", "5.5.5.5", 40000, "TCP", 44, flags="SYN",
                       at=0.0, src_port=1234)
     sim.advance(1.0)
     assert len(inside_tap) == 0
@@ -160,7 +160,7 @@ def test_tap_merges_written_entries_with_loop_records():
         tap.record(obs_t, SimPacket(obs_t - LATENCY, obs_t,
                                     parse_ip("10.0.0.3"), 2,
                                     parse_ip("10.0.0.2"), 80, "UDP",
-                                    frozenset(), size, 0))
+                                    "", size, 0))
 
     write(2.5, 20)
     write(0.5, 21)
@@ -322,7 +322,7 @@ def test_queue_order_matches_one_heap(phases):
 
 
 def test_simpacket_is_an_immutable_value():
-    fields = (1.0, 1.05, 1, 2, 3, 4, "TCP", frozenset(("SYN",)), 44, 7)
+    fields = (1.0, 1.05, 1, 2, 3, 4, "TCP", "SYN", 44, 7)
     a, b = SimPacket(*fields), SimPacket(*fields)
     assert a == b and hash(a) == hash(b) and a is not b
     assert a != SimPacket(*fields[:-1], 8)

@@ -9,6 +9,7 @@ import pytest
 
 import p2ptrack
 from p2ptrack.cli import main
+from p2ptrack.netsim import CaptureTap
 from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
                                 scan_privacy, write_report)
 from p2ptrack.scenario import load_scenario, scenario_from_dict
@@ -333,9 +334,23 @@ def test_bundled_scenarios_are_valid():
         assert scenario_from_dict(doc).validate() == [], name
 
 
+def _trace_script():
+    spec = importlib.util.spec_from_file_location(
+        "check_trace_hashes", "scripts/check_trace_hashes.py")
+    traces = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traces)
+    return traces
+
+
+# prints the smoke run's trace digest (scripts/check_trace_hashes.py)
+_SMOKE_TRACE_DIGEST = (
+    "import runpy; t = runpy.run_path('scripts/check_trace_hashes.py'); "
+    f"print(t['trace_digest'](t['load_scenario']({SMOKE!r}), 'all'))")
+
+
 def test_report_byte_identical_across_hash_seeds(tmp_path):
     src = os.path.dirname(os.path.dirname(p2ptrack.__file__))
-    digests = set()
+    digests, trace_digests = set(), set()
     for hash_seed in ("0", "1", "2"):
         out = tmp_path / f"hashseed{hash_seed}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
@@ -345,16 +360,33 @@ def test_report_byte_identical_across_hash_seeds(tmp_path):
                        env=env, check=True, capture_output=True)
         digests.add(hashlib.sha256(
             (out / "report.json").read_bytes()).hexdigest())
+        trace_digests.add(subprocess.run(
+            [sys.executable, "-c", _SMOKE_TRACE_DIGEST], env=env, check=True,
+            capture_output=True, text=True).stdout.strip())
     # pinned: a change that alters the smoke report must say why
     assert digests == {
         "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c"}
+    assert trace_digests == {_trace_script().PINNED["smoke --pipeline all"]}
+
+
+def test_tapped_packets_hold_plain_values(monkeypatch):
+    # every packet a calling tap holds when CallerPool.read clears it (the
+    # hook of scripts/check_trace_hashes.py)
+    packets, clear = [], CaptureTap.clear
+
+    def collecting_clear(tap):
+        packets.extend(tap.trace())
+        clear(tap)
+
+    monkeypatch.setattr(CaptureTap, "clear", collecting_clear)
+    run(load_scenario(SMOKE), "all")
+    assert packets
+    assert {type(v) for p in packets for v in p} == {int, float, str}
+    assert {p.tcp_flags for p in packets} <= {"", "ACK", "SYN", "ACK,SYN"}
 
 
 def test_smoke_trace_digest_is_pinned_and_sees_packets():
-    spec = importlib.util.spec_from_file_location(
-        "check_trace_hashes", "scripts/check_trace_hashes.py")
-    traces = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traces)
+    traces = _trace_script()
     pinned = traces.PINNED["smoke --pipeline all"]
     assert traces.trace_digest(load_scenario(SMOKE), "all") == pinned
     # a witness that can fail: the report does not see the supernode noise

@@ -190,7 +190,7 @@ def test_public_callee_pattern_timing(mini):
     callee_ip = mini.sim.hosts[host].ip
     trace = [p for p in mini.tap.trace() if callee_ip in (p.src_ip, p.dst_ip)]
     syns = [p.t_send for p in trace
-            if p.proto == "TCP" and p.tcp_flags == frozenset(("SYN",))
+            if p.proto == "TCP" and p.tcp_flags == "SYN"
             and p.src_ip != callee_ip]
     markers = [p.t_send for p in trace
                if p.proto == "UDP" and p.size in (59, 58)
@@ -367,7 +367,7 @@ def _public_shape(pattern, caller, remote, base):
     """A SYN plus 2 retries, then 3 markers, all caller -> remote."""
     assert [s[1:3] for s in pattern] == [(caller, remote)] * 6
     syns, markers = pattern[:3], pattern[3:]
-    assert [(s[3], s[4], s[5]) for s in syns] == [("TCP", 44, ("SYN",))] * 3
+    assert [(s[3], s[4], s[5]) for s in syns] == [("TCP", 44, "SYN")] * 3
     assert syns[0][0] == base and syns[0][-1].callee_host == remote
     assert [s[-1] for s in syns[1:]] == [RETRY, RETRY]
     assert syns[1][0] - syns[0][0] == pytest.approx(3.0, rel=0.06)
@@ -384,7 +384,7 @@ def _nated_shape(pattern, caller, remote, base):
         pattern[0], pattern[1:4], pattern[4:-3], pattern[-3:]
     assert first[:5] == (base, remote, caller, "UDP", 28)
     assert [s[1:6] for s in syns] == \
-        [(remote, caller, "TCP", 44, ("SYN",))] * 3
+        [(remote, caller, "TCP", 44, "SYN")] * 3
     assert [s[-1] for s in syns[1:]] == [RETRY, RETRY]
     assert 4 <= len(varying) <= 8
     assert [s[1:3] for s in varying] == \
