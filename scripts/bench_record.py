@@ -9,13 +9,13 @@ Exports the parent commit's files and the change's with `git archive`
 into two temporary directories, and runs `perfbench/run.py --trace 0` in
 both for every workload of BENCHMARK.json and every seed: `--pairs` pairs
 each, the parent first in odd pairs and the change first in even ones.
-Then runs `scripts/check_trace_hashes.py` on each side that has it.  The
-change is the tracked files of this working tree: a `git stash create`
-snapshot when they differ from HEAD, else HEAD itself; untracked files are
-left out.  Both sides thus run from the same kind of fresh directory.  An
-archive holds exactly the files of its commit and leaves no state in the
-repository, so a killed run leaves nothing behind but its temporary
-directories.
+Then makes every pinned run of `scripts/check_digests.py` on each side
+that has it.  The change is the tracked files of this working tree: a
+`git stash create` snapshot when they differ from HEAD, else HEAD itself;
+untracked files are left out.  Both sides thus run from the same kind of
+fresh directory.  An archive holds exactly the files of its commit and
+leaves no state in the repository, so a killed run leaves nothing behind
+but its temporary directories.
 
 Writes `BENCH_<label>.json` at the root of this checkout: the parent and
 change commits (`change` is HEAD; `dirty` says whether the working tree
@@ -23,8 +23,9 @@ differs from it, and `change_tree` is the commit that was run), the
 Python version, `nproc`, the pair count and run
 length, every run's end-to-end metrics on both sides, each metric's median
 and quartiles per side and the number of pairs the change won, the report
-sha256 of every workload and seed on both sides, both sides' trace
-digests, and the line count of each side's `src/` Python files.  Exits 1
+sha256 of every workload and seed on both sides, both sides' report and
+trace digests of each pinned run (`null` for a side without the gate),
+and the line count of each side's `src/` Python files.  Exits 1
 if a benchmark run fails or is not correct.
 """
 
@@ -39,7 +40,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRACE_LINE = re.compile(r"^(?:ok  |FAIL) (.+): ([0-9a-f]{64})")
 REPORT_LINE = re.compile(r"^report sha256 .*: ([0-9a-f]{64}) ")
 
 
@@ -71,15 +71,24 @@ def bench(checkout: str, workload: str, seed: int, seconds: float) -> tuple:
             sha)
 
 
-def trace_digests(checkout: str):
-    """{run name: digest} printed by the checkout's trace hash check."""
-    script = os.path.join(checkout, "scripts", "check_trace_hashes.py")
-    if not os.path.isfile(script):
+# prints {run name: {"report": sha256, "trace": sha256}} of every run the
+# digest gate pins
+GATE_DIGESTS = (
+    "import json, runpy\n"
+    "g = runpy.run_path('scripts/check_digests.py')\n"
+    "print(json.dumps({name: dict(zip(('report', 'trace'),\n"
+    "    g['digests'](*g['pinned_run'](name)))) for name in g['PINNED']}))\n")
+
+
+def gate_digests(checkout: str):
+    """{run name: {"report": sha256, "trace": sha256}} of every run the
+    checkout's digest gate pins, or None if it has no gate."""
+    if not os.path.isfile(os.path.join(checkout, "scripts",
+                                       "check_digests.py")):
         return None
-    out = subprocess.run((sys.executable, script), cwd=checkout,
-                         capture_output=True, text=True).stdout
-    return {m.group(1): m.group(2)
-            for m in map(TRACE_LINE.match, out.splitlines()) if m}
+    return json.loads(subprocess.run(
+        (sys.executable, "-c", GATE_DIGESTS), cwd=checkout, check=True,
+        capture_output=True, text=True).stdout)
 
 
 def src_lines(checkout: str) -> int:
@@ -160,8 +169,8 @@ def main(argv=None) -> int:
                     name: summary([r[name] for r in runs["parent"]],
                                   [r[name] for r in runs["change"]], better)
                     for name, better in metrics.items()}
-        record["trace_digests"] = {side: trace_digests(path)
-                                   for side, path in sides.items()}
+        record["digests"] = {side: gate_digests(path)
+                             for side, path in sides.items()}
         record["src_lines"] = {side: src_lines(path)
                                for side, path in sides.items()}
 

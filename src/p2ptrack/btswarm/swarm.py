@@ -70,15 +70,13 @@ def parse_scrape(data: bytes) -> ScrapeResult:
     entries = []
     skipped = 0
     for key, stats in doc[b"files"].items():
+        counts = [stats.get(k, 0) if isinstance(stats, dict) else None
+                  for k in (b"complete", b"incomplete", b"downloaded")]
         if not isinstance(key, bytes) or len(key) != 20 or \
-                not isinstance(stats, dict):
+                not all(type(v) is int and v >= 0 for v in counts):
             skipped += 1
             continue
-        entries.append(ScrapeEntry(
-            key,
-            int(stats.get(b"complete", 0)),
-            int(stats.get(b"incomplete", 0)),
-            int(stats.get(b"downloaded", 0))))
+        entries.append(ScrapeEntry(key, *counts))
     entries.sort(key=lambda e: (-e.popularity, e.infohash))
     return ScrapeResult(entries, skipped)
 

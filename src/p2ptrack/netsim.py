@@ -84,7 +84,7 @@ class Host:
     __slots__ = (
         "host_id", "ip", "nat", "ipid_model", "handler",
         "port_handlers", "egress_filters", "ingress_filters", "tap",
-        "_counter", "_flow_counters", "_flow_start", "_rng",
+        "_counter", "_flow_counters", "_flow_start", "_rng", "_seed",
     )
 
     def __init__(self, host_id: str, ip: int, nat: Optional[str],
@@ -100,10 +100,13 @@ class Host:
         self.egress_filters: list = []
         self.ingress_filters: list = []
         self.tap: Optional[CaptureTap] = None
-        self._rng = random.Random(f"{seed}:ipid:{host_id}")
+        self._seed = seed
+        rng = random.Random(f"{seed}:ipid:{host_id}")
         self._flow_start = ipid_start   # None: random offset per flow
         if ipid_start is None:
-            ipid_start = self._rng.randrange(IPID_MOD)
+            ipid_start = rng.randrange(IPID_MOD)
+        # a global counter draws nothing after its start
+        self._rng = None if ipid_model == IPID_SEQUENTIAL_GLOBAL else rng
         self._counter = ipid_start % IPID_MOD
         self._flow_counters: dict = {}
 
@@ -116,10 +119,15 @@ class Host:
             value = self._flow_counters.get(flow_key)
             if value is None:
                 value = self._flow_start if self._flow_start is not None \
-                    else self._rng.randrange(IPID_MOD)
+                    else self._draw()
                 value %= IPID_MOD
             self._flow_counters[flow_key] = (value + 1) % IPID_MOD
             return value
+        return self._draw()
+
+    def _draw(self) -> int:
+        if self._rng is None:   # the model was changed from a global counter
+            self._rng = random.Random(f"{self._seed}:ipid:{self.host_id}")
         return self._rng.randrange(IPID_MOD)
 
 

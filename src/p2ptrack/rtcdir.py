@@ -159,7 +159,7 @@ class Directory:
 
     # one profile per line, tab separated, empty field = unset
     def dump_fixture(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for rtc_id in sorted(self._users):
                 p = self._users[rtc_id]
                 cols = [getattr(p, f) or "" for f in PROFILE_FIELDS]
@@ -171,7 +171,7 @@ class Directory:
     @classmethod
     def load_fixture(cls, path) -> "Directory":
         directory = cls()
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
@@ -385,7 +385,6 @@ class RtcOverlay:
             return self._ports[host_id]
         port = self._port_rng.randint(20000, 39999)
         self._ports[host_id] = port
-        self._resp_rng[host_id] = random.Random(f"{self.seed}:resp:{host_id}")
         self.sim.hosts[host_id].handler = self._client_handler
         return port
 
@@ -694,6 +693,9 @@ class RtcOverlay:
                                 attempt.callee, attempt.callee_host, now,
                                 kind, attempt.call_id))
             return
+        if host_id not in self._resp_rng:   # built when it first answers
+            self._resp_rng[host_id] = random.Random(
+                f"{self.seed}:resp:{host_id}")
         reply = self._udp_reply(host_id, pkt.src_ip, pkt.src_port, pkt.size,
                                 now, self._resp_rng[host_id])
         if reply is not None:

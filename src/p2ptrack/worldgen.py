@@ -19,7 +19,8 @@ from .btswarm.dht import DhtNetwork, KrpcClient
 from .btswarm.swarm import (HandshakeClient, ScrapeEntry, SwarmRegistry,
                             build_scrape, parse_scrape, top_k)
 from .netsim import IPID_RANDOM, IPID_SEQUENTIAL_GLOBAL, Simulator, ip_str
-from .rtcdir import Directory, PresenceBook, RtcOverlay, UserProfile
+from .rtcdir import (Directory, DirectoryError, PresenceBook, RtcOverlay,
+                     UserProfile)
 from .scenario import BASE_T, Scenario, ScenarioError
 from .sniffer import CallerPool, SynFilterPolicy, apply_syn_filter
 from .tracker import GeoTable, Tracker
@@ -341,10 +342,13 @@ def build_world(scenario: Scenario) -> World:
     # extra directory-only identities from an explicit fixture file: they
     # are searchable and harvestable but never log in
     if scenario.directory_fixture:
-        for profile in Directory.load_fixture(
-                scenario.directory_fixture)._users.values():
-            if profile.rtc_id not in directory:
-                directory.add(profile)
+        try:
+            fixture = Directory.load_fixture(scenario.directory_fixture)
+            for rtc_id in fixture.ids():
+                if rtc_id not in directory:
+                    directory.add(fixture.get(rtc_id))
+        except (OSError, UnicodeDecodeError, DirectoryError) as exc:
+            raise ScenarioError(f"directory_fixture: {exc}") from exc
 
     bt_world = None
     verifier_clients: list = []

@@ -28,6 +28,21 @@ def test_ipid_wraps_mod_2_16(sim):
     assert host.next_ipid(None) == 0
 
 
+def test_sequential_global_host_holds_no_generator(sim):
+    # its start is still the seeded draw, but nothing draws after it; the
+    # per-flow and random models keep their generator
+    host = sim.add_host("a", "10.0.0.1")
+    assert host._rng is None
+    start = random.Random("1:ipid:a").randrange(IPID_MOD)
+    assert [host.next_ipid(None) for _ in range(2)] == [start, start + 1]
+    # a model changed after construction builds its generator when it draws
+    host.ipid_model = IPID_RANDOM
+    assert 0 <= host.next_ipid(None) < IPID_MOD and host._rng is not None
+    for i, model in enumerate((IPID_SEQUENTIAL_PER_FLOW, IPID_RANDOM)):
+        assert sim.add_host(f"h{i}", f"10.0.1.{i + 1}",
+                            ipid_model=model)._rng is not None
+
+
 def test_ipid_per_flow_counters(sim):
     host = sim.add_host("a", "10.0.0.1", ipid_start=0,
                         ipid_model=IPID_SEQUENTIAL_PER_FLOW)

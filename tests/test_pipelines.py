@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import json
 import os
@@ -258,6 +257,24 @@ def test_cli_validate(tmp_path, capsys):
         assert "missing.yaml" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_bad_directory_fixture(tmp_path, capsys):
+    # found only when run builds the world: validate passes, run exits 2
+    # and names the key
+    not_utf8 = tmp_path / "latin1.tsv"
+    not_utf8.write_bytes(b"caf\xe9\n")
+    malformed = tmp_path / "short.tsv"
+    malformed.write_text("someone\tsomeone@example.org\n")
+    scenario = tmp_path / "fixture.yaml"
+    with open(SMOKE) as fh:
+        smoke_text = fh.read()
+    for fixture in (tmp_path / "missing.tsv", tmp_path, not_utf8, malformed):
+        scenario.write_text(smoke_text + f"directory_fixture: {fixture}\n")
+        assert main(["validate", "--scenario", str(scenario)]) == 0
+        assert main(["run", "--scenario", str(scenario), "--pipeline",
+                     "mobility", "--out", str(tmp_path / "o")]) == 2
+        assert "directory_fixture" in capsys.readouterr().err, fixture
+
+
 def test_cli_tracker_overrides(tmp_path, capsys):
     out = tmp_path / "ovr"
     rc = main(["run", "--scenario", SMOKE, "--pipeline", "mobility",
@@ -336,42 +353,45 @@ def test_bundled_scenarios_are_valid():
 
 def _trace_script():
     spec = importlib.util.spec_from_file_location(
-        "check_trace_hashes", "scripts/check_trace_hashes.py")
-    traces = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traces)
-    return traces
+        "check_digests", "scripts/check_digests.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
 
 
-# prints the smoke run's trace digest (scripts/check_trace_hashes.py)
-_SMOKE_TRACE_DIGEST = (
-    "import runpy; t = runpy.run_path('scripts/check_trace_hashes.py'); "
-    f"print(t['trace_digest'](t['load_scenario']({SMOKE!r}), 'all'))")
+SMOKE_RUN = "smoke --pipeline all"
+# prints the smoke run's report and trace digests and whether its checks
+# passed (scripts/check_digests.py)
+_SMOKE_DIGESTS = (
+    "import runpy; g = runpy.run_path('scripts/check_digests.py'); "
+    f"print(*g['digests'](*g['pinned_run']({SMOKE_RUN!r})))")
 
 
-def test_report_byte_identical_across_hash_seeds(tmp_path):
+def test_report_byte_identical_across_hash_seeds():
     src = os.path.dirname(os.path.dirname(p2ptrack.__file__))
-    digests, trace_digests = set(), set()
+    outputs = set()
     for hash_seed in ("0", "1", "2"):
-        out = tmp_path / f"hashseed{hash_seed}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-m", "p2ptrack", "run",
-                        "--scenario", SMOKE, "--pipeline", "all",
-                        "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        digests.add(hashlib.sha256(
-            (out / "report.json").read_bytes()).hexdigest())
-        trace_digests.add(subprocess.run(
-            [sys.executable, "-c", _SMOKE_TRACE_DIGEST], env=env, check=True,
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _SMOKE_DIGESTS], env=env, check=True,
             capture_output=True, text=True).stdout.strip())
-    # pinned: a change that alters the smoke report must say why
-    assert digests == {
-        "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c"}
-    assert trace_digests == {_trace_script().PINNED["smoke --pipeline all"]}
+    # pinned: a change that alters the smoke report or its packets must
+    # say why
+    assert outputs == {" ".join(_trace_script().PINNED[SMOKE_RUN]) + " True"}
+
+
+def test_module_entry_point_validates_smoke():
+    src = os.path.dirname(os.path.dirname(p2ptrack.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "p2ptrack", "validate", "--scenario", SMOKE],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "is valid" in proc.stdout
 
 
 def test_tapped_packets_hold_plain_values(monkeypatch):
     # every packet a calling tap holds when CallerPool.read clears it (the
-    # hook of scripts/check_trace_hashes.py)
+    # hook of scripts/check_digests.py)
     packets, clear = [], CaptureTap.clear
 
     def collecting_clear(tap):
@@ -386,15 +406,16 @@ def test_tapped_packets_hold_plain_values(monkeypatch):
 
 
 def test_smoke_trace_digest_is_pinned_and_sees_packets():
-    traces = _trace_script()
-    pinned = traces.PINNED["smoke --pipeline all"]
-    assert traces.trace_digest(load_scenario(SMOKE), "all") == pinned
+    gate = _trace_script()
+    pinned = gate.PINNED[SMOKE_RUN]
+    assert gate.digests(load_scenario(SMOKE), "all") == (*pinned, True)
     # a witness that can fail: the report does not see the supernode noise
-    # or the pattern jitter, but the packets do
+    # (and sees the pattern jitter only through the IP-ID series), but the
+    # packets see both
     for key, value in (("noise_flows", (0, 0)), ("pattern_jitter", 0.0)):
         scenario = load_scenario(SMOKE)
         setattr(scenario.rtc, key, value)
-        assert traces.trace_digest(scenario, "all") != pinned, key
+        assert gate.digests(scenario, "all")[1] != pinned[1], key
 
 
 def test_perfbench_hooks_resolve():

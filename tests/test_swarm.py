@@ -26,10 +26,17 @@ def test_scrape_skips_malformed_keys_with_tally():
     blob = bencode({"files": {
         b"\x01" * 20: {"complete": 3, "incomplete": 1, "downloaded": 9},
         b"short": {"complete": 5, "incomplete": 5, "downloaded": 0},
+        # a count that is not a non-negative integer skips its entry too
+        b"\x02" * 20: {"complete": [1], "incomplete": 1, "downloaded": 0},
+        b"\x03" * 20: {"complete": 1, "incomplete": {"n": 1}},
+        b"\x04" * 20: {"complete": b"abc", "incomplete": 1},
+        b"\x05" * 20: {"complete": b"12", "incomplete": 1},
+        b"\x06" * 20: {"complete": 1, "incomplete": 1, "downloaded": -1},
+        b"\x07" * 20: [3, 1, 9],
     }})
     result = parse_scrape(blob)
     assert len(result.entries) == 1
-    assert result.skipped == 1
+    assert result.skipped == 7
     assert result.entries[0].seeds == 3
     assert result.entries[0].leechers == 1
 
