@@ -23,7 +23,7 @@ KRPC_CLIENT_PORT = 9100
 BUCKET_CAP = 8
 CLOSEST_RETURNED = 8
 MAX_LOOKUP_QUERIES = 64
-QUERY_TIMEOUT = 1.0      # seconds a lookup waits for each reply
+QUERY_TIMEOUT = 1.0      # seconds a query waits for its reply
 PROTOCOL_ERROR = 203     # BEP 5 error code for a malformed query
 
 
@@ -286,8 +286,7 @@ class KrpcClient:
             cb(body)
 
     def send_query(self, ip: int, port: int, method: str, args: dict,
-                   on_reply: Callable, on_timeout: Callable,
-                   timeout: float) -> None:
+                   on_reply: Callable, on_timeout: Callable) -> None:
         self._txn += 1
         txn = self._txn.to_bytes(4, "big")
         self._pending[txn] = on_reply
@@ -295,8 +294,8 @@ class KrpcClient:
         self.sim.schedule_send(self.host_id, ip, port, "UDP", len(data),
                                at=self.sim.now, src_port=KRPC_CLIENT_PORT,
                                payload=data)
-        self.sim.schedule(self.sim.now + timeout, self._check_timeout, txn,
-                          on_timeout)
+        self.sim.schedule(self.sim.now + QUERY_TIMEOUT, self._check_timeout,
+                          txn, on_timeout)
 
     def _check_timeout(self, txn: bytes, on_timeout: Callable) -> None:
         if self._pending.pop(txn, None) is not None:
@@ -374,7 +373,7 @@ class LookupTask:
         self.client.send_query(ip, port, "find_node",
                                {"id": self.client.node_id,
                                 "target": self.infohash},
-                               on_reply, on_timeout, QUERY_TIMEOUT)
+                               on_reply, on_timeout)
 
     def _finish(self, failed: bool) -> None:
         if failed:
@@ -396,7 +395,7 @@ class LookupTask:
         self.client.send_query(ip, port, "get_peers",
                                {"id": self.client.node_id,
                                 "info_hash": self.infohash},
-                               on_reply, on_timeout, QUERY_TIMEOUT)
+                               on_reply, on_timeout)
 
 
 def announce(sim: Simulator, dht: DhtNetwork, host_id: str, src_port: int,

@@ -307,9 +307,9 @@ class MatchCandidate:
 
 def match_ips(rtc_observations, snapshots,
               day_seconds: float = DAY_SECONDS) -> list:
-    """Join RTC samples with crawl snapshots on IP within the same
-    simulated day.  Performed on the fly; the (IP, infohash) pairing is
-    never persisted -- candidates go straight to the verifier."""
+    """Join (user, t, ip) RTC observations with crawl snapshots on IP
+    within the same simulated day.  Performed on the fly; the (IP, infohash)
+    pairing is never persisted -- candidates go straight to the verifier."""
     by_day: dict = {}
     for snap in snapshots:
         day = int(snap.t // day_seconds)
@@ -317,14 +317,13 @@ def match_ips(rtc_observations, snapshots,
         for ip, port in snap.peers:
             index.setdefault(ip, set()).add((port, snap.infohash))
     out = {}
-    for obs in rtc_observations:
-        day = int(obs.t // day_seconds)
-        hits = by_day.get(day, {}).get(obs.ip)
+    for user, t, ip in rtc_observations:
+        hits = by_day.get(int(t // day_seconds), {}).get(ip)
         if not hits:
             continue
         for port, infohash in sorted(hits):
-            key = (obs.user, obs.ip, port)
+            key = (user, ip, port)
             if key not in out:
-                out[key] = MatchCandidate(obs.user, obs.ip, port, infohash)
+                out[key] = MatchCandidate(user, ip, port, infohash)
     return sorted(out.values(),
                   key=lambda c: (c.user, c.ip, c.port, c.infohash))

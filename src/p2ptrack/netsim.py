@@ -5,6 +5,8 @@ links with seeded latency jitter.  Every packet carries a 16-bit IP-ID
 drawn from its sender's generator; NATs rewrite addresses and ports but
 never touch the IP-ID.  A packet's TCP flags are one string, the flag
 names sorted and joined by ",": "", "SYN", "ACK", "ACK,SYN" or "RST".
+From a host's syn_filter_from time on (never, by default), the loop drops
+every TCP SYN the host sends or receives.
 Capture taps record traffic at host edges, with addresses as the host
 sees them: the loop records each packet as it is observed, and a writer
 outside the loop (the RTC overlay's supernode noise) may record a packet
@@ -83,8 +85,8 @@ class Host:
 
     __slots__ = (
         "host_id", "ip", "nat", "ipid_model", "handler",
-        "port_handlers", "egress_filters", "ingress_filters", "tap",
-        "_counter", "_flow_counters", "_flow_start", "_rng", "_seed",
+        "port_handlers", "syn_filter_from", "tap", "_counter",
+        "_flow_counters", "_flow_start", "_rng", "_seed",
     )
 
     def __init__(self, host_id: str, ip: int, nat: Optional[str],
@@ -97,8 +99,7 @@ class Host:
         self.ipid_model = ipid_model
         self.handler: Optional[Callable] = None
         self.port_handlers: dict = {}
-        self.egress_filters: list = []
-        self.ingress_filters: list = []
+        self.syn_filter_from = math.inf   # drop TCP SYNs from this time
         self.tap: Optional[CaptureTap] = None
         self._seed = seed
         rng = random.Random(f"{seed}:ipid:{host_id}")
@@ -392,10 +393,9 @@ class Simulator:
         if host.tap is not None:
             host.tap.record(now, wire)
 
-        for filt in host.egress_filters:
-            if filt(self, wire):
-                self._drop(f"egress_filter:{src}")
-                return
+        if now >= host.syn_filter_from and "SYN" in flags and proto == "TCP":
+            self._drop(f"egress_filter:{src}")
+            return
 
         # source NAT rewrite
         if host.nat is not None:
@@ -431,10 +431,10 @@ class Simulator:
         if host.tap is not None:
             host.tap.record(pkt.t_recv, pkt)
 
-        for filt in host.ingress_filters:
-            if filt(self, pkt):
-                self._drop(f"ingress_filter:{dst_host_id}")
-                return
+        if self.now >= host.syn_filter_from and "SYN" in pkt.tcp_flags \
+                and pkt.proto == "TCP":
+            self._drop(f"ingress_filter:{dst_host_id}")
+            return
         handler = host.port_handlers.get(pkt.dst_port, host.handler)
         if handler is not None:
             handler(self, dst_host_id, pkt, payload)

@@ -145,8 +145,10 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
         "assigned_ips": len(assignment.ip_to_user),
         "unassigned_ips": len(assignment.unassigned),
     }
+    placed = {c.client for c in rounds[0].calls}
     report.metrics["throughput_calls_per_hour"] = [
-        round(t, 3) for t in rounds[0].calls_per_hour_per_client]
+        round(3600 / scenario.tracker.s, 3) if c in placed else 0.0
+        for c in range(scenario.tracker.clients)]
 
     report.series["fig3-left-simultaneous"] = mob.fig3_left_simultaneous
     report.series["fig3-left-cumulative"] = mob.fig3_left_cumulative
@@ -196,7 +198,8 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
     for r in range(scenario.tracker.rounds):
         t_round = world.base_t + r * scenario.tracker.round_period
         result = tracker.run_round(world.target_ids, t_round, round_index=r)
-        observations.extend(result.observations)
+        observations += [(call.callee, call.t, m.candidate_ip)
+                         for call in result.calls for m in call.extracted]
         crawl = run_crawl(world.sim, bt.dht, bt.crawler_bots,
                           bt.top_infohashes, world.sim.now + 5.0)
         snapshots.extend(crawl.snapshots)
@@ -234,9 +237,8 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
     for c in candidates:
         ports_by_ip.setdefault(c.ip, set()).add(c.port)
     per_user_ports = sorted(
-        max((len(ports_by_ip[c.ip]) for c in candidates
-             if c.user == user), default=0)
-        for user in by_user)
+        max(len(ports_by_ip[r.candidate.ip]) for r in rs)
+        for rs in by_user.values())
     fig4 = []
     n_users = len(per_user_ports)
     for i, k in enumerate(per_user_ports):

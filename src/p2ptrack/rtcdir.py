@@ -400,15 +400,13 @@ class RtcOverlay:
 
     def setup_tracking_client(self, host_id: str, t: float) -> None:
         """Open the persistent supernode TCP connection before any SYN
-        filter window starts."""
+        filter starts."""
         if not self.supernodes:
             raise CallError("no supernodes registered")
         rng = random.Random(f"{self.seed}:home:{host_id}")
         sn = rng.choice(self.supernodes)
         self._home_supernode[host_id] = sn
         sn_ip = self.sim.public_ip_of(sn)
-        key = (host_id, sn_ip, self._ports[sn], self._ports[host_id])
-        self._pending_tcp[key] = _TcpAttempt(None, None, None)
         self.sim.schedule_send(
             host_id, sn_ip, self._ports[sn], "TCP", SYN_SIZE,
             flags="SYN", at=t, src_port=self._ports[host_id])
@@ -686,8 +684,7 @@ class RtcOverlay:
                 attempt = self._pending_tcp.get(key)
                 if attempt is not None and not attempt.established:
                     attempt.established = True
-                    if attempt.call_id is not None and \
-                            attempt.callee is not None:
+                    if attempt.callee is not None:
                         for kind in ("ring", "popup"):
                             self.notifications.append(NotificationEvent(
                                 attempt.callee, attempt.callee_host, now,

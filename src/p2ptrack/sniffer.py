@@ -1,9 +1,9 @@
 """Attacker-side trace analysis.
 
-The SYN-suppression filter makes calls inconspicuous (no TCP connection
-ever completes, so the callee is never notified), and the classifier
-recovers the callee address(es) from a caller-side capture purely from
-packet sizes, directions and inter-packet gaps: no payload is inspected.
+The SYN filter (Host.syn_filter_from) makes calls inconspicuous (no TCP
+connection ever completes, so the callee is never notified), and the
+classifier recovers the callee address(es) from a caller-side capture
+purely from packet sizes, directions and gaps: no payload is inspected.
 
 Per-flow scoring: each candidate remote IP is checked against the three
 call-establishment signatures; the score is the fraction of satisfied
@@ -26,25 +26,6 @@ from .rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC, MARKER_GAPS,
 
 ECHO_WINDOW = 2.0
 ROUND_TAIL = 5.0    # a round runs this long past its last pattern window
-
-
-@dataclass(frozen=True)
-class SynFilterPolicy:
-    """Drop every inbound and outbound TCP SYN while active.  Packets of
-    connections established before t_begin carry no SYN flag and pass."""
-    t_begin: float
-    t_end: float
-
-
-def apply_syn_filter(sim: Simulator, host_id: str,
-                     policy: SynFilterPolicy) -> None:
-    def drop_syn(s, pkt):
-        return (pkt.proto == "TCP" and "SYN" in pkt.tcp_flags
-                and policy.t_begin <= s.now <= policy.t_end)
-
-    host = sim.hosts[host_id]
-    host.egress_filters.append(drop_syn)
-    host.ingress_filters.append(drop_syn)
 
 
 @dataclass
@@ -195,7 +176,7 @@ class CallerPool:
     from each client's tap, one slot per call."""
 
     def __init__(self, sim: Simulator, overlay: RtcOverlay, clients):
-        """clients: (host_id, rtc_id) pairs with SYN filters installed.  A
+        """clients: (host_id, rtc_id) pairs of SYN-filtered hosts.  A
         tap records only what it observes once it exists, so make the pool
         before its calls."""
         self.sim = sim

@@ -6,10 +6,10 @@ Patterns are attributed to the call whose slot contains their first
 packet; an IP designated by several users across rounds is assigned by
 majority vote, which removes the rare reordering false positives.
 
-Raw addresses live only inside a round's in-memory observations; samples
-carry salted-hash tokens for the IP and its geo labels (city / AS /
-country), so equal locations compare equal within a run but nothing
-identifying is persisted.
+Raw addresses live only in a round's calls, in memory: each TrackedCall's
+extracted matches.  Samples carry salted-hash tokens for the IP and its
+geo labels (city / AS / country), so equal locations compare equal within
+a run but nothing identifying is persisted.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ class LocationSample:
     validation: bool = False
 
 
-@dataclass(frozen=True)
-class CallObservation:
-    """Raw per-call result; never serialized, discarded after the linkage
-    join and error accounting."""
-    user: str
-    t: float
-    ip: int
-
-
 @dataclass
 class TrackedCall:
     client: int
@@ -75,9 +66,7 @@ class TrackedCall:
 @dataclass
 class RoundResult:
     samples: list
-    observations: list
     calls: list
-    calls_per_hour_per_client: list
 
 
 # -- geo lookup and anonymization ------------------------------------------
@@ -215,7 +204,6 @@ class Tracker:
         traces = self.pool.read([(k.client, k.t) for k in calls], s,
                                 classifier.pattern_window)
         samples: list = []
-        observations: list = []
         for call, trace in zip(calls, traces):
             call.extracted = extracted = tuple(classify_trace(
                 trace, classifier, self.pool.observer_ips[call.client]))
@@ -233,17 +221,7 @@ class Tracker:
                 samples.append(LocationSample(
                     call.callee, call.t, status, ip_token(ip, self.salt),
                     city_h, as_h, country_h, ambiguous, call.validation))
-                observations.append(CallObservation(call.callee, call.t, ip))
-
-        throughput = []
-        for c in range(n):
-            mine = [k for k in calls if k.client == c]
-            if not mine:
-                throughput.append(0.0)
-                continue
-            span = (mine[-1].t - mine[0].t) + s
-            throughput.append(len(mine) * 3600.0 / span if span > 0 else 0.0)
-        return RoundResult(samples, observations, calls, throughput)
+        return RoundResult(samples, calls)
 
     def run_study(self, ids, rounds: int, t0: float) -> list:
         results = []

@@ -22,7 +22,7 @@ from .netsim import IPID_RANDOM, IPID_SEQUENTIAL_GLOBAL, Simulator, ip_str
 from .rtcdir import (Directory, DirectoryError, PresenceBook, RtcOverlay,
                      UserProfile)
 from .scenario import BASE_T, Scenario, ScenarioError
-from .sniffer import CallerPool, SynFilterPolicy, apply_syn_filter
+from .sniffer import CallerPool
 from .tracker import GeoTable, Tracker
 from .verifier import Verifier
 
@@ -176,7 +176,7 @@ def build_world(scenario: Scenario) -> World:
         directory.add(UserProfile(user, f"{user}@tracker.invalid"))
         presence.add_session(user, host, 1.0, None)
         overlay.setup_tracking_client(host, t_setup)
-        apply_syn_filter(sim, host, SynFilterPolicy(SETUP_T + 5.0, 1e12))
+        sim.hosts[host].syn_filter_from = SETUP_T + 5.0
         return host, user
 
     tracker_clients = [add_caller(f"tc{i:02d}", f"trackerclient{i:02d}",

@@ -5,7 +5,6 @@ import pytest
 from p2ptrack.netsim import Simulator
 from p2ptrack.rtcdir import (Directory, PresenceBook, RtcConfig, RtcOverlay,
                              UserProfile)
-from p2ptrack.sniffer import SynFilterPolicy, apply_syn_filter
 
 
 @pytest.fixture
@@ -45,8 +44,7 @@ class MiniWorld:
         self.overlay.setup_tracking_client(self.tracker_host, 1.0)
         self.sim.advance(3.0)
         if filtered:
-            apply_syn_filter(self.sim, self.tracker_host,
-                             SynFilterPolicy(3.0, 1e12))
+            self.sim.hosts[self.tracker_host].syn_filter_from = 3.0
         self.tap = self.sim.tap(self.tracker_host)
         self._next = 0
 

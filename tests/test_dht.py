@@ -197,7 +197,7 @@ def test_malformed_response_is_rejected(response):
     replies = []
     client.send_query(boot.ip, boot.port, "find_node",
                       {"id": client.node_id, "target": b"\x05" * 20},
-                      replies.append, lambda: replies.append("timeout"), 1.0)
+                      replies.append, lambda: replies.append("timeout"))
     bad = bencode(response)    # arrives while the query is pending
     sim.schedule_send("probe", "10.9.0.1", KRPC_CLIENT_PORT, "UDP",
                       len(bad), at=sim.now, src_port=6881, payload=bad)
@@ -238,7 +238,7 @@ def test_client_counts_every_packet_that_is_not_a_response():
     replies = []
     client.send_query(node.ip, node.port, "find_node",
                       {"id": client.node_id, "target": b"\x05" * 20},
-                      replies.append, lambda: replies.append("timeout"), 1.0)
+                      replies.append, lambda: replies.append("timeout"))
     txn = b"\x00\x00\x00\x01"        # the pending query's transaction id
     for payload in (None,                                     # no payload
                     bencode({"t": txn, "y": "q", "q": "ping",  # a query

@@ -304,6 +304,18 @@ def test_cli_tracker_overrides(tmp_path, capsys):
     assert "tracker.salt" in capsys.readouterr().err
 
 
+def test_cli_throughput_counts_idle_clients(tmp_path, capsys):
+    # 20 targets over 30 clients: one call each for the first 20, none for
+    # the last 10
+    out = tmp_path / "idle"
+    assert main(["run", "--scenario", SMOKE, "--pipeline", "mobility",
+                 "--out", str(out), "--rounds", "1", "--clients", "30"]) == 0
+    capsys.readouterr()
+    doc = json.load(open(out / "report.json"))
+    assert doc["metrics"]["throughput_calls_per_hour"] == \
+        [1200.0] * 20 + [0.0] * 10
+
+
 REPORT = '{"scenario": "s", "seed": 1, "pipeline": "all", "series": %s}'
 
 

@@ -10,8 +10,7 @@ from p2ptrack.rtcdir import (KEEPALIVE_SIZE, KIND_NATED, KIND_OFFLINE,
                              Directory, PresenceBook, RtcOverlay)
 from p2ptrack.scenario import scenario_from_dict
 from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
-                              FlowIndex, SynFilterPolicy, apply_syn_filter,
-                              classify_trace)
+                              FlowIndex, classify_trace)
 CFG = ClassifierConfig()
 OBSERVER = parse_ip("10.0.0.1")
 
@@ -294,8 +293,8 @@ def test_filter_drops_syns_passes_udp_and_established():
     sim.add_host("a", "10.0.0.1")
     sim.add_host("b", "10.0.0.2")
     tap_b = sim.tap("b")
-    # pre-window TCP connection: its non-SYN packets must keep flowing
-    apply_syn_filter(sim, "a", SynFilterPolicy(10.0, 100.0))
+    # a connection opened before the filter: its non-SYN packets must flow
+    sim.hosts["a"].syn_filter_from = 10.0
     sim.schedule_send("a", "10.0.0.2", 80, "TCP", 44, flags="SYN", at=1.0,
                       src_port=500)
     sim.schedule_send("a", "10.0.0.2", 80, "TCP", 52, flags="ACK", at=20.0,
@@ -326,12 +325,13 @@ def test_filter_window_bounds():
     sim.add_host("a", "10.0.0.1")
     sim.add_host("b", "10.0.0.2")
     tap_b = sim.tap("b")
-    apply_syn_filter(sim, "a", SynFilterPolicy(10.0, 20.0))
-    for t in (5.0, 15.0, 25.0):
+    sim.hosts["a"].syn_filter_from = 10.0
+    for k, t in enumerate((5.0, 9.5, 10.0, 15.0, 1e6)):
         sim.schedule_send("a", "10.0.0.2", 80, "TCP", 44, flags="SYN", at=t,
-                          src_port=int(t))
-    sim.advance(30.0)
-    assert [p.t_send for p in tap_b.trace()] == [5.0, 25.0]
+                          src_port=500 + k)
+    sim.advance(1e6 + 1.0)
+    # the filter starts at its time and never ends
+    assert [p.t_send for p in tap_b.trace()] == [5.0, 9.5]
 
 
 def test_filtered_calls_leave_no_syn_at_callee(mini):

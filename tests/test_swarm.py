@@ -9,7 +9,6 @@ from p2ptrack.btswarm.swarm import (HandshakeClient, ScrapeEntry, SwarmError,
                                     build_scrape, match_ips, parse_handshake,
                                     parse_scrape, run_crawl, top_k)
 from p2ptrack.netsim import Simulator, parse_ip
-from p2ptrack.tracker import CallObservation
 
 
 def test_scrape_sorts_by_popularity_then_infohash():
@@ -251,7 +250,7 @@ class _Snap:
 
 
 def _obs(user, t, ip):
-    return CallObservation(user, t, parse_ip(ip))
+    return (user, t, parse_ip(ip))
 
 
 def test_match_ips_joins_same_day_only():

@@ -196,10 +196,10 @@ def test_round_extracts_all_online_users():
     online_samples = [s for s in result.samples if s.status == "online"]
     assert len(online_samples) == 10
     assert {s.user for s in online_samples} == set(world.target_ids)
-    # observations carry the true addresses
-    for obs in result.observations:
-        want = world.overlay.user_session_ips(obs.user, obs.t)
-        assert obs.ip in want
+    # the calls' matches carry the true addresses
+    for call in result.calls:
+        want = world.overlay.user_session_ips(call.callee, call.t)
+        assert {m.candidate_ip for m in call.extracted} <= want
 
 
 def test_validation_calls_inserted_every_n():
@@ -220,7 +220,12 @@ def test_throughput_exceeds_340_per_hour():
     world = _tracking_world(users=12, clients=1)
     tracker = world.make_tracker()
     result = tracker.run_round(world.target_ids, world.base_t)
-    assert result.calls_per_hour_per_client[0] >= 340.0
+    # calls whose every target address was extracted, per hour of the span
+    done = sum(1 for c in result.calls if c.placed.targets and
+               {t.expect_ip for t in c.placed.targets}
+               <= {m.candidate_ip for m in c.extracted})
+    span = result.calls[-1].t - result.calls[0].t + tracker.sched.s
+    assert done * 3600.0 / span >= 340.0
 
 
 def test_reorder_plant_causes_false_positive_then_vote_removes_it():
