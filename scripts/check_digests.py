@@ -14,12 +14,12 @@ digests are taken of each run:
 
 - report: the bytes of its report.json;
 - trace: the packets, which the report cannot see.  First every packet
-  each `CallerPool` tap holds when `CallerPool.read` runs, in tap order,
-  serialised as its `SimPacket` fields.  The hook wraps
-  `CaptureTap.clear`, which only `read` calls, just before the taps are
-  cleared.  Then the reply of every verifier handshake probe
-  (`HandshakeClient.send` wrapped to collect the probes), in send order,
-  or `none` for a probe nobody answered.
+  that leaves a `CallerPool` tap, in the order it leaves, serialised as
+  its `SimPacket` fields.  The hook wraps `CaptureTap.clear`, the only way
+  out of a tap, which only `CallerPool.read` calls: slot by slot as the
+  round runs, then for the rest at its end.  Then the reply of every
+  verifier handshake probe (`HandshakeClient.send` wrapped to collect
+  the probes), in send order, or `none` for a probe nobody answered.
 
 Prints one line per run and exits 1 if a digest differs from the pair
 pinned below or a pipeline check fails.  A change that alters a report or
@@ -27,6 +27,7 @@ moves packets on purpose updates its digest here and says why.
 """
 
 import hashlib
+import math
 import os
 import runpy
 import sys
@@ -46,31 +47,31 @@ from p2ptrack.scenario import load_scenario, scenario_from_dict  # noqa: E402
 PINNED = {
     "smoke --pipeline all": (
         "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c",
-        "eb9c77bd235761fa9ae6a6ec24bbfa03514f807aa70fd6c8afbab132ba7852c6"),
+        "8776220139a5f7719af8c04eeecca93795996b4af8e179ed154ea9ba1d871834"),
     "mobility --pipeline all": (
         "2ca087b2bdc5f3ec4d392def516c0f7f68e6505508823ff0d868db94a68ab313",
-        "aca042499b3d2043340ff45531e96a7cd29303c137702040a852d2850ac202ea"),
+        "f1bc8fd870a338e766a7c0d88ad076539bafab599da21523d99a8598f957eb66"),
     "flagship --pipeline linkage": (
         "e013fdb92d8e40111fa159daf559b929730a85af38cb6eb38ed833271541f5c5",
-        "52c2747488cbceff72eefcb5bfa64c72d9ad8e34d04a6a48638aaeabc3fb9661"),
+        "9d8909b84a51e08461054d6784acee0be7f01a5658a8e922a0ab61d08034928f"),
     "benchmark track seed 1": (
         "fb5ce2058e27cde87d1427fa14bf81e4ada2dccccbace907ff2832287e03f22e",
-        "befe2c20ecf8cb5a58d026da50240760d91067712eacfd3bda9ccce5b0acca12"),
+        "9d38b22f1f5d1c5493a3c4c441ac1d3bfc1f937186e9380e88fb08417e3028dd"),
     "benchmark track seed 77": (
         "834153299ddeef3ccc2153fcd8ec34769c7efed65b0bed66babc7f0b8d381762",
-        "101570caca0ba5f0eb211b5f5a83a3ac89a51facad160c7dc37bb2ef8e6a7f1d"),
+        "78a2638ce622d6205d26b59cf695a6c8a59980bb04af6c3576e1ad4596dbe835"),
     "benchmark track seed 9173": (
         "f52c7d834bc5d8226149558e9679f00826976737738088f96616122c7670d38f",
-        "4245e7402da695dcd3c39c7909c44ead984b08b027b4de485622c3fb34b632bd"),
+        "60d73a922c072f067066edff8eb973ad6e3d7bdd7cfdde35600a2928eaad7112"),
     "benchmark link seed 1": (
         "6af448f9b04d1342c178a908596ff7246f886ba04e21be46813967345cd5a05b",
-        "f28cf1af58de363fd98483c1e7599dae01e3fce284d2c0f637fa10ff5464c590"),
+        "eed0a6e22e03373a3c2e5ecca12301cb1c1fd657cb46918201f96d865c03e298"),
     "benchmark link seed 77": (
         "a5302b8bf800f30e6e45dcc0e10789927cb6bc49b1205d1a98b5f4b6bca1e5a2",
-        "83c7f13fb779b34ae4dcbbe2e21d00aed2b3f396895b4fc3b24b69c734948100"),
+        "087c7e1efc52076c18846768c96f352ecc1011418abbe20b100c08d9092753f3"),
     "benchmark link seed 9173": (
         "36f8f6e2e0249ceb23f404e3c4b5f88ee5887c2f7e1766c5f5949db50c93e7f5",
-        "209f8486db651a98942c775853e6bf4fcbd7f2bfd315e8bc4eaebdc541dcc0d6"),
+        "00cf8279262d9f0592fece86faf6a2ba0ae7c47483cb5077dec5746a9034bc1f"),
 }
 
 
@@ -83,14 +84,17 @@ def _packet_line(pkt) -> bytes:
 
 @contextmanager
 def _hooks(digest, probes):
-    """Hash each tap's packets as it is cleared, and collect every probe."""
+    """Hash the packets that leave each tap, and collect every probe."""
     clear, send = CaptureTap.clear, HandshakeClient.send
 
-    def hashed_clear(tap):
-        digest.update(b"tap %d\n" % len(tap))
-        for pkt in tap.trace():
-            digest.update(_packet_line(pkt))
-        clear(tap)
+    def hashed_clear(tap, before=math.inf):
+        trace = tap.trace()
+        clear(tap, before)
+        left = trace[:len(trace) - len(tap)]
+        if left:
+            digest.update(b"tap %d\n" % len(left))
+            for pkt in left:
+                digest.update(_packet_line(pkt))
 
     def collected_send(client, *args, **kwargs):
         probe = send(client, *args, **kwargs)

@@ -9,9 +9,10 @@ From a host's syn_filter_from time on (never, by default), the loop drops
 every TCP SYN the host sends or receives.
 Capture taps record traffic at host edges, with addresses as the host
 sees them: the loop records each packet as it is observed, and a writer
-outside the loop (the RTC overlay's supernode noise) may record a packet
-ahead of the loop, so a tap sorts itself by observation time when it is
-next read.
+(the RTC overlay's supernode noise, one loop event per call) may record
+a packet ahead of the loop, so a tap sorts itself by observation time
+when it is next read.  Once the loop has run to a time, no later record
+is observed at or before it.
 
 The loop is single threaded: one heap runs its events in (time, insertion)
 order, so a given (topology, seed) always produces byte-identical traces.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 import random
 from collections import Counter
 from typing import Callable, NamedTuple, Optional
@@ -189,50 +191,56 @@ class NatBox:
 
 class CaptureTap:
     """Packet capture at one attach point, in observation order.  The loop
-    records in time order, but a writer outside it may record ahead of
-    the loop or out of order, so the tap sorts itself, stably by
-    observation time, when it is next read: entries with equal times keep
-    the order they were recorded in."""
+    records in time order, but a writer outside it (the RTC overlay's
+    supernode noise) records a call's packets when the loop reaches the
+    call, ahead of the loop's own.  So the tap keeps a sorted head and
+    sorts the rest, stably by observation time, when it is next read:
+    entries with equal times keep the order they were recorded in.  Only
+    clear lets records leave, the oldest first."""
 
-    __slots__ = ("_times", "_packets", "_unsorted")
+    __slots__ = ("_times", "_packets", "_sorted")
 
     def __init__(self):
         self._times: list = []     # observation times
         self._packets: list = []
-        self._unsorted = False
+        self._sorted = 0           # entries at the head known to be in order
 
     def record(self, obs_t: float, pkt: SimPacket) -> None:
-        times = self._times
-        if times and obs_t < times[-1]:
-            self._unsorted = True
+        times, head = self._times, self._sorted
+        if head and obs_t < times[head - 1]:
+            self._sorted = bisect.bisect_right(times, obs_t, 0, head)
         times.append(obs_t)
         self._packets.append(pkt)
 
     def _sort(self) -> None:
-        times, packets = self._times, self._packets
-        order = sorted(range(len(times)), key=times.__getitem__)
-        self._times = [times[i] for i in order]
-        self._packets = [packets[i] for i in order]
-        self._unsorted = False
+        """Sort the entries past the sorted head; all of them observed no
+        earlier than the head's last."""
+        times, packets, head = self._times, self._packets, self._sorted
+        if head < len(times) - 1:   # one entry is in order
+            get = operator.itemgetter(*sorted(range(head, len(times)),
+                                              key=times.__getitem__))
+            times[head:] = get(times)
+            packets[head:] = get(packets)
+        self._sorted = len(times)
 
     def trace(self) -> list:
         """Packets in observation order, ties in recording order."""
-        if self._unsorted:
-            self._sort()
+        self._sort()
         return list(self._packets)
 
     def window(self, t_lo: float, t_hi: float) -> list:
         """The packets of trace() observed in [t_lo, t_hi]."""
-        if self._unsorted:
-            self._sort()
+        self._sort()
         lo = bisect.bisect_left(self._times, t_lo)
         hi = bisect.bisect_right(self._times, t_hi, lo)
         return self._packets[lo:hi]
 
-    def clear(self) -> None:
-        self._times.clear()
-        self._packets.clear()
-        self._unsorted = False
+    def clear(self, before: float = math.inf) -> None:
+        """Drop the packets observed before time before: by default all."""
+        self._sort()
+        k = bisect.bisect_left(self._times, before)
+        del self._times[:k], self._packets[:k]
+        self._sorted -= k
 
     def __len__(self) -> int:
         return len(self._packets)

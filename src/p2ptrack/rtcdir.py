@@ -7,20 +7,20 @@ pattern; a NATed callee initiates with a 28-byte UDP packet and ends with
 3-byte keepalives after ~10 s; a recently-offline callee yields the public
 pattern with no responses.  Every call also talks to a set of supernodes
 (classifier noise).  A call's pattern runs on the event loop; its noise is
-drawn and written straight into the taps when the call is placed.  Two
+one loop event at the call's start, which draws it and writes it straight
+into the taps.  Two
 defense modes can be toggled: reveal-after-accept and relay-everything.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import random
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .netsim import NetsimError, SimPacket, Simulator
+from .netsim import SimPacket, Simulator
 
 DEFENSE_NONE = "none"
 DEFENSE_REVEAL_AFTER_ACCEPT = "reveal_after_accept"
@@ -331,8 +331,8 @@ class PlacedCall:
 
 
 # A planned send's role, its last field: None for a pattern packet, the
-# _TcpAttempt a SYN opens, or RETRY for a SYN re-sent unless a SYN-ACK came.
-RETRY = "retry"
+# _TcpAttempt a SYN opens, or (attempt, last) for a SYN re-sent unless a
+# SYN-ACK came; last marks the attempt's final SYN.
 
 
 @dataclass
@@ -346,12 +346,16 @@ class RtcConfig:
 
 
 class _TcpAttempt:
-    __slots__ = ("call_id", "callee", "callee_host", "established")
+    """A call's SYNs from one host to a peer host, the first at t_syn."""
+    __slots__ = ("call_id", "callee", "callee_host", "peer", "t_syn",
+                 "established")
 
     def __init__(self, call_id, callee, callee_host):
         self.call_id = call_id
         self.callee = callee
         self.callee_host = callee_host
+        self.peer = None
+        self.t_syn = None
         self.established = False
 
 
@@ -389,6 +393,9 @@ class RtcOverlay:
         return port
 
     def add_supernode(self, host_id: str) -> None:
+        """A supernode is public: noise is written past any NAT."""
+        if self.sim.hosts[host_id].nat is not None:
+            raise CallError(f"supernode {host_id} is behind a NAT")
         self.register_client(host_id)
         self._service_hosts.add(host_id)
         self.supernodes.append(host_id)
@@ -452,7 +459,7 @@ class RtcOverlay:
                    start_delay: Optional[float] = None) -> PlacedCall:
         call, caller, plan = self.plan_call(req, start_delay)
         self._schedule(plan)
-        self._write_noise(call, caller)
+        self.sim.schedule(call.t_start, self._write_noise, call, caller)
         self.calls.append(call)
         return call
 
@@ -524,11 +531,12 @@ class RtcOverlay:
 
     def _syn_plan(self, plan, rng, src, dst, t, attempt) -> None:
         """A SYN plus two conditional retransmits (3 s then 1 s timeouts)."""
+        attempt.peer, attempt.t_syn = dst, t
         t1 = t + self._jit(rng, SYN_TIMEOUT_FIRST)
         t2 = t1 + self._jit(rng, SYN_TIMEOUT_SECOND)
         plan += ((t, src, dst, "TCP", SYN_SIZE, "SYN", attempt),
-                 (t1, src, dst, "TCP", SYN_SIZE, "SYN", RETRY),
-                 (t2, src, dst, "TCP", SYN_SIZE, "SYN", RETRY))
+                 (t1, src, dst, "TCP", SYN_SIZE, "SYN", (attempt, False)),
+                 (t2, src, dst, "TCP", SYN_SIZE, "SYN", (attempt, True)))
 
     def _public_plan(self, plan, rng, caller, remote, base, attempt) -> None:
         """Case (i)/(iii): the caller's SYNs and three 59/58-byte markers;
@@ -577,8 +585,9 @@ class RtcOverlay:
             ip, port = self._endpoint(dst)
             if role is None:
                 send(src, ip, port, proto, size, flags, t, ports[src])
-            elif role is RETRY:
-                sim.schedule(t, self._retry_syn, (src, ip, port, ports[src]))
+            elif type(role) is tuple:   # a retransmit
+                sim.schedule(t, self._retry_syn, (src, ip, port, ports[src]),
+                             *role)
             else:   # a SYN, and the _TcpAttempt it opens
                 self._pending_tcp[(src, ip, port, ports[src])] = role
                 send(src, ip, port, proto, size, flags, t, ports[src])
@@ -586,18 +595,19 @@ class RtcOverlay:
     def _write_noise(self, call: PlacedCall, caller: str) -> list:
         """Draw a call's supernode chatter from its own stream and write it
         into the taps of both ends, flow by flow (UDP each way to each of
-        its supernodes, then a keepalive each way to the home supernode),
-        with no loop events; return the packets drawn.  A marker's reply
-        (_udp_reply) is written right after it, as it never draws another
-        answer; 28-byte arrivals, whose answers hang on the 30 s echo state,
-        wait on a heap and are answered in arrival order.  The state spans
-        calls but is applied per call (on the track benchmark at seed 1 the
-        classifier reads 27,639 packets).  Noise has no SYN and both ends
-        must be public, so no NAT or SYN filter could touch it."""
+        its supernodes, then a keepalive each way to the home supernode);
+        return the packets drawn.  place_call makes this one loop event at
+        the call's start, so every packet is written ahead of the loop and
+        none is observed before the loop reaches the call; the IP-IDs are
+        drawn then.  A marker's reply (_udp_reply) is written right after
+        it, as it never draws another answer; 28-byte arrivals, whose
+        answers hang on the 30 s echo state, wait on a heap and are answered
+        in arrival order.  The state spans calls but is applied per call
+        (on the track benchmark at seed 1 the classifier reads 27,639
+        packets).  Noise has no SYN and supernodes are public
+        (add_supernode), so no NAT or SYN filter could touch it."""
         sim, hosts, ports = self.sim, self.sim.hosts, self._ports
         t0 = call.t_start
-        if not sim.now <= t0 < math.inf:   # also rejects NaN
-            raise NetsimError(f"cannot write noise at {t0}: now is {sim.now}")
         c, cport = hosts[caller], ports[caller]
         rng = random.Random(f"{self.seed}:noise:{call.call_id}")
         draw, latency = rng.random, sim.latency
@@ -606,8 +616,6 @@ class RtcOverlay:
         def flow(sn, proto):
             """Each way to sn: (src Host, port, dst, Host, port, flow key)."""
             s, sport = hosts[sn], ports[sn]
-            if s.nat is not None:
-                raise CallError(f"noise to {sn} crosses a NAT")
             return ((c, cport, sn, s, sport, (cport, s.ip, sport, proto)),
                     (s, sport, caller, c, cport, (sport, c.ip, cport, proto)))
 
@@ -656,12 +664,22 @@ class RtcOverlay:
             answer(*heapq.heappop(echoes)[1:])
         return sends
 
-    def _retry_syn(self, key) -> None:
+    def _retry_syn(self, key, own: _TcpAttempt, last: bool) -> None:
+        """Re-send the SYN of key's attempt unless it was established.
+        After own's last SYN, drop own once no SYN-ACK can still reach it:
+        its host drops every SYN-ACK from now on, or its peer dropped every
+        SYN since the first."""
         attempt = self._pending_tcp.get(key)
-        if attempt is not None and not attempt.established:
-            src_host, dst_ip, dst_port, lport = key
-            self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
-                                   SYN_SIZE, flags="SYN", src_port=lport)
+        if attempt is None or attempt.established:
+            return
+        src_host, dst_ip, dst_port, lport = key
+        self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
+                               SYN_SIZE, flags="SYN", src_port=lport)
+        hosts = self.sim.hosts
+        if last and attempt is own and (
+                self.sim.now >= hosts[src_host].syn_filter_from
+                or own.t_syn >= hosts[own.peer].syn_filter_from):
+            del self._pending_tcp[key]
 
     # -- client behavior ------------------------------------------------------
 

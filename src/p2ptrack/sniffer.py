@@ -14,6 +14,7 @@ default threshold while random supernode chatter stays far below it.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,32 +134,69 @@ def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
 
 
 class FlowIndex:
-    """A host tap's trace grouped by remote address once, so each call
+    """A host tap's trace grouped by remote address, so each call
     classifies only the flows that start in its slot.  A host tap records
     each packet at classify_trace's observation time (t_send outbound,
     t_recv inbound), so a flow here lists the same entries in the same
-    order as the flow classify_trace builds from tap.window.  The index is
-    a snapshot: build it after the tap has recorded the round."""
+    order as the flow classify_trace builds from tap.window.
+
+    The index grows and shrinks with the round: take(until) adds what the
+    tap observed since the last take, up to until, and drop(before)
+    clears the tap before that time.  The flows forget dropped packets
+    lazily, once a quarter of what they hold has left the tap, so their
+    upkeep stays proportional to the packets taken."""
 
     def __init__(self, tap: CaptureTap, observer_ip: int):
+        """An empty index over tap, which records at observer_ip."""
         self.tap = tap
         self.observer_ip = observer_ip
         self._flows: dict = {}     # remote -> (observation times, packets)
-        for pkt in tap.trace():
-            if pkt.src_ip == observer_ip:
+        self._until = -math.inf    # the last take's bound
+        self._size = 0             # entries the flows hold
+        self._stale = 0            # of which the tap has dropped
+
+    def take(self, until: float) -> None:
+        """Index the tap's packets observed after the last take's until and
+        at or before until.  The tap must hold all of them: the loop has
+        run to until, and no packet observed by then is recorded later."""
+        obs, flows = self.observer_ip, self._flows
+        new = self.tap.window(math.nextafter(self._until, math.inf), until)
+        self._until = until
+        for pkt in new:
+            if pkt.src_ip == obs:
                 remote, obs_t = pkt.dst_ip, pkt.t_send
             else:
                 remote, obs_t = pkt.src_ip, pkt.t_recv
-            flow = self._flows.get(remote)
+            flow = flows.get(remote)
             if flow is None:
-                flow = self._flows[remote] = ([], [])
+                flow = flows[remote] = ([], [])
             flow[0].append(obs_t)
             flow[1].append(pkt)
+        self._size += len(new)
+
+    def drop(self, before: float) -> None:
+        """Clear the tap of the packets observed before time before, which
+        no later slot_trace may reach back past."""
+        held = len(self.tap)
+        self.tap.clear(before)
+        self._stale += held - len(self.tap)
+        if 4 * self._stale <= self._size:
+            return
+        for remote, (times, pkts) in list(self._flows.items()):
+            lo = bisect.bisect_left(times, before)
+            if lo == len(times):
+                del self._flows[remote]
+            elif lo:
+                del times[:lo], pkts[:lo]
+            self._size -= lo
+        self._stale = 0
 
     def slot_trace(self, t: float, length: float, window: float) -> list:
         """The packets in [t - window, t + window] of every remote whose
         first packet in that window lies in the slot [t, t + length): a
-        pattern belongs to the call whose slot holds its first packet."""
+        pattern belongs to the call whose slot holds its first packet.
+        The index must have taken t + window, and dropped nothing from
+        t - window on."""
         obs = self.observer_ip
         out = []
         for remote in sorted({p.dst_ip if p.src_ip == obs else p.src_ip
@@ -172,8 +210,8 @@ class FlowIndex:
 
 class CallerPool:
     """The SYN-filtered calling clients that tracking and verification
-    share: each places inconspicuous calls, and a finished round is read
-    from each client's tap, one slot per call."""
+    share: each places inconspicuous calls, and a round is read from each
+    client's tap, one slot per call, while the loop runs."""
 
     def __init__(self, sim: Simulator, overlay: RtcOverlay, clients):
         """clients: (host_id, rtc_id) pairs of SYN-filtered hosts.  A
@@ -184,6 +222,8 @@ class CallerPool:
         self.clients = list(clients)
         self.taps = [sim.tap(h) for h, _ in self.clients]
         self.observer_ips = [sim.hosts[h].ip for h, _ in self.clients]
+        self.indexes = [FlowIndex(tap, ip)
+                        for tap, ip in zip(self.taps, self.observer_ips)]
 
     def call(self, client: int, callee: str, t: float, start_delay=None):
         """Place a call from client (an index into clients) at time t."""
@@ -192,15 +232,32 @@ class CallerPool:
             start_delay=start_delay)
 
     def read(self, slots, length: float, window: float) -> list:
-        """Run the round to its end and return the slot trace of each
-        (client, t) in slots, then clear the taps for the next round."""
+        """Run the round and return the slot trace of each (client, t) in
+        slots.  The loop runs slot time by slot time: once it has reached
+        t + max(length, window), everything a slot at t reads is final, so
+        the indexes take in what is new and read the slots at t, and then
+        everything observed before the next slot time's t - window leaves
+        taps and indexes.  So the taps hold a few windows of packets, not
+        the round.  The round ends at max t + length + window + ROUND_TAIL,
+        with the taps empty."""
+        by_t: dict = {}
+        for k, (_, t) in enumerate(slots):
+            by_t.setdefault(t, []).append(k)
+        times = sorted(by_t)
+        traces = [None] * len(slots)
+        reach = max(length, window)
+        for i, t in enumerate(times):
+            self.sim.advance(max(self.sim.now, t + reach))
+            for index in self.indexes:
+                index.take(t + reach)
+            for k in by_t[t]:
+                traces[k] = self.indexes[slots[k][0]].slot_trace(t, length,
+                                                                 window)
+            if i + 1 < len(times):
+                for index in self.indexes:
+                    index.drop(times[i + 1] - window)
         if slots:
-            self.sim.advance(max(t for _, t in slots) + length + window
-                             + ROUND_TAIL)
-        indexes = [FlowIndex(tap, ip)
-                   for tap, ip in zip(self.taps, self.observer_ips)]
-        traces = [indexes[c].slot_trace(t, length, window) for c, t in slots]
-        for tap in self.taps:
-            tap.clear()
+            self.sim.advance(times[-1] + length + window + ROUND_TAIL)
+        for index in self.indexes:
+            index.drop(math.inf)
         return traces
-

@@ -438,6 +438,42 @@ def test_window_is_the_inclusive_slice_of_the_trace(sim):
     assert tap.window(5.0, 6.0) == []
 
 
+# a tap operation: record at a time (few values, so that times tie), read
+# a window, or clear before a time (None: clear all)
+_tap_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), st.sampled_from((0.0, 1.0, 1.5, 2.0, 4.0))),
+    st.tuples(st.just("window"), st.tuples(st.floats(-1.0, 5.0),
+                                           st.floats(-1.0, 5.0))),
+    st.tuples(st.just("clear"), st.none() | st.floats(-1.0, 5.0))),
+    max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tap_ops)
+def test_tap_equals_a_stable_sort_of_what_it_kept(ops):
+    # the model: every record not yet cleared, sorted stably by time
+    from p2ptrack.netsim import CaptureTap
+    tap, kept = CaptureTap(), []
+    for k, (op, arg) in enumerate(ops):
+        if op == "record":
+            pkt = SimPacket(arg, arg, 1, 1, 2, 2, "UDP", "", 10, k)
+            tap.record(arg, pkt)
+            kept.append((arg, pkt))
+        elif op == "window":
+            lo, hi = arg
+            assert tap.window(lo, hi) == [p for t, p in sorted(
+                kept, key=lambda e: e[0]) if lo <= t <= hi]
+        else:
+            before = math.inf if arg is None else arg
+            if arg is None:
+                tap.clear()
+            else:
+                tap.clear(before)
+            kept = [(t, p) for t, p in kept if t >= before]
+        assert len(tap) == len(kept)
+    assert tap.trace() == [p for _, p in sorted(kept, key=lambda e: e[0])]
+
+
 def test_parse_ip_validation():
     assert ip_str(parse_ip("10.1.2.3")) == "10.1.2.3"
     for bad in ("10.1.2", "10.1.2.3.4", "300.1.2.3", "a.b.c.d"):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -402,13 +403,14 @@ def test_module_entry_point_validates_smoke():
 
 
 def test_tapped_packets_hold_plain_values(monkeypatch):
-    # every packet a calling tap holds when CallerPool.read clears it (the
-    # hook of scripts/check_digests.py)
+    # every packet that leaves a calling tap, all through CaptureTap.clear
+    # (the hook of scripts/check_digests.py)
     packets, clear = [], CaptureTap.clear
 
-    def collecting_clear(tap):
-        packets.extend(tap.trace())
-        clear(tap)
+    def collecting_clear(tap, before=math.inf):
+        trace = tap.trace()
+        clear(tap, before)
+        packets.extend(trace[:len(trace) - len(tap)])
 
     monkeypatch.setattr(CaptureTap, "clear", collecting_clear)
     run(load_scenario(SMOKE), "all")

@@ -5,7 +5,7 @@ import pytest
 
 from p2ptrack.rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC,
                              LAST_SEEN_WINDOW, MARKER_SIZES, NAT_FIRST_SIZE,
-                             NAT_TAIL_SIZE, RETRY, CallError, CallRequest,
+                             NAT_TAIL_SIZE, CallError, CallRequest,
                              Directory, DirectoryError, PresenceBook,
                              UserProfile, harvest_ids)
 
@@ -300,6 +300,9 @@ def test_notifications_fire_only_without_filter():
     assert kinds(c1) == ["popup", "ring"]
     assert kinds(c2) == ["popup", "ring"]
     assert kinds(c3) == []
+    # with no SYN filter a SYN-ACK could still come, so every attempt stays
+    assert sorted(a.established for a in w.overlay._pending_tcp.values()) \
+        == [False, True, True]
 
 
 def test_filter_suppresses_all_notifications(mini):
@@ -308,8 +311,12 @@ def test_filter_suppresses_all_notifications(mini):
     mini.start()
     mini.overlay.place_call(CallRequest(mini.tracker_user, pub, 100.0))
     mini.overlay.place_call(CallRequest(mini.tracker_user, nat, 200.0))
+    assert len(mini.overlay._pending_tcp) == 2
     mini.sim.advance(240.0)
     assert mini.overlay.notifications == []
+    # the caller's SYNs and the NATed callee's both met the filter, so after
+    # its last SYN no SYN-ACK could reach either attempt
+    assert mini.overlay._pending_tcp == {}
 
 
 def test_reveal_after_accept_unanswered_only_noise(mini):
@@ -369,7 +376,8 @@ def _public_shape(pattern, caller, remote, base):
     syns, markers = pattern[:3], pattern[3:]
     assert [(s[3], s[4], s[5]) for s in syns] == [("TCP", 44, "SYN")] * 3
     assert syns[0][0] == base and syns[0][-1].callee_host == remote
-    assert [s[-1] for s in syns[1:]] == [RETRY, RETRY]
+    assert [s[-1] for s in syns[1:]] == [(syns[0][-1], False),
+                                         (syns[0][-1], True)]
     assert syns[1][0] - syns[0][0] == pytest.approx(3.0, rel=0.06)
     assert syns[2][0] - syns[1][0] == pytest.approx(1.0, rel=0.06)
     assert [(s[3], s[4] in (59, 58), s[-1]) for s in markers] == \
@@ -385,7 +393,8 @@ def _nated_shape(pattern, caller, remote, base):
     assert first[:5] == (base, remote, caller, "UDP", 28)
     assert [s[1:6] for s in syns] == \
         [(remote, caller, "TCP", 44, "SYN")] * 3
-    assert [s[-1] for s in syns[1:]] == [RETRY, RETRY]
+    assert [s[-1] for s in syns[1:]] == [(syns[0][-1], False),
+                                         (syns[0][-1], True)]
     assert 4 <= len(varying) <= 8
     assert [s[1:3] for s in varying] == \
         [(remote, caller) if k % 2 == 0 else (caller, remote)
@@ -527,11 +536,10 @@ def test_a_marker_reply_never_draws_another_answer(mini):
 
 
 def test_noise_to_a_supernode_behind_a_nat_is_refused(mini):
-    user, _ = mini.add_public_user(online=None)
-    mini.start()
+    # noise is written past any NAT, so a supernode behind one is refused
+    # when it registers, not when the loop reaches a call
     mini.sim.add_nat("snnat", "9.7.0.1")
     mini.sim.add_host("sn_nat", "192.168.5.5", nat="snnat")
-    mini.overlay.add_supernode("sn_nat")
-    mini.overlay.supernodes[:] = ["sn_nat"]
-    with pytest.raises(CallError, match="crosses a NAT"):
-        mini.overlay.place_call(CallRequest(mini.tracker_user, user, 50.0))
+    with pytest.raises(CallError, match="behind a NAT"):
+        mini.overlay.add_supernode("sn_nat")
+    assert "sn_nat" not in mini.overlay.supernodes

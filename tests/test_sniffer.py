@@ -1,3 +1,6 @@
+import math
+import runpy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from p2ptrack.rtcdir import (KEEPALIVE_SIZE, KIND_NATED, KIND_OFFLINE,
 from p2ptrack.scenario import scenario_from_dict
 from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
                               FlowIndex, classify_trace)
+from p2ptrack.worldgen import build_world
 CFG = ClassifierConfig()
 OBSERVER = parse_ip("10.0.0.1")
 
@@ -174,6 +178,13 @@ def _host_tap(observations):
     return tap
 
 
+def _whole_index(tap, observer_ip):
+    """An index of every packet tap holds: the whole-round read's index."""
+    index = FlowIndex(tap, observer_ip)
+    index.take(math.inf)
+    return index
+
+
 def test_slot_trace_half_open_slot():
     # a pattern belongs to the call whose slot [t, t + length) holds its
     # first packet in [t - window, t + window]: t is inside, t + length is
@@ -186,13 +197,13 @@ def test_slot_trace_half_open_slot():
         (15.0, b),     # at t + length: the next call's
         (30.0, c),     # at t + window: still in c's window
         (30.5, c)))
-    index = FlowIndex(tap, OBSERVER)
+    index = _whole_index(tap, OBSERVER)
     assert [(p.t_recv, p.src_ip) for p in index.slot_trace(10.0, 5.0, 20.0)] \
         == [(10.0, c), (30.0, c), (14.999, d), (12.5, e)]
     assert [(p.t_recv, p.src_ip) for p in index.slot_trace(15.0, 5.0, 20.0)] \
         == [(15.0, b)]
     assert index.slot_trace(40.0, 5.0, 20.0) == []
-    assert FlowIndex(CaptureTap(), OBSERVER).slot_trace(
+    assert _whole_index(CaptureTap(), OBSERVER).slot_trace(
         10.0, 5.0, 20.0) == []
 
 
@@ -226,7 +237,7 @@ def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
     want = [m for m in classify_trace(tap.window(t - window, t + window),
                                       cfg, OBSERVER)
             if t <= m.t_first_packet < t + length]
-    slot = FlowIndex(tap, OBSERVER).slot_trace(t, length, window)
+    slot = _whole_index(tap, OBSERVER).slot_trace(t, length, window)
     got = classify_trace(slot, cfg, OBSERVER)
     assert got == want
     # a match carries the IP-ID of the first packet its remote sent in the
@@ -271,7 +282,7 @@ def test_caller_pool_read_is_each_slot_trace():
     taps = [sim.tap("c0"), sim.tap("c1")]
     _late_packet(sim)
     sim.advance(end)
-    want = [FlowIndex(taps[c], sim.hosts[f"c{c}"].ip).slot_trace(
+    want = [_whole_index(taps[c], sim.hosts[f"c{c}"].ip).slot_trace(
         t, length, window) for c, t in slots]
 
     sim = _pool_sim()
@@ -284,6 +295,77 @@ def test_caller_pool_read_is_each_slot_trace():
     assert any(p.size == 200 for p in got[2])
     assert sim.now == end
     assert [len(tap) for tap in pool.taps] == [0, 0]
+
+
+def test_streamed_read_equals_whole_round_read(monkeypatch):
+    # three clients with 2 s slots under a 20 s window, so slots overlap,
+    # and one call whose pattern starts past its slot; a few noise flows a
+    # call, so supernode flows pause and restart; every record a tap
+    # sees is copied, and each read is checked against one index of the
+    # copies, which nothing trims
+    world = build_world(scenario_from_dict({
+        "name": "stream", "seed": 93,
+        "rtc": {"supernodes": 30, "noise_flows": [1, 2],
+                "noise_packets": [5, 7]},
+        "population": {"users": 120, "cities": 8, "nat_fraction": 0.3,
+                       "online_fraction": 0.8, "stale_fraction": 0.1},
+        "tracker": {"clients": 3, "s": 2.0, "rounds": 2,
+                    "round_period": 3600.0, "reorders": 1}}))
+    assert len(world.reorder_plan) == 1
+    copies, record, read = {}, CaptureTap.record, CallerPool.read
+
+    def copying_record(tap, obs_t, pkt):
+        record(tap, obs_t, pkt)
+        record(copies.setdefault(tap, CaptureTap()), obs_t, pkt)
+
+    checked = []
+
+    def checked_read(pool, slots, length, window):
+        traces = read(pool, slots, length, window)
+        for (c, t), trace in zip(slots, traces):
+            whole = _whole_index(copies[pool.taps[c]], pool.observer_ips[c])
+            assert trace == whole.slot_trace(t, length, window)
+        checked.extend(traces)
+        copies.clear()
+        return traces
+
+    monkeypatch.setattr(CaptureTap, "record", copying_record)
+    monkeypatch.setattr(CallerPool, "read", checked_read)
+    tracker = world.make_tracker()
+    rounds = tracker.run_study(world.target_ids, 2, world.base_t)
+    assert len(checked) == sum(len(r.calls) for r in rounds) > 200
+    assert sum(map(bool, checked)) > 150
+    late = [c for k, r in enumerate(rounds) for c in r.calls
+            if (k, c.callee) in world.reorder_plan]
+    assert len(late) == 1 and late[0].placed.start_delay > tracker.sched.s
+
+
+def test_streamed_read_holds_under_half_of_a_round(monkeypatch):
+    # the track benchmark's first round: the taps hold a few windows of
+    # packets at a time, not the round
+    workloads = runpy.run_path("perfbench/workloads.py")
+    world = build_world(scenario_from_dict(
+        workloads["scenario_doc"]("track", 1)))
+    tracker = world.make_tracker()
+    taps = tracker.pool.taps
+    counts = {"recorded": 0, "held": 0}
+    record, clear = CaptureTap.record, CaptureTap.clear
+
+    def counted_record(tap, obs_t, pkt):
+        counts["recorded"] += 1
+        record(tap, obs_t, pkt)
+
+    def measured_clear(tap, before=math.inf):
+        # nothing leaves the taps between clears, so they hold the most
+        # just before one
+        counts["held"] = max(counts["held"], sum(map(len, taps)))
+        clear(tap, before)
+
+    monkeypatch.setattr(CaptureTap, "record", counted_record)
+    monkeypatch.setattr(CaptureTap, "clear", measured_clear)
+    tracker.run_round(world.target_ids, world.base_t)
+    assert counts["recorded"] > 40_000
+    assert counts["held"] < counts["recorded"] / 2
 
 
 # -- SYN filter ----------------------------------------------------------------
