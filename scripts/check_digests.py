@@ -13,13 +13,16 @@ loading: `pipelines.run`, then `pipelines.write_report`.  Two sha256
 digests are taken of each run:
 
 - report: the bytes of its report.json;
-- trace: the packets, which the report cannot see.  First every packet
-  that leaves a `CallerPool` tap, in the order it leaves, serialised as
-  its `SimPacket` fields.  The hook wraps `CaptureTap.clear`, the only way
-  out of a tap, which only `CallerPool.read` calls: slot by slot as the
-  round runs, then for the rest at its end.  Then the reply of every
-  verifier handshake probe (`HandshakeClient.send` wrapped to collect
-  the probes), in send order, or `none` for a probe nobody answered.
+- trace: the packets, which the report cannot see.  First one sha256 per
+  `CallerPool` tap over every packet that leaves it, in the order it
+  leaves, serialised as its `SimPacket` fields; the trace hashes these
+  per-tap digests sorted, so it does not depend on how often the taps
+  are read or how their reads interleave.  The hook wraps
+  `CaptureTap.take`, the only way out of a tap, which only
+  `FlowIndex.take` calls, from `CallerPool.read`.  Then the reply of
+  every verifier handshake probe (`HandshakeClient.send` wrapped to
+  collect the probes), in send order, or `none` for a probe nobody
+  answered.
 
 Prints one line per run and exits 1 if a digest differs from the pair
 pinned below or a pipeline check fails.  A change that alters a report or
@@ -47,31 +50,31 @@ from p2ptrack.scenario import load_scenario, scenario_from_dict  # noqa: E402
 PINNED = {
     "smoke --pipeline all": (
         "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c",
-        "8776220139a5f7719af8c04eeecca93795996b4af8e179ed154ea9ba1d871834"),
+        "17a92b8cc0fce2dcebb1b557408116a52f4519983db181316910581be0cb2486"),
     "mobility --pipeline all": (
         "2ca087b2bdc5f3ec4d392def516c0f7f68e6505508823ff0d868db94a68ab313",
-        "f1bc8fd870a338e766a7c0d88ad076539bafab599da21523d99a8598f957eb66"),
+        "1ae9247cd5ec3d0c226d94341124bc150820c49499ec232c035a7d79a62ccca6"),
     "flagship --pipeline linkage": (
         "e013fdb92d8e40111fa159daf559b929730a85af38cb6eb38ed833271541f5c5",
-        "9d8909b84a51e08461054d6784acee0be7f01a5658a8e922a0ab61d08034928f"),
+        "9ef64a3e91de75827c0c7f49360ec3661b27d6a1b5f41d8be91dbeb2ffc5aa9d"),
     "benchmark track seed 1": (
         "fb5ce2058e27cde87d1427fa14bf81e4ada2dccccbace907ff2832287e03f22e",
-        "9d38b22f1f5d1c5493a3c4c441ac1d3bfc1f937186e9380e88fb08417e3028dd"),
+        "174765f0fe49c2f61a731c8b854ee063b8b82b8bf944f79597fee848372fc668"),
     "benchmark track seed 77": (
         "834153299ddeef3ccc2153fcd8ec34769c7efed65b0bed66babc7f0b8d381762",
-        "78a2638ce622d6205d26b59cf695a6c8a59980bb04af6c3576e1ad4596dbe835"),
+        "e1771ba2ea3365910ce97bfdb9ea0409de1f07b435349a52ea47c9a9891e9bc8"),
     "benchmark track seed 9173": (
         "f52c7d834bc5d8226149558e9679f00826976737738088f96616122c7670d38f",
-        "60d73a922c072f067066edff8eb973ad6e3d7bdd7cfdde35600a2928eaad7112"),
+        "38e450092c0acbf3a692932bc328223337577697207967f15569e279dfd87217"),
     "benchmark link seed 1": (
         "6af448f9b04d1342c178a908596ff7246f886ba04e21be46813967345cd5a05b",
-        "eed0a6e22e03373a3c2e5ecca12301cb1c1fd657cb46918201f96d865c03e298"),
+        "42201b8e0b462e2c811df6ff65bc150ae5cc431cabd2f6c8b6e444a793730f7b"),
     "benchmark link seed 77": (
         "a5302b8bf800f30e6e45dcc0e10789927cb6bc49b1205d1a98b5f4b6bca1e5a2",
-        "087c7e1efc52076c18846768c96f352ecc1011418abbe20b100c08d9092753f3"),
+        "930bb68965833a2f50e1283530709fb5659db160597cb4f88ab434ba302c25a9"),
     "benchmark link seed 9173": (
         "36f8f6e2e0249ceb23f404e3c4b5f88ee5887c2f7e1766c5f5949db50c93e7f5",
-        "00cf8279262d9f0592fece86faf6a2ba0ae7c47483cb5077dec5746a9034bc1f"),
+        "3cccb65c2a8d82eb9ab272454149efe65cd90b76efdd92f7921702ce26de99ae"),
 }
 
 
@@ -83,29 +86,29 @@ def _packet_line(pkt) -> bytes:
 
 
 @contextmanager
-def _hooks(digest, probes):
-    """Hash the packets that leave each tap, and collect every probe."""
-    clear, send = CaptureTap.clear, HandshakeClient.send
+def _hooks(taps, probes):
+    """Hash the packets that leave each tap into taps (tap -> sha256), and
+    collect every probe."""
+    take, send = CaptureTap.take, HandshakeClient.send
 
-    def hashed_clear(tap, before=math.inf):
-        trace = tap.trace()
-        clear(tap, before)
-        left = trace[:len(trace) - len(tap)]
-        if left:
-            digest.update(b"tap %d\n" % len(left))
-            for pkt in left:
+    def hashed_take(tap, until=math.inf):
+        taken = take(tap, until)
+        if taken:
+            digest = taps.setdefault(tap, hashlib.sha256())
+            for pkt in taken:
                 digest.update(_packet_line(pkt))
+        return taken
 
     def collected_send(client, *args, **kwargs):
         probe = send(client, *args, **kwargs)
         probes.append(probe)
         return probe
 
-    CaptureTap.clear, HandshakeClient.send = hashed_clear, collected_send
+    CaptureTap.take, HandshakeClient.send = hashed_take, collected_send
     try:
         yield
     finally:
-        CaptureTap.clear, HandshakeClient.send = clear, send
+        CaptureTap.take, HandshakeClient.send = take, send
 
 
 def pinned_run(name: str) -> tuple:
@@ -124,9 +127,12 @@ def pinned_run(name: str) -> tuple:
 def digests(scenario, pipeline: str) -> tuple:
     """(report sha256, trace sha256, whether every pipeline check passed)
     of one run of the scenario's pipeline."""
-    trace, probes = hashlib.sha256(), []
-    with _hooks(trace, probes):
+    taps, probes = {}, []
+    with _hooks(taps, probes):
         report = run(scenario, pipeline)
+    trace = hashlib.sha256(b"taps %d\n" % len(taps))
+    for tap_digest in sorted(digest.hexdigest() for digest in taps.values()):
+        trace.update(b"%s\n" % tap_digest.encode())
     trace.update(b"probes %d\n" % len(probes))
     for probe in probes:
         trace.update(b"none\n" if probe.response is None

@@ -15,7 +15,8 @@ from typing import Optional
 
 from ..netsim import Simulator
 from .bencode import BencodeError, bdecode, bencode
-from .dht import DhtNetwork, KrpcClient, LookupTask, announce
+from .dht import (MAX_LOOKUP_QUERIES, QUERY_TIMEOUT, DhtNetwork, KrpcClient,
+                  LookupTask, announce)
 
 HANDSHAKE_LEN = 68
 HANDSHAKE_PROTO = b"BitTorrent protocol"
@@ -23,6 +24,9 @@ REFUSAL_SIZE = 40
 PROBE_PORT_BASE = 10000    # a prober's first source port, one per probe
 
 DAY_SECONDS = 86400.0
+CRAWL_DELAY = 5.0          # a linkage round's crawl starts this long after it
+CRAWL_STEP = 30.0          # run_crawl runs the loop this long at a time
+CRAWL_DEADLINE = 3600.0
 
 
 class SwarmError(Exception):
@@ -205,13 +209,14 @@ class HandshakeProbe:
 
 class HandshakeClient:
     """Active prober: one 68-byte handshake per probe, responses matched
-    by the probe's unique source port."""
+    by the probe's unique source port.  A probe keeps only its target's
+    first reply or RST, and stops waiting at it."""
 
     def __init__(self, sim: Simulator, host_id: str, seed=0):
         self.sim = sim
         self.host_id = host_id
         self._next_port = PROBE_PORT_BASE
-        self._pending: dict = {}    # src_port -> HandshakeProbe
+        self._pending: dict = {}    # src_port -> unanswered HandshakeProbe
         self.peer_id = b"-SM0000-" + \
             random.Random(f"{seed}:probe:{host_id}").randbytes(12)
         sim.set_handler(host_id, self._on_packet)
@@ -220,10 +225,10 @@ class HandshakeClient:
         probe = self._pending.get(pkt.dst_port)
         if probe is None or pkt.src_ip != probe.target_ip:
             return
+        del self._pending[pkt.dst_port]
         if "RST" in pkt.tcp_flags:
             probe.refused = True
-            return
-        if probe.response is None:
+        else:
             probe.response = pkt
 
     def send(self, ip: int, port: int, infohash: bytes,
@@ -258,7 +263,7 @@ class CrawlRound:
 
 
 def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
-              t_start: float, deadline: float = 3600.0) -> CrawlRound:
+              t_start: float, deadline: float = CRAWL_DEADLINE) -> CrawlRound:
     """One crawl round: the infohash list is partitioned over the bots
     (KrpcClient instances); each bot chains lookups, appending snapshots to
     the shared sink.  Crawling is read-only for swarm state."""
@@ -286,13 +291,24 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
 
     end = t_start + deadline
     while sim.now < end and any(remaining):
-        sim.advance(min(end, sim.now + 30.0))
+        sim.advance(min(end, sim.now + CRAWL_STEP))
     for b, queue in enumerate(queues):
         for infohash in queue:   # not even attempted before the deadline
             snapshots.append(CrawlSnapshot(end, infohash, (), False))
     snapshots.sort(key=lambda s: (s.infohash, s.t))
     failures = sum(1 for s in snapshots if not s.complete)
     return CrawlRound(snapshots, failures)
+
+
+def crawl_span(infohashes: int, bots: int) -> float:
+    """The longest run_crawl runs the loop past its t_start: each bot's
+    lookups run one after another, a lookup sends at most
+    MAX_LOOKUP_QUERIES find_node queries and one get_peers, each waits at
+    most QUERY_TIMEOUT, and the loop stops at the end of the step in which
+    the last lookup ends, or at the deadline."""
+    lookups = -(-infohashes // bots)
+    work = 0.001 * bots + lookups * (MAX_LOOKUP_QUERIES + 1) * QUERY_TIMEOUT
+    return min(work + CRAWL_STEP, CRAWL_DEADLINE)
 
 
 # -- RTC/BT matching ----------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .btswarm.swarm import match_ips, run_crawl
+from .btswarm.swarm import CRAWL_DELAY, match_ips, run_crawl
 from .netsim import NetsimError, parse_ip
 from .rtcdir import DEFENSES
 from .scenario import Scenario
@@ -201,7 +201,7 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
         observations += [(call.callee, call.t, m.candidate_ip)
                          for call in result.calls for m in call.extracted]
         crawl = run_crawl(world.sim, bt.dht, bt.crawler_bots,
-                          bt.top_infohashes, world.sim.now + 5.0)
+                          bt.top_infohashes, world.sim.now + CRAWL_DELAY)
         snapshots.extend(crawl.snapshots)
         crawl_failures += crawl.failures
 

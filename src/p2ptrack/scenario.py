@@ -16,6 +16,7 @@ from typing import Optional, get_args, get_type_hints
 
 import yaml
 
+from .btswarm.swarm import CRAWL_DELAY, crawl_span
 from .rtcdir import DEFENSES, RtcConfig
 from .sniffer import ROUND_TAIL
 from .tracker import SchedulerConfig
@@ -191,16 +192,20 @@ class Scenario:
                     users - online)
         return online, stale, users - online - stale
 
+    def _client_calls_s(self) -> float:
+        """tracker.s times a client's calls in a round, counting one
+        volunteer call after each target call."""
+        t = self.tracker
+        return 2 * math.ceil(self.population.users / t.clients) * t.s
+
     def horizon(self) -> tuple:
         """(t, term): about the last time a run reaches, counting one
-        volunteer call after each target call and one verifier candidate
-        per user, and the keys of its largest term."""
+        verifier candidate per user, and the keys of its largest term."""
         t = self.tracker
         window = t.classifier.pattern_window
         terms = {"tracker.rounds * tracker.round_period":
                  t.rounds * t.round_period,
-                 "tracker.s * a client's calls":
-                 2 * math.ceil(self.population.users / t.clients) * t.s,
+                 "tracker.s * a client's calls": self._client_calls_s(),
                  "tracker.classifier.pattern_window": window}
         if self.bt is not None:
             v = self.verifier
@@ -237,6 +242,21 @@ class Scenario:
         if not end <= MAX_TIME:
             bad.append(f"{term}: the run would reach t = {end:.4g} s, past "
                        f"{MAX_TIME:.0f} s; this term is the largest")
+        # a round's last slot, its pattern window and the tail, then the
+        # linkage crawl, must end before the next round starts
+        t = self.tracker
+        span = self._client_calls_s() + t.classifier.pattern_window \
+            + ROUND_TAIL
+        terms = "tracker.s * a client's calls + tracker.classifier." \
+            "pattern_window + the round tail"
+        if self.bt is not None:
+            span += CRAWL_DELAY + crawl_span(self.bt.swarms,
+                                             self.bt.crawler_bots)
+            terms += " + the crawl of bt.swarms by bt.crawler_bots"
+        if t.rounds > 1 and span > t.round_period:
+            bad.append(f"tracker.round_period: a round may run "
+                       f"{span:.6g} s ({terms}), longer than the "
+                       f"{t.round_period:.6g} s between round starts")
         pop = self.population
         if pop.online_fraction + pop.stale_fraction > 1.0 + 1e-9:
             bad.append("population online_fraction + stale_fraction > 1")

@@ -138,31 +138,24 @@ class FlowIndex:
     classifies only the flows that start in its slot.  A host tap records
     each packet at classify_trace's observation time (t_send outbound,
     t_recv inbound), so a flow here lists the same entries in the same
-    order as the flow classify_trace builds from tap.window.
+    order as the flow classify_trace builds from the tap's packets.
 
-    The index grows and shrinks with the round: take(until) adds what the
-    tap observed since the last take, up to until, and drop(before)
-    clears the tap before that time.  The flows forget dropped packets
-    lazily, once a quarter of what they hold has left the tap, so their
-    upkeep stays proportional to the packets taken."""
+    The index grows and shrinks with the round: take(until) moves what the
+    tap observed up to until into the flows, and drop(before) forgets what
+    the flows hold from before that time."""
 
     def __init__(self, tap: CaptureTap, observer_ip: int):
         """An empty index over tap, which records at observer_ip."""
         self.tap = tap
         self.observer_ip = observer_ip
         self._flows: dict = {}     # remote -> (observation times, packets)
-        self._until = -math.inf    # the last take's bound
-        self._size = 0             # entries the flows hold
-        self._stale = 0            # of which the tap has dropped
 
     def take(self, until: float) -> None:
-        """Index the tap's packets observed after the last take's until and
-        at or before until.  The tap must hold all of them: the loop has
-        run to until, and no packet observed by then is recorded later."""
+        """Index the packets the tap observed at or before until.  The loop
+        has run to until, so no packet observed by then is recorded
+        later."""
         obs, flows = self.observer_ip, self._flows
-        new = self.tap.window(math.nextafter(self._until, math.inf), until)
-        self._until = until
-        for pkt in new:
+        for pkt in self.tap.take(until):
             if pkt.src_ip == obs:
                 remote, obs_t = pkt.dst_ip, pkt.t_send
             else:
@@ -172,24 +165,16 @@ class FlowIndex:
                 flow = flows[remote] = ([], [])
             flow[0].append(obs_t)
             flow[1].append(pkt)
-        self._size += len(new)
 
     def drop(self, before: float) -> None:
-        """Clear the tap of the packets observed before time before, which
-        no later slot_trace may reach back past."""
-        held = len(self.tap)
-        self.tap.clear(before)
-        self._stale += held - len(self.tap)
-        if 4 * self._stale <= self._size:
-            return
+        """Forget the packets observed before time before, which no later
+        slot_trace may reach back past."""
         for remote, (times, pkts) in list(self._flows.items()):
             lo = bisect.bisect_left(times, before)
             if lo == len(times):
                 del self._flows[remote]
             elif lo:
                 del times[:lo], pkts[:lo]
-            self._size -= lo
-        self._stale = 0
 
     def slot_trace(self, t: float, length: float, window: float) -> list:
         """The packets in [t - window, t + window] of every remote whose
@@ -197,13 +182,11 @@ class FlowIndex:
         pattern belongs to the call whose slot holds its first packet.
         The index must have taken t + window, and dropped nothing from
         t - window on."""
-        obs = self.observer_ip
         out = []
-        for remote in sorted({p.dst_ip if p.src_ip == obs else p.src_ip
-                              for p in self.tap.window(t, t + length)}):
+        for remote in sorted(self._flows):
             times, pkts = self._flows[remote]
             lo = bisect.bisect_left(times, t - window)
-            if t <= times[lo] < t + length:
+            if lo < len(times) and t <= times[lo] < t + length:
                 out += pkts[lo:bisect.bisect_right(times, t + window, lo)]
         return out
 
@@ -237,9 +220,9 @@ class CallerPool:
         t + max(length, window), everything a slot at t reads is final, so
         the indexes take in what is new and read the slots at t, and then
         everything observed before the next slot time's t - window leaves
-        taps and indexes.  So the taps hold a few windows of packets, not
-        the round.  The round ends at max t + length + window + ROUND_TAIL,
-        with the taps empty."""
+        the indexes.  So the indexes hold a few windows of packets, not the
+        round.  The round ends at max t + length + window + ROUND_TAIL,
+        with taps and indexes empty."""
         by_t: dict = {}
         for k, (_, t) in enumerate(slots):
             by_t.setdefault(t, []).append(k)
@@ -259,5 +242,6 @@ class CallerPool:
         if slots:
             self.sim.advance(times[-1] + length + window + ROUND_TAIL)
         for index in self.indexes:
+            index.take(math.inf)
             index.drop(math.inf)
         return traces

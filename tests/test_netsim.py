@@ -19,7 +19,7 @@ def test_ipid_sequential_from_start(sim):
         sim.schedule_send("a", "10.0.0.2", 80, "UDP", 10, at=float(k),
                           src_port=1000)
     sim.advance(5.0)
-    assert [p.ip_id for p in tap.trace()] == [7, 8, 9]
+    assert [p.ip_id for p in tap.take()] == [7, 8, 9]
 
 
 def test_ipid_wraps_mod_2_16(sim):
@@ -84,7 +84,7 @@ def test_nat_rewrites_source_to_public(sim):
     sim.schedule_send("inside", "10.0.0.9", 80, "UDP", 10, at=0.0,
                       src_port=4000)
     sim.advance(1.0)
-    pkt = tap.trace()[0]
+    pkt = tap.take()[0]
     assert ip_str(pkt.src_ip) == "5.5.5.5"
     assert pkt.src_port != 4000 or pkt.src_port >= 40000
 
@@ -117,7 +117,7 @@ def test_nat_binding_allows_reply_and_restricts_strangers(sim):
     sim.schedule_send("stranger", pub_ip, pub_port, "UDP", 12, at=1.0,
                       src_port=80)
     sim.advance(2.0)
-    sizes = [p.size for p in inside_tap.trace() if p.dst_port == 4000]
+    sizes = [p.size for p in inside_tap.take() if p.dst_port == 4000]
     assert 11 in sizes and 12 not in sizes
     assert sim.drops == {"nat_unsolicited:n1": 1}   # the stranger's 12
 
@@ -132,11 +132,11 @@ def test_nat_preserves_ipid(sim):
         sim.schedule_send("inside", "10.0.0.9", 80, "UDP", 10, at=float(k),
                           src_port=4000)
     sim.advance(10.0)
-    inner = [p.ip_id for p in private.trace()]
-    outer = [p.ip_id for p in received.trace()]
-    assert inner == outer == [100, 101, 102, 103, 104]
+    inner = [p.ip_id for p in private.take()]
+    received = received.take()
+    assert inner == [p.ip_id for p in received] == [100, 101, 102, 103, 104]
     # b saw the packets after the NAT rewrote their source
-    assert {p.src_ip for p in received.trace()} == {parse_ip("5.5.5.5")}
+    assert {p.src_ip for p in received} == {parse_ip("5.5.5.5")}
 
 
 def test_advance_tie_breaks_by_insertion_order(sim):
@@ -157,8 +157,9 @@ def test_trace_ties_in_event_order():
     sim.schedule_send("high", "10.0.0.2", 80, "UDP", 10, at=1.0, src_port=1)
     sim.schedule_send("low", "10.0.0.2", 80, "UDP", 10, at=1.0, src_port=1)
     sim.advance(2.0)
-    assert [ip_str(p.src_ip) for p in tap.trace()] == ["10.0.0.9", "10.0.0.1"]
-    assert tap.window(1.05, 1.05) == tap.trace()
+    assert [ip_str(p.src_ip) for p in tap.take(1.05)] == \
+        ["10.0.0.9", "10.0.0.1"]
+    assert len(tap) == 0
 
 
 def test_tap_merges_written_entries_with_loop_records():
@@ -187,15 +188,14 @@ def test_tap_merges_written_entries_with_loop_records():
     assert len(tap) == 8
     # equal observation times keep their recording order
     order = [21, 10, 23, 22, 10, 20, 10, 24]
-    assert [p.size for p in tap.window(1.0 + LATENCY, 3.0 + LATENCY)] == \
-        order[1:7]
-    trace = tap.trace()
-    assert [p.size for p in trace] == order
+    trace = tap.take(0.5) + tap.take(3.0 + LATENCY)
+    assert [p.size for p in trace] == order[:7]
     assert [p.t_recv for p in trace] == sorted(p.t_recv for p in trace)
-    tap.clear()
-    assert len(tap) == 0 and tap.trace() == [] and tap.window(0, 10) == []
-    write(0.5, 25)                  # earlier than anything cleared
-    assert [p.size for p in tap.trace()] == [25]
+    assert len(tap) == 1            # the record at 9.0 stays
+    assert [p.size for p in tap.take()] == order[7:]
+    assert len(tap) == 0 and tap.take() == []
+    write(0.5, 25)                  # earlier than anything taken
+    assert [p.size for p in tap.take()] == [25]
 
 
 def test_drops_count_packets_per_reason(sim):
@@ -224,7 +224,7 @@ def test_delivery_time_is_send_plus_latency(sim):
     tap = sim.tap("b")
     sim.schedule_send("a", "10.0.0.2", 80, "UDP", 10, at=3.0, src_port=1)
     sim.advance(4.0)
-    assert tap.trace()[0].t_recv == pytest.approx(3.05)
+    assert tap.take()[0].t_recv == pytest.approx(3.05)
 
 
 def test_advance_rejects_past_and_schedule_rejects_past(sim):
@@ -387,7 +387,7 @@ def _build_traced_sim(seed):
             sim.schedule_send("inside", "10.0.0.1", 2000, "UDP",
                               rng.randint(10, 100), at=at, src_port=3000)
     sim.advance(60.0)
-    return tap.trace()
+    return tap.take()
 
 
 def test_determinism_byte_identical_traces():
@@ -407,7 +407,7 @@ def test_sequential_global_ipids_step_one_in_send_order(times):
         dst = "10.0.0.2" if i % 2 else "10.0.0.3"
         sim.schedule_send("a", dst, 80, "UDP", 10, at=t, src_port=1000 + i % 3)
     sim.advance(200.0)
-    sent = [p.ip_id for p in tap.trace() if p.src_ip == parse_ip("10.0.0.1")]
+    sent = [p.ip_id for p in tap.take() if p.src_ip == parse_ip("10.0.0.1")]
     assert len(sent) == len(times)
     for prev, cur in zip(sent, sent[1:]):
         assert (cur - prev) % IPID_MOD == 1
@@ -421,37 +421,39 @@ def test_capture_ordering_nondecreasing(mini):
     mini.sim.advance(80.0)
     own_ip = mini.sim.hosts[mini.tracker_host].ip
     times = [p.t_send if p.src_ip == own_ip else p.t_recv
-             for p in mini.tap.trace()]
+             for p in mini.tap.take()]
     assert times == sorted(times)
 
 
-def test_window_is_the_inclusive_slice_of_the_trace(sim):
+def test_take_is_the_inclusive_head_of_the_trace(sim):
     sim.add_host("a", "10.0.0.1")
     sim.add_host("b", "10.0.0.2")
     tap = sim.tap("b")
     for t in (1.0, 2.0, 2.0, 3.0, 4.0):
         sim.schedule_send("a", "10.0.0.2", 80, "UDP", 10, at=t, src_port=1)
     sim.advance(10.0)
-    trace = tap.trace()
-    assert tap.window(2.05, 3.05) == trace[1:4]     # both bounds inclusive
-    assert tap.window(0.0, 100.0) == trace
-    assert tap.window(5.0, 6.0) == []
+    assert tap.take(1.0) == []
+    head = tap.take(2.05)                           # the bound is inclusive
+    assert [p.t_send for p in head] == [1.0, 2.0, 2.0]
+    assert tap.take(2.05) == []
+    assert [p.t_send for p in tap.take(3.05)] == [3.0]
+    assert len(tap) == 1
+    assert [p.t_send for p in tap.take(100.0)] == [4.0]
 
 
-# a tap operation: record at a time (few values, so that times tie), read
-# a window, or clear before a time (None: clear all)
+# a tap operation: record at a time (few values, so that times tie), or
+# take up to a time (None: take all)
 _tap_ops = st.lists(st.one_of(
     st.tuples(st.just("record"), st.sampled_from((0.0, 1.0, 1.5, 2.0, 4.0))),
-    st.tuples(st.just("window"), st.tuples(st.floats(-1.0, 5.0),
-                                           st.floats(-1.0, 5.0))),
-    st.tuples(st.just("clear"), st.none() | st.floats(-1.0, 5.0))),
+    st.tuples(st.just("take"), st.none() | st.floats(-1.0, 5.0))),
     max_size=60)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_tap_ops)
 def test_tap_equals_a_stable_sort_of_what_it_kept(ops):
-    # the model: every record not yet cleared, sorted stably by time
+    # the model: every record not yet taken; a take returns those observed
+    # up to its time, sorted stably by time
     from p2ptrack.netsim import CaptureTap
     tap, kept = CaptureTap(), []
     for k, (op, arg) in enumerate(ops):
@@ -459,19 +461,14 @@ def test_tap_equals_a_stable_sort_of_what_it_kept(ops):
             pkt = SimPacket(arg, arg, 1, 1, 2, 2, "UDP", "", 10, k)
             tap.record(arg, pkt)
             kept.append((arg, pkt))
-        elif op == "window":
-            lo, hi = arg
-            assert tap.window(lo, hi) == [p for t, p in sorted(
-                kept, key=lambda e: e[0]) if lo <= t <= hi]
         else:
-            before = math.inf if arg is None else arg
-            if arg is None:
-                tap.clear()
-            else:
-                tap.clear(before)
-            kept = [(t, p) for t, p in kept if t >= before]
+            until = math.inf if arg is None else arg
+            taken = tap.take() if arg is None else tap.take(until)
+            assert taken == [p for t, p in sorted(kept, key=lambda e: e[0])
+                             if t <= until]
+            kept = [(t, p) for t, p in kept if t > until]
         assert len(tap) == len(kept)
-    assert tap.trace() == [p for _, p in sorted(kept, key=lambda e: e[0])]
+    assert tap.take() == [p for _, p in sorted(kept, key=lambda e: e[0])]
 
 
 def test_parse_ip_validation():

@@ -2,12 +2,14 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import p2ptrack
+from p2ptrack.btswarm.swarm import HandshakeClient
 from p2ptrack.cli import main
 from p2ptrack.netsim import CaptureTap
 from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
@@ -305,6 +307,35 @@ def test_cli_tracker_overrides(tmp_path, capsys):
     assert "tracker.salt" in capsys.readouterr().err
 
 
+def test_a_round_must_end_before_the_next_starts(tmp_path, capsys):
+    # one client calls 20 targets with a volunteer after each: 40 slots s
+    # apart, then the pattern window (20 s) and the round tail (5 s), must
+    # fit the 3600 s between round starts
+    scenario, out = tmp_path / "rounds.yaml", str(tmp_path / "o")
+    doc = ("population:\n  users: 20\n  volunteers: 2\n"
+           "tracker:\n  clients: 1\n  rounds: 2\n  validation_every: 1\n"
+           "  s: {}\n")
+    scenario.write_text(doc.format(3575 / 40))
+    assert main(["validate", "--scenario", str(scenario)]) == 0
+    assert main(["run", "--scenario", str(scenario), "--pipeline",
+                 "mobility", "--out", out]) == 0
+    capsys.readouterr()
+    scenario.write_text(doc.format(3576 / 40))
+    for argv in (["validate"], ["run", "--pipeline", "mobility",
+                                "--out", out]):
+        assert main(argv + ["--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert "tracker.round_period" in err and "tracker.s" in err
+    # an override that stretches the rounds is refused the same way; with
+    # a bt section the linkage crawl counts too
+    for pipeline in ("mobility", "linkage"):
+        assert main(["run", "--scenario", SMOKE, "--s", "100000",
+                     "--pipeline", pipeline, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "tracker.round_period" in err and "bt.crawler_bots" in err
+        assert "Traceback" not in err
+
+
 def test_cli_throughput_counts_idle_clients(tmp_path, capsys):
     # 20 targets over 30 clients: one call each for the first 20, none for
     # the last 10
@@ -403,20 +434,62 @@ def test_module_entry_point_validates_smoke():
 
 
 def test_tapped_packets_hold_plain_values(monkeypatch):
-    # every packet that leaves a calling tap, all through CaptureTap.clear
+    # every packet that leaves a calling tap, all through CaptureTap.take
     # (the hook of scripts/check_digests.py)
-    packets, clear = [], CaptureTap.clear
+    packets, take = [], CaptureTap.take
 
-    def collecting_clear(tap, before=math.inf):
-        trace = tap.trace()
-        clear(tap, before)
-        packets.extend(trace[:len(trace) - len(tap)])
+    def collecting_take(tap, until=math.inf):
+        taken = take(tap, until)
+        packets.extend(taken)
+        return taken
 
-    monkeypatch.setattr(CaptureTap, "clear", collecting_clear)
+    monkeypatch.setattr(CaptureTap, "take", collecting_take)
     run(load_scenario(SMOKE), "all")
     assert packets
     assert {type(v) for p in packets for v in p} == {int, float, str}
     assert {p.tcp_flags for p in packets} <= {"", "ACK", "SYN", "ACK,SYN"}
+
+
+def test_noise_never_reaches_a_report(monkeypatch):
+    # supernode noise scores below every match threshold, so drawing it
+    # from another stream moves the packets but no byte of the report
+    gate = _trace_script()
+    plain = gate.digests(load_scenario(SMOKE), "all")
+
+    class Resalted(random.Random):
+        def __init__(self, seed=None):
+            if isinstance(seed, str):
+                seed = seed.replace(":noise:", ":noise-resalted:")
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Resalted)
+    resalted = gate.digests(load_scenario(SMOKE), "all")
+    assert resalted[0] == plain[0] and resalted[2] is plain[2] is True
+    assert resalted[1] != plain[1]
+
+
+def test_a_prober_holds_only_unanswered_probes(monkeypatch):
+    # a probe leaves its prober at its target's first reply or RST
+    probers, probes = [], []
+    init, send = HandshakeClient.__init__, HandshakeClient.send
+
+    def kept_init(client, *args, **kwargs):
+        init(client, *args, **kwargs)
+        probers.append(client)
+
+    def kept_send(client, *args, **kwargs):
+        probe = send(client, *args, **kwargs)
+        probes.append(probe)
+        return probe
+
+    monkeypatch.setattr(HandshakeClient, "__init__", kept_init)
+    monkeypatch.setattr(HandshakeClient, "send", kept_send)
+    assert run(load_scenario(SMOKE), "linkage").ok()
+    pending = [p for client in probers for p in client._pending.values()]
+    assert all(p.response is None and not p.refused for p in pending)
+    assert sorted(map(id, pending)) == sorted(
+        id(p) for p in probes if p.response is None and not p.refused)
+    assert any(p.response is not None for p in probes)
 
 
 def test_smoke_trace_digest_is_pinned_and_sees_packets():

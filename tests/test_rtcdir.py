@@ -188,7 +188,7 @@ def test_public_callee_pattern_timing(mini):
         CallRequest(mini.tracker_user, user, 100.0))
     mini.sim.advance(130.0)
     callee_ip = mini.sim.hosts[host].ip
-    trace = [p for p in mini.tap.trace() if callee_ip in (p.src_ip, p.dst_ip)]
+    trace = [p for p in mini.tap.take() if callee_ip in (p.src_ip, p.dst_ip)]
     syns = [p.t_send for p in trace
             if p.proto == "TCP" and p.tcp_flags == "SYN"
             and p.src_ip != callee_ip]
@@ -214,15 +214,15 @@ def test_nated_callee_pattern_shape(mini):
         CallRequest(mini.tracker_user, user, 200.0))
     mini.sim.advance(240.0)
     callee_ip = placed.targets[0].expect_ip
-    inbound = [p for p in mini.tap.trace() if p.src_ip == callee_ip]
+    trace = mini.tap.take()
+    inbound = [p for p in trace if p.src_ip == callee_ip]
     assert inbound[0].size == 28 and inbound[0].proto == "UDP"
     tails = [p for p in inbound if p.size == 3]
     assert len(tails) == 3
     delay = tails[0].t_recv - inbound[0].t_recv
     assert 8.0 <= delay <= 12.5
     # caller echoed the 28-byte packet
-    echoes = [p for p in mini.tap.trace()
-              if p.dst_ip == callee_ip and p.size == 28]
+    echoes = [p for p in trace if p.dst_ip == callee_ip and p.size == 28]
     assert len(echoes) == 1
 
 
@@ -255,11 +255,11 @@ def test_72_hour_rule_boundary(mini):
 def test_offline_callee_never_responds(mini):
     user, host = mini.add_public_user(online=(0.0, 1000.0))
     mini.start(at=2000.0)
-    mini.tap.clear()
+    mini.tap.take()
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 3000.0))
     mini.sim.advance(3030.0)
     callee_ip = mini.sim.hosts[host].ip
-    inbound = [p for p in mini.tap.trace() if p.src_ip == callee_ip]
+    inbound = [p for p in mini.tap.take() if p.src_ip == callee_ip]
     assert inbound == []
 
 
@@ -273,11 +273,11 @@ def test_privacy_settings_do_not_change_emission():
             w.directory.get("victim99").blocked = {w.tracker_user}
             w.directory.get("victim99").whitelist_only = True
         w.start()
-        w.tap.clear()
+        w.tap.take()
         w.overlay.place_call(CallRequest(w.tracker_user, user, 50.0))
         w.sim.advance(90.0)
         return sorted((p.t_send, p.src_ip, p.dst_ip, p.proto, p.size)
-                      for p in w.tap.trace())
+                      for p in w.tap.take())
 
     assert emission_multiset(False) == emission_multiset(True)
 
@@ -324,12 +324,12 @@ def test_reveal_after_accept_unanswered_only_noise(mini):
     w = MiniWorld(defense="reveal_after_accept")
     user, host = w.add_public_user()
     w.start()
-    w.tap.clear()
+    w.tap.take()
     placed = w.overlay.place_call(CallRequest(w.tracker_user, user, 100.0))
     w.sim.advance(140.0)
     assert placed.targets == []
     infra = {w.sim.public_ip_of(h) for h in w.overlay.supernodes}
-    dests = {p.dst_ip for p in w.tap.trace()
+    dests = {p.dst_ip for p in w.tap.take()
              if p.src_ip == w.sim.hosts[w.tracker_host].ip}
     assert dests <= infra
     # answered calls do reveal
@@ -344,14 +344,13 @@ def test_relay_all_hides_callee_ip():
     pub, phost = w.add_public_user()
     nat, nhost = w.add_nated_user()
     w.start()
-    w.tap.clear()
+    w.tap.take()
     p1 = w.overlay.place_call(CallRequest(w.tracker_user, pub, 100.0))
     p2 = w.overlay.place_call(CallRequest(w.tracker_user, nat, 200.0))
     w.sim.advance(240.0)
     relay_ips = {w.sim.public_ip_of(h) for h in w.overlay.relays}
     assert all(t.expect_ip in relay_ips for t in p1.targets + p2.targets)
-    seen = {p.src_ip for p in w.tap.trace()} | \
-           {p.dst_ip for p in w.tap.trace()}
+    seen = {ip for p in w.tap.take() for ip in (p.src_ip, p.dst_ip)}
     assert w.sim.hosts[phost].ip not in seen
     assert w.sim.public_ip_of(nhost) not in seen
 
@@ -467,7 +466,7 @@ def _dark_call(seed=12):
     w.overlay.config.noise_packets = (40, 60)
     user, _ = w.add_public_user(online=None)
     w.start()
-    w.tap.clear()
+    w.tap.take()
     return w, CallRequest(w.tracker_user, user, 50.0)
 
 
@@ -480,7 +479,7 @@ def test_written_noise_equals_noise_through_the_loop():
     assert plan == [] and placed.targets == [] and caller == w.tracker_host
     noise = w.overlay._write_noise(placed, caller)
     w.sim.advance(90.0)
-    written = w.tap.trace()
+    written = w.tap.take()
     # every send is caller <-> supernode; 28-byte and marker noise each
     # way
     caller = w.sim.hosts[w.tracker_host].ip
@@ -499,7 +498,7 @@ def test_written_noise_equals_noise_through_the_loop():
         w.sim.schedule_send(host[p.src_ip], p.dst_ip, p.dst_port, p.proto,
                             p.size, p.tcp_flags, p.t_send, p.src_port)
     w.sim.advance(90.0)
-    looped = w.tap.trace()
+    looped = w.tap.take()
     # the noise triggers echoes, re-echoes and marker replies
     planned = {(p.t_send, p.src_ip) for p in noise}
     replies = [p for p in looped if (p.t_send, p.src_ip) not in planned]
@@ -518,7 +517,7 @@ def test_written_noise_equals_noise_through_the_loop():
     # each supernode's tap holds the caller's flow to it, both ways
     assert sum(len(tap) > 0 for tap in sn_taps.values()) >= 10
     for ip, tap in sn_taps.items():
-        assert Counter(tap.trace()) == Counter(
+        assert Counter(tap.take()) == Counter(
             p for p in written if ip in (p.src_ip, p.dst_ip))
 
 

@@ -140,8 +140,9 @@ def test_every_number_is_bounded():
 
 
 def test_run_ends_within_the_float_horizon():
-    # 20 users, 2 clients: 2 * 10 calls a client, s apart, end the run
-    scn = scenario_from_dict({"tracker": {"round_period": 1.0}})
+    # 20 users, 2 clients: 2 * 10 calls a client, s apart, end the run;
+    # one round, as a second would start before the first ends
+    scn = scenario_from_dict({"tracker": {"round_period": 1.0, "rounds": 1}})
     s = (MAX_TIME - scn.horizon()[0]) / 20 + scn.tracker.s
     scn.tracker.s = s
     assert scn.horizon() == (pytest.approx(MAX_TIME),
@@ -157,12 +158,13 @@ def test_run_ends_within_the_float_horizon():
     scn = scenario_from_dict({"bt": {}, "verifier": {"round_spacing": 1e300}})
     assert scn.validate()[0].startswith("verifier.min_rounds * (verifier."
                                         "round_spacing")
-    # and every time step moves a time at the horizon
+    # and every time step moves a time at the horizon (in one round, which
+    # no round_period step can overlap)
     for key in ("tracker.s", "tracker.round_period",
                 "tracker.classifier.pattern_window", "verifier.call_gap"):
         for step, ok in ((1e-300, False), (2.0 ** -21, False),
                          (1e-6, True)):
-            scn = scenario_from_dict({})
+            scn = scenario_from_dict({"tracker": {"rounds": 1}})
             _set(scn, key, step)
             assert (scn.validate() == []) == ok, (key, step)
             assert ok or scn.validate()[0].startswith(f"{key}:")
@@ -378,7 +380,7 @@ def test_world_generation_deterministic():
         w.overlay.place_call(CallRequest(w.tracker_clients[0][1],
                                          w.target_ids[0], w.base_t))
         w.sim.advance(w.base_t + 30.0)
-    assert t1.trace() == t2.trace()
+    assert t1.take() == t2.take()
 
 
 def test_bt_endpoint_uniqueness_in_generated_world():

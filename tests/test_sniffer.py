@@ -1,3 +1,4 @@
+import bisect
 import math
 import runpy
 
@@ -24,11 +25,15 @@ def _observer(mini):
     return mini.sim.hosts[mini.tracker_host].ip
 
 
+def _obs_t(pkt, observer_ip):
+    """When a tap at observer_ip observes pkt."""
+    return pkt.t_send if pkt.src_ip == observer_ip else pkt.t_recv
+
+
 def _window(mini, t_call, span=25.0):
     obs_ip = _observer(mini)
-    return [p for p in mini.tap.trace()
-            if t_call <= (p.t_send if p.src_ip == obs_ip
-                          else p.t_recv) <= t_call + span]
+    return [p for p in mini.tap.take()
+            if t_call <= _obs_t(p, obs_ip) <= t_call + span]
 
 
 def test_classifier_config_validation():
@@ -69,7 +74,7 @@ def test_case_ii_and_dual_login(mini):
 def test_case_iii_no_responses(mini):
     user, host = mini.add_public_user(online=(0.0, 500.0))
     mini.start(at=600.0)
-    mini.tap.clear()
+    mini.tap.take()
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 700.0))
     mini.sim.advance(740.0)
     matches = classify_trace(_window(mini, 700.0), CFG, _observer(mini))
@@ -105,17 +110,20 @@ def test_noise_only_windows_never_match(mini):
     hits = 0
     batch = 500
     for start in range(0, n_windows, batch):
-        mini.tap.clear()
+        mini.tap.take()
         base = 300100.0 + 20.0 * start
         for k in range(batch):
             mini.overlay.place_call(
                 CallRequest(mini.tracker_user, user, base + 20.0 * k))
         # every window's noise (12 s span) completes within its 20 s slot
         mini.sim.advance(base + 20.0 * batch)
+        trace = mini.tap.take()
+        times = [_obs_t(p, obs_ip) for p in trace]
         for k in range(batch):
             t0 = base + 20.0 * k
-            hits += len(classify_trace(mini.tap.window(t0, t0 + 20.0), CFG,
-                                       observer_ip=obs_ip))
+            window = trace[bisect.bisect_left(times, t0):
+                           bisect.bisect_right(times, t0 + 20.0)]
+            hits += len(classify_trace(window, CFG, observer_ip=obs_ip))
     assert hits == 0
 
 
@@ -140,7 +148,7 @@ def test_classify_ranks_by_score_then_time_then_address():
     rows = (_syn_udp_rows(5.0, a) + _syn_udp_rows(1.0, b, inbound=False)
             + _syn_udp_rows(0.0, c, syn_gap=3.0) + _syn_udp_rows(5.0, d))
     rows.sort(key=lambda r: r[0])
-    trace = _host_tap(rows).trace()
+    trace = _host_tap(rows).take()
     ranked = classify_trace(trace, CFG, OBSERVER)
     # b, a and d score 1 and b starts first; d ties a on time and follows
     # it by address; c fails one of its six checks
@@ -179,7 +187,8 @@ def _host_tap(observations):
 
 
 def _whole_index(tap, observer_ip):
-    """An index of every packet tap holds: the whole-round read's index."""
+    """An index of every packet tap holds, which it takes: the whole-round
+    read's index."""
     index = FlowIndex(tap, observer_ip)
     index.take(math.inf)
     return index
@@ -233,11 +242,12 @@ def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
         now += gap
         rows.append((now, parse_ip(f"10.0.1.{host}"), outbound, proto, flags,
                      size))
-    tap = _host_tap(rows)
-    want = [m for m in classify_trace(tap.window(t - window, t + window),
-                                      cfg, OBSERVER)
+    whole = [p for p in _host_tap(rows).take()
+             if t - window <= _obs_t(p, OBSERVER) <= t + window]
+    want = [m for m in classify_trace(whole, cfg, OBSERVER)
             if t <= m.t_first_packet < t + length]
-    slot = _whole_index(tap, OBSERVER).slot_trace(t, length, window)
+    slot = _whole_index(_host_tap(rows), OBSERVER).slot_trace(t, length,
+                                                              window)
     got = classify_trace(slot, cfg, OBSERVER)
     assert got == want
     # a match carries the IP-ID of the first packet its remote sent in the
@@ -282,8 +292,8 @@ def test_caller_pool_read_is_each_slot_trace():
     taps = [sim.tap("c0"), sim.tap("c1")]
     _late_packet(sim)
     sim.advance(end)
-    want = [_whole_index(taps[c], sim.hosts[f"c{c}"].ip).slot_trace(
-        t, length, window) for c, t in slots]
+    indexes = [_whole_index(taps[c], sim.hosts[f"c{c}"].ip) for c in (0, 1)]
+    want = [indexes[c].slot_trace(t, length, window) for c, t in slots]
 
     sim = _pool_sim()
     pool = CallerPool(sim, RtcOverlay(sim, Directory(), PresenceBook()),
@@ -295,6 +305,7 @@ def test_caller_pool_read_is_each_slot_trace():
     assert any(p.size == 200 for p in got[2])
     assert sim.now == end
     assert [len(tap) for tap in pool.taps] == [0, 0]
+    assert [index._flows for index in pool.indexes] == [{}, {}]
 
 
 def test_streamed_read_equals_whole_round_read(monkeypatch):
@@ -322,9 +333,10 @@ def test_streamed_read_equals_whole_round_read(monkeypatch):
 
     def checked_read(pool, slots, length, window):
         traces = read(pool, slots, length, window)
+        wholes = {c: _whole_index(copies[pool.taps[c]], pool.observer_ips[c])
+                  for c in {c for c, _ in slots}}
         for (c, t), trace in zip(slots, traces):
-            whole = _whole_index(copies[pool.taps[c]], pool.observer_ips[c])
-            assert trace == whole.slot_trace(t, length, window)
+            assert trace == wholes[c].slot_trace(t, length, window)
         checked.extend(traces)
         copies.clear()
         return traces
@@ -341,28 +353,31 @@ def test_streamed_read_equals_whole_round_read(monkeypatch):
 
 
 def test_streamed_read_holds_under_half_of_a_round(monkeypatch):
-    # the track benchmark's first round: the taps hold a few windows of
-    # packets at a time, not the round
+    # the track benchmark's first round: taps and indexes together hold a
+    # few windows of packets at a time, not the round
     workloads = runpy.run_path("perfbench/workloads.py")
     world = build_world(scenario_from_dict(
         workloads["scenario_doc"]("track", 1)))
     tracker = world.make_tracker()
-    taps = tracker.pool.taps
+    pool = tracker.pool
     counts = {"recorded": 0, "held": 0}
-    record, clear = CaptureTap.record, CaptureTap.clear
+    record, drop = CaptureTap.record, FlowIndex.drop
 
     def counted_record(tap, obs_t, pkt):
         counts["recorded"] += 1
         record(tap, obs_t, pkt)
 
-    def measured_clear(tap, before=math.inf):
-        # nothing leaves the taps between clears, so they hold the most
-        # just before one
-        counts["held"] = max(counts["held"], sum(map(len, taps)))
-        clear(tap, before)
+    def measured_drop(index, before):
+        # a take moves packets from a tap to its index and only a drop
+        # lets them go, so taps and indexes hold the most just before one
+        held = sum(map(len, pool.taps)) + sum(
+            len(times) for each in pool.indexes
+            for times, _ in each._flows.values())
+        counts["held"] = max(counts["held"], held)
+        drop(index, before)
 
     monkeypatch.setattr(CaptureTap, "record", counted_record)
-    monkeypatch.setattr(CaptureTap, "clear", measured_clear)
+    monkeypatch.setattr(FlowIndex, "drop", measured_drop)
     tracker.run_round(world.target_ids, world.base_t)
     assert counts["recorded"] > 40_000
     assert counts["held"] < counts["recorded"] / 2
@@ -391,7 +406,7 @@ def test_filter_drops_syns_passes_udp_and_established():
                       src_port=80)
     sim.advance(60.0)
     delivered = [(p.proto, p.tcp_flags, p.size)
-                 for p in tap_b.trace()
+                 for p in tap_b.take()
                  if p.src_ip == sim.hosts["a"].ip]
     assert ("TCP", "SYN", 44) in delivered[:1]        # pre-window SYN passed
     assert ("TCP", "ACK", 52) in delivered             # established traffic
@@ -413,7 +428,7 @@ def test_filter_window_bounds():
                           src_port=500 + k)
     sim.advance(1e6 + 1.0)
     # the filter starts at its time and never ends
-    assert [p.t_send for p in tap_b.trace()] == [5.0, 9.5]
+    assert [p.t_send for p in tap_b.take()] == [5.0, 9.5]
 
 
 def test_filtered_calls_leave_no_syn_at_callee(mini):
@@ -423,12 +438,12 @@ def test_filtered_calls_leave_no_syn_at_callee(mini):
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0))
     mini.sim.advance(140.0)
     tracker_ip = mini.sim.hosts[mini.tracker_host].ip
-    inbound_syn = [p for p in callee_tap.trace()
+    inbound_syn = [p for p in callee_tap.take()
                    if p.src_ip == tracker_ip and "SYN" in p.tcp_flags]
     assert inbound_syn == []
     # but the caller-side capture still shows the SYN triple (the filter
     # sits between the capture point and the wire)
-    caller_syns = [p for p in mini.tap.trace()
+    caller_syns = [p for p in mini.tap.take()
                    if p.src_ip == tracker_ip and "SYN" in p.tcp_flags]
     assert len(caller_syns) == 3
 
@@ -454,11 +469,11 @@ def test_soundness_extracted_equals_true_sessions(mini):
     supernode_ips = set(map(mini.sim.public_ip_of, mini.overlay.supernodes))
     for k, user in enumerate(users):
         t = 100.0 + 40.0 * k
-        mini.tap.clear()
+        mini.tap.take()
         placed = mini.overlay.place_call(
             CallRequest(mini.tracker_user, user, t))
         mini.sim.advance(t + 35.0)
-        matches = classify_trace(mini.tap.trace(), CFG, observer_ip=obs_ip)
+        matches = classify_trace(mini.tap.take(), CFG, observer_ip=obs_ip)
         got = {m.candidate_ip for m in matches}
         want = {tt.expect_ip for tt in placed.targets}
         assert got == want
