@@ -25,6 +25,7 @@ PROBE_PORT_BASE = 10000    # a prober's first source port, one per probe
 
 DAY_SECONDS = 86400.0
 CRAWL_DELAY = 5.0          # a linkage round's crawl starts this long after it
+CRAWL_STAGGER = 0.001      # bot b starts its first lookup b times this late
 CRAWL_STEP = 30.0          # run_crawl runs the loop this long at a time
 CRAWL_DEADLINE = 3600.0
 
@@ -287,7 +288,7 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
         LookupTask(bots[bot_index], bootstrap, infohash, on_done).start()
 
     for b in range(len(bots)):
-        sim.schedule(t_start + 0.001 * b, start_next, b)
+        sim.schedule(t_start + CRAWL_STAGGER * b, start_next, b)
 
     end = t_start + deadline
     while sim.now < end and any(remaining):
@@ -303,11 +304,12 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
 def crawl_span(infohashes: int, bots: int) -> float:
     """The longest run_crawl runs the loop past its t_start: each bot's
     lookups run one after another, a lookup sends at most
-    MAX_LOOKUP_QUERIES find_node queries and one get_peers, each waits at
-    most QUERY_TIMEOUT, and the loop stops at the end of the step in which
-    the last lookup ends, or at the deadline."""
+    MAX_LOOKUP_QUERIES find_node queries, the retry of the last one and a
+    get_peers, each waits at most QUERY_TIMEOUT, and the loop stops at the
+    end of the step in which the last lookup ends, or at the deadline."""
     lookups = -(-infohashes // bots)
-    work = 0.001 * bots + lookups * (MAX_LOOKUP_QUERIES + 1) * QUERY_TIMEOUT
+    work = CRAWL_STAGGER * bots \
+        + lookups * (MAX_LOOKUP_QUERIES + 2) * QUERY_TIMEOUT
     return min(work + CRAWL_STEP, CRAWL_DEADLINE)
 
 

@@ -208,13 +208,14 @@ class CaptureTap:
         """Remove the packets observed at or before until, by default all,
         and return them in observation order, ties in recording order."""
         times, packets = self._times, self._packets
-        out = [k for k, t in enumerate(times) if t <= until]
-        if len(out) == len(times):
-            self._times, self._packets = [], []
-        else:
-            kept = [k for k, t in enumerate(times) if t > until]
-            self._times = [times[k] for k in kept]
-            self._packets = [packets[k] for k in kept]
+        self._times, self._packets = kept_times, kept_packets = [], []
+        out = []
+        for k, t in enumerate(times):
+            if t <= until:
+                out.append(k)
+            else:
+                kept_times.append(t)
+                kept_packets.append(packets[k])
         out.sort(key=times.__getitem__)
         return [packets[k] for k in out]
 

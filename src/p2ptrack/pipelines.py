@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .btswarm.swarm import CRAWL_DELAY, match_ips, run_crawl
 from .netsim import NetsimError, parse_ip
 from .rtcdir import DEFENSES
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .tracker import disambiguate, ip_token, mobility_report
 from .verifier import VERDICT_UNVERIFIABLE, VERDICT_VERIFIED
 from .worldgen import ADDRESS_PLAN, BT_SAME_HOST, build_world
@@ -316,6 +316,10 @@ def run(scenario: Scenario, pipeline: str) -> RunReport:
     if pipeline not in PIPELINES:
         raise PipelineError(f"unknown pipeline {pipeline!r}; "
                             f"choose from {PIPELINES}")
+    # a linkage round ends with a crawl, which must end before the next
+    problems = scenario.validate(crawl=pipeline in ("linkage", "all"))
+    if problems:
+        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
     report = RunReport(scenario.name, scenario.seed, pipeline)
     if pipeline in ("mobility", "all"):
         run_mobility(scenario, report)

@@ -192,20 +192,16 @@ class Scenario:
                     users - online)
         return online, stale, users - online - stale
 
-    def _client_calls_s(self) -> float:
-        """tracker.s times a client's calls in a round, counting one
-        volunteer call after each target call."""
-        t = self.tracker
-        return 2 * math.ceil(self.population.users / t.clients) * t.s
-
     def horizon(self) -> tuple:
         """(t, term): about the last time a run reaches, counting one
-        verifier candidate per user, and the keys of its largest term."""
+        volunteer call after each target call and one verifier candidate
+        per user, and the keys of its largest term."""
         t = self.tracker
         window = t.classifier.pattern_window
         terms = {"tracker.rounds * tracker.round_period":
                  t.rounds * t.round_period,
-                 "tracker.s * a client's calls": self._client_calls_s(),
+                 "tracker.s * a client's calls":
+                 2 * math.ceil(self.population.users / t.clients) * t.s,
                  "tracker.classifier.pattern_window": window}
         if self.bt is not None:
             v = self.verifier
@@ -216,8 +212,30 @@ class Scenario:
         return (BASE_T + sum(terms.values()) + ROUND_TAIL,
                 max(terms, key=terms.get))
 
-    def validate(self) -> list:
-        """All violations, empty when the scenario is runnable."""
+    def round_span(self, crawl: bool = False) -> float:
+        """The longest a tracking round runs past its start.  A client
+        calls its ceil(users / clients) targets s apart and, with
+        volunteers, a volunteer after every validation_every calls: after
+        each target when that is 1, else at most once in validation_every
+        - 1 targets.  The pattern window and the round tail follow, and
+        with crawl (the linkage pipeline, which needs a bt section) the
+        crawl of the top swarms."""
+        t, pop = self.tracker, self.population
+        targets = math.ceil(pop.users / t.clients)
+        every, volunteers = t.validation_every, 0
+        if pop.volunteers and every:
+            volunteers = targets if every == 1 else \
+                min(targets, math.ceil(targets / (every - 1)))
+        span = (targets + volunteers) * t.s + t.classifier.pattern_window \
+            + ROUND_TAIL
+        if crawl:
+            span += CRAWL_DELAY + crawl_span(self.bt.swarms,
+                                             self.bt.crawler_bots)
+        return span
+
+    def validate(self, crawl: bool = False) -> list:
+        """All violations, empty when the scenario is runnable.  crawl
+        counts the crawl that ends each linkage round."""
         bad = []
         for key, value in _numbers(self):
             bounds = _BOUNDS.get(key, _AT_LEAST_0)
@@ -242,21 +260,19 @@ class Scenario:
         if not end <= MAX_TIME:
             bad.append(f"{term}: the run would reach t = {end:.4g} s, past "
                        f"{MAX_TIME:.0f} s; this term is the largest")
-        # a round's last slot, its pattern window and the tail, then the
-        # linkage crawl, must end before the next round starts
-        t = self.tracker
-        span = self._client_calls_s() + t.classifier.pattern_window \
-            + ROUND_TAIL
-        terms = "tracker.s * a client's calls + tracker.classifier." \
-            "pattern_window + the round tail"
-        if self.bt is not None:
-            span += CRAWL_DELAY + crawl_span(self.bt.swarms,
-                                             self.bt.crawler_bots)
-            terms += " + the crawl of bt.swarms by bt.crawler_bots"
-        if t.rounds > 1 and span > t.round_period:
-            bad.append(f"tracker.round_period: a round may run "
-                       f"{span:.6g} s ({terms}), longer than the "
-                       f"{t.round_period:.6g} s between round starts")
+        # a round, and on linkage its crawl, ends before the next starts,
+        # by more than the loop's times may round off up to the horizon
+        t, crawl = self.tracker, crawl and self.bt is not None
+        span = self.round_span(crawl)
+        if t.rounds > 1 and not span + 8 * math.ulp(end) < t.round_period:
+            terms = "tracker.s times a client's target and volunteer " \
+                "calls, tracker.classifier.pattern_window, the round tail"
+            if crawl:
+                terms += " and the linkage crawl of bt.swarms by " \
+                    "bt.crawler_bots"
+            bad.append(f"tracker.round_period: a round may run {span:.6g} s "
+                       f"({terms}), longer than the {t.round_period:.6g} s "
+                       f"between round starts")
         pop = self.population
         if pop.online_fraction + pop.stale_fraction > 1.0 + 1e-9:
             bad.append("population online_fraction + stale_fraction > 1")

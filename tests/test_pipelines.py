@@ -310,29 +310,45 @@ def test_cli_tracker_overrides(tmp_path, capsys):
 def test_a_round_must_end_before_the_next_starts(tmp_path, capsys):
     # one client calls 20 targets with a volunteer after each: 40 slots s
     # apart, then the pattern window (20 s) and the round tail (5 s), must
-    # fit the 3600 s between round starts
+    # end before the next round starts 3600 s on; a round of just 3600 s
+    # may end a rounding step past it
     scenario, out = tmp_path / "rounds.yaml", str(tmp_path / "o")
     doc = ("population:\n  users: 20\n  volunteers: 2\n"
            "tracker:\n  clients: 1\n  rounds: 2\n  validation_every: 1\n"
            "  s: {}\n")
-    scenario.write_text(doc.format(3575 / 40))
+    scenario.write_text(doc.format(3574 / 40))
     assert main(["validate", "--scenario", str(scenario)]) == 0
     assert main(["run", "--scenario", str(scenario), "--pipeline",
                  "mobility", "--out", out]) == 0
     capsys.readouterr()
-    scenario.write_text(doc.format(3576 / 40))
+    scenario.write_text(doc.format(3575 / 40))
     for argv in (["validate"], ["run", "--pipeline", "mobility",
                                 "--out", out]):
         assert main(argv + ["--scenario", str(scenario)]) == 2
         err = capsys.readouterr().err
         assert "tracker.round_period" in err and "tracker.s" in err
-    # an override that stretches the rounds is refused the same way; with
-    # a bt section the linkage crawl counts too
-    for pipeline in ("mobility", "linkage"):
-        assert main(["run", "--scenario", SMOKE, "--s", "100000",
-                     "--pipeline", pipeline, "--out", out]) == 2
+        assert "bt.crawler_bots" not in err
+    # without volunteers a round is its 20 target slots
+    scenario.write_text(doc.replace("  volunteers: 2\n", "")
+                        .format(3574 / 20))
+    assert main(["validate", "--scenario", str(scenario)]) == 0
+    assert main(["run", "--scenario", str(scenario), "--pipeline",
+                 "mobility", "--out", out]) == 0
+    capsys.readouterr()
+    # smoke rounds are 10 targets and at most 1 volunteer call a client;
+    # only a linkage round ends with the crawl of 5 swarms by 4 bots (at
+    # most 2 lookups a bot, 66 s each, plus a 30 s step and 5 s delay)
+    assert main(["run", "--scenario", SMOKE, "--s", "320", "--pipeline",
+                 "mobility", "--out", out]) == 0
+    capsys.readouterr()
+    for s, pipeline, crawl in (("320", "linkage", True),
+                               ("100000", "mobility", False),
+                               ("100000", "linkage", True)):
+        assert main(["run", "--scenario", SMOKE, "--s", s, "--pipeline",
+                     pipeline, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "tracker.round_period" in err and "bt.crawler_bots" in err
+        assert "tracker.round_period" in err
+        assert ("bt.crawler_bots" in err) == crawl
         assert "Traceback" not in err
 
 
