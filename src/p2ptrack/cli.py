@@ -88,6 +88,11 @@ def _cmd_validate(args) -> int:
     except ScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    problems = scenario.validate("all")
+    if problems:
+        print("invalid scenario on some pipeline:\n  " +
+              "\n  ".join(problems), file=sys.stderr)
+        return 2
     print(f"scenario {scenario.name!r} (seed {scenario.seed}) is valid")
     return 0
 

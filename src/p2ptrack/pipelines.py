@@ -316,8 +316,7 @@ def run(scenario: Scenario, pipeline: str) -> RunReport:
     if pipeline not in PIPELINES:
         raise PipelineError(f"unknown pipeline {pipeline!r}; "
                             f"choose from {PIPELINES}")
-    # a linkage round ends with a crawl, which must end before the next
-    problems = scenario.validate(crawl=pipeline in ("linkage", "all"))
+    problems = scenario.validate(pipeline)
     if problems:
         raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
     report = RunReport(scenario.name, scenario.seed, pipeline)

@@ -233,9 +233,11 @@ class Scenario:
                                              self.bt.crawler_bots)
         return span
 
-    def validate(self, crawl: bool = False) -> list:
-        """All violations, empty when the scenario is runnable.  crawl
-        counts the crawl that ends each linkage round."""
+    def validate(self, pipeline: Optional[str] = None) -> list:
+        """All violations, empty when the scenario is runnable.  With a
+        pipeline that makes rounds (mobility, linkage or all), a round must
+        also end before the next starts, counting on linkage the crawl
+        that ends each round."""
         bad = []
         for key, value in _numbers(self):
             bounds = _BOUNDS.get(key, _AT_LEAST_0)
@@ -262,9 +264,11 @@ class Scenario:
                        f"{MAX_TIME:.0f} s; this term is the largest")
         # a round, and on linkage its crawl, ends before the next starts,
         # by more than the loop's times may round off up to the horizon
-        t, crawl = self.tracker, crawl and self.bt is not None
+        t = self.tracker
+        crawl = pipeline in ("linkage", "all") and self.bt is not None
         span = self.round_span(crawl)
-        if t.rounds > 1 and not span + 8 * math.ulp(end) < t.round_period:
+        if pipeline in ("mobility", "linkage", "all") and t.rounds > 1 \
+                and not span + 8 * math.ulp(end) < t.round_period:
             terms = "tracker.s times a client's target and volunteer " \
                 "calls, tracker.classifier.pattern_window, the round tail"
             if crawl:

@@ -342,6 +342,7 @@ def test_a_round_must_end_before_the_next_starts(tmp_path, capsys):
                  "mobility", "--out", out]) == 0
     capsys.readouterr()
     for s, pipeline, crawl in (("320", "linkage", True),
+                               ("400", "mobility", False),
                                ("100000", "mobility", False),
                                ("100000", "linkage", True)):
         assert main(["run", "--scenario", SMOKE, "--s", s, "--pipeline",
@@ -350,6 +351,9 @@ def test_a_round_must_end_before_the_next_starts(tmp_path, capsys):
         assert "tracker.round_period" in err
         assert ("bt.crawler_bots" in err) == crawl
         assert "Traceback" not in err
+    # defense-eval makes one round, which nothing can overlap
+    assert main(["run", "--scenario", SMOKE, "--s", "400", "--pipeline",
+                 "defense-eval", "--out", out]) == 0
 
 
 def test_cli_throughput_counts_idle_clients(tmp_path, capsys):

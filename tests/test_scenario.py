@@ -140,9 +140,8 @@ def test_every_number_is_bounded():
 
 
 def test_run_ends_within_the_float_horizon():
-    # 20 users, 2 clients: 2 * 10 calls a client, s apart, end the run;
-    # one round, as a second would start before the first ends
-    scn = scenario_from_dict({"tracker": {"round_period": 1.0, "rounds": 1}})
+    # 20 users, 2 clients: 2 * 10 calls a client, s apart, end the run
+    scn = scenario_from_dict({"tracker": {"round_period": 1.0}})
     s = (MAX_TIME - scn.horizon()[0]) / 20 + scn.tracker.s
     scn.tracker.s = s
     assert scn.horizon() == (pytest.approx(MAX_TIME),
@@ -158,13 +157,12 @@ def test_run_ends_within_the_float_horizon():
     scn = scenario_from_dict({"bt": {}, "verifier": {"round_spacing": 1e300}})
     assert scn.validate()[0].startswith("verifier.min_rounds * (verifier."
                                         "round_spacing")
-    # and every time step moves a time at the horizon (in one round, which
-    # no round_period step can overlap)
+    # and every time step moves a time at the horizon
     for key in ("tracker.s", "tracker.round_period",
                 "tracker.classifier.pattern_window", "verifier.call_gap"):
         for step, ok in ((1e-300, False), (2.0 ** -21, False),
                          (1e-6, True)):
-            scn = scenario_from_dict({"tracker": {"rounds": 1}})
+            scn = scenario_from_dict({})
             _set(scn, key, step)
             assert (scn.validate() == []) == ok, (key, step)
             assert ok or scn.validate()[0].startswith(f"{key}:")
