@@ -15,7 +15,7 @@ digests are taken of each run:
 - report: the bytes of its report.json;
 - trace: the packets, which the report cannot see.  First one sha256 per
   `CallerPool` tap over every packet that leaves it, in the order it
-  leaves, serialised as its `SimPacket` fields; the trace hashes these
+  leaves, serialised in `SimPacket`'s field order; the trace hashes these
   per-tap digests sorted, so it does not depend on how often the taps
   are read or how their reads interleave.  The hook wraps
   `CaptureTap.take`, the only way out of a tap, which only
@@ -79,10 +79,9 @@ PINNED = {
 
 
 def _packet_line(pkt) -> bytes:
-    """A SimPacket's fields, space separated, flags as stored."""
-    return ("%r %r %d %d %d %d %s %s %d %d\n" % (
-        pkt.t_send, pkt.t_recv, pkt.src_ip, pkt.src_port, pkt.dst_ip,
-        pkt.dst_port, pkt.proto, pkt.tcp_flags, pkt.size, pkt.ip_id)).encode()
+    """A packet's fields in SimPacket's order, space separated, flags as
+    stored; pkt is a tap record or a SimPacket."""
+    return ("%r %r %d %d %d %d %s %s %d %d\n" % tuple(pkt)).encode()
 
 
 @contextmanager

@@ -314,7 +314,9 @@ class LookupResult:
 
 class LookupTask:
     """Iterative find_node toward an infohash, then get_peers at the best
-    responding node.  Unresponsive nodes are retried once and skipped."""
+    responding node.  Unresponsive nodes are retried once and skipped.
+    At most MAX_LOOKUP_QUERIES find_node queries are sent, retries
+    included."""
 
     def __init__(self, client: KrpcClient, bootstrap, infohash: bytes,
                  on_done: Callable):
@@ -365,7 +367,7 @@ class LookupTask:
             self._step()
 
         def on_timeout():
-            if retry:
+            if retry and self.queries < MAX_LOOKUP_QUERIES:
                 self._query_find_node(nid, ip, port, dist, retry=False)
             else:
                 self._step()   # skip this node

@@ -304,12 +304,12 @@ def run_crawl(sim: Simulator, dht: DhtNetwork, bots, infohashes,
 def crawl_span(infohashes: int, bots: int) -> float:
     """The longest run_crawl runs the loop past its t_start: each bot's
     lookups run one after another, a lookup sends at most
-    MAX_LOOKUP_QUERIES find_node queries, the retry of the last one and a
-    get_peers, each waits at most QUERY_TIMEOUT, and the loop stops at the
-    end of the step in which the last lookup ends, or at the deadline."""
+    MAX_LOOKUP_QUERIES find_node queries and a get_peers, each waits at
+    most QUERY_TIMEOUT, and the loop stops at the end of the step in which
+    the last lookup ends, or at the deadline."""
     lookups = -(-infohashes // bots)
     work = CRAWL_STAGGER * bots \
-        + lookups * (MAX_LOOKUP_QUERIES + 2) * QUERY_TIMEOUT
+        + lookups * (MAX_LOOKUP_QUERIES + 1) * QUERY_TIMEOUT
     return min(work + CRAWL_STEP, CRAWL_DEADLINE)
 
 

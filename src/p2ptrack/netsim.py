@@ -10,9 +10,12 @@ every TCP SYN the host sends or receives.
 Capture taps record traffic at host edges, with addresses as the host
 sees them: the loop records each packet as it is observed, and a writer
 (the RTC overlay's supernode noise, one loop event per call) may record
-a packet ahead of the loop.  A tap is an inbox: its packets leave once,
-through take, which sorts them by observation time.  Once the loop has
-run to a time, no later record is observed at or before it.
+a packet ahead of the loop.  A tap record is an exact tuple in
+SimPacket's field order, which the garbage collector stops tracking; a
+SimPacket is built only for the loop's packets, which handlers read.  A
+tap is an inbox: its records leave once, through take, which sorts them
+by observation time.  Once the loop has run to a time, no later record
+is observed at or before it.
 
 The loop is single threaded: one heap runs its events in (time, insertion)
 order, so a given (topology, seed) always produces byte-identical traces.
@@ -61,7 +64,9 @@ def parse_ip(text: str) -> int:
 
 
 class SimPacket(NamedTuple):
-    """One captured datagram, addresses as seen at the capture point."""
+    """One datagram, addresses as seen at the capture point: the packet
+    the loop hands to handlers.  A tap record holds the same fields in
+    the same order as an exact tuple."""
 
     t_send: float
     t_recv: float
@@ -188,11 +193,12 @@ class NatBox:
 
 
 class CaptureTap:
-    """Packet capture at one attach point: an inbox.  The loop records in
-    time order, but a writer outside it (the RTC overlay's supernode
-    noise) records a call's packets when the loop reaches the call, ahead
-    of the loop's own.  So the tap keeps packets in recording order, and
-    take sorts what leaves."""
+    """Packet capture at one attach point: an inbox.  A record is an
+    exact tuple in SimPacket's field order, so the collector can forget
+    it.  The loop records in time order, but a writer outside it (the RTC
+    overlay's supernode noise) records a call's packets when the loop
+    reaches the call, ahead of the loop's own.  So the tap keeps records
+    in recording order, and take sorts what leaves."""
 
     __slots__ = ("_times", "_packets")
 
@@ -200,12 +206,14 @@ class CaptureTap:
         self._times: list = []     # observation times
         self._packets: list = []
 
-    def record(self, obs_t: float, pkt: SimPacket) -> None:
+    def record(self, obs_t: float, pkt: tuple) -> None:
+        """Record pkt, a SimPacket or an exact tuple, as an exact tuple
+        (tuple() copies only the SimPacket)."""
         self._times.append(obs_t)
-        self._packets.append(pkt)
+        self._packets.append(tuple(pkt))
 
     def take(self, until: float = math.inf) -> list:
-        """Remove the packets observed at or before until, by default all,
+        """Remove the records observed at or before until, by default all,
         and return them in observation order, ties in recording order."""
         times, packets = self._times, self._packets
         self._times, self._packets = kept_times, kept_packets = [], []
@@ -356,8 +364,9 @@ class Simulator:
     def latency(self, rng: random.Random) -> float:
         """A packet's one-way delay: LATENCY, plus jitter drawn from rng
         uniformly in [-default_jitter, default_jitter]."""
-        jitter = self.default_jitter
-        return LATENCY + rng.uniform(-jitter, jitter) if jitter else LATENCY
+        j = self.default_jitter
+        # rng.uniform(-j, j), bit for bit, without its call
+        return LATENCY + (-j + (j + j) * rng.random()) if j else LATENCY
 
     def _emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
               proto: str, size: int, flags: str,

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .netsim import SimPacket, Simulator
+from .netsim import Simulator
 
 DEFENSE_NONE = "none"
 DEFENSE_REVEAL_AFTER_ACCEPT = "reveal_after_accept"
@@ -596,15 +596,15 @@ class RtcOverlay:
         """Draw a call's supernode chatter from its own stream and write it
         into the taps of both ends, flow by flow (UDP each way to each of
         its supernodes, then a keepalive each way to the home supernode);
-        return the packets drawn.  place_call makes this one loop event at
-        the call's start, so every packet is written ahead of the loop and
-        none is observed before the loop reaches the call; the IP-IDs are
-        drawn then.  A marker's reply (_udp_reply) is written right after
-        it, as it never draws another answer; 28-byte arrivals, whose
-        answers hang on the 30 s echo state, wait on a heap and are answered
-        in arrival order.  The state spans calls but is applied per call
-        (on the track benchmark at seed 1 the classifier reads 27,639
-        packets).  Noise has no SYN and supernodes are public
+        return the packets drawn, as tap records.  place_call makes this
+        one loop event at the call's start, so every packet is written
+        ahead of the loop and none is observed before the loop reaches the
+        call; the IP-IDs are drawn then.  A marker's reply (_udp_reply) is
+        written right after it, as it never draws another answer; 28-byte
+        arrivals, whose answers hang on the 30 s echo state, wait on a heap
+        and are answered in arrival order.  The state spans calls but is
+        applied per call (on the track benchmark at seed 1 the classifier
+        reads 27,639 packets).  Noise has no SYN and supernodes are public
         (add_supernode), so no NAT or SYN filter could touch it."""
         sim, hosts, ports = self.sim, self.sim.hosts, self._ports
         t0 = call.t_start
@@ -614,31 +614,36 @@ class RtcOverlay:
         sends, echoes = [], []   # echoes: (t_recv, pkt, ways, k) heap
 
         def flow(sn, proto):
-            """Each way to sn: (src Host, port, dst, Host, port, flow key)."""
+            """Each way to sn: (src ip, port, dst ip, port, flow key, the
+            source's next_ipid, source tap, destination tap, destination
+            host id, which answers)."""
             s, sport = hosts[sn], ports[sn]
-            return ((c, cport, sn, s, sport, (cport, s.ip, sport, proto)),
-                    (s, sport, caller, c, cport, (sport, c.ip, cport, proto)))
+            return ((c.ip, cport, s.ip, sport, (cport, s.ip, sport, proto),
+                     c.next_ipid, c.tap, s.tap, sn),
+                    (s.ip, sport, c.ip, cport, (sport, c.ip, cport, proto),
+                     s.next_ipid, s.tap, c.tap, caller))
 
         def write(t, ways, k, proto, size, flags):
             """Write a packet the k-th way, queueing a 28-byte arrival."""
-            s, sport, _, d, dport, key = ways[k]
+            sip, sport, dip, dport, key, next_ipid, stap, dtap, _ = ways[k]
             t_recv = t + latency(rng)
-            pkt = SimPacket(t, t_recv, s.ip, sport, d.ip, dport, proto,
-                            flags, size, s.next_ipid(key))
-            if s.tap is not None:
-                s.tap.record(t, pkt)
-            if d.tap is not None:
-                d.tap.record(t_recv, pkt)
+            pkt = (t, t_recv, sip, sport, dip, dport, proto, flags, size,
+                   next_ipid(key))
+            if stap is not None:
+                stap.record(t, pkt)
+            if dtap is not None:
+                dtap.record(t_recv, pkt)
             if size == NAT_FIRST_SIZE:
                 heapq.heappush(echoes, (t_recv, pkt, ways, k))
             return pkt
 
         def answer(pkt, ways, k):
             """Write the answer _udp_reply gives pkt, if any."""
-            reply = self._udp_reply(ways[k][2], pkt.src_ip, pkt.src_port,
-                                    pkt.size, pkt.t_recv, rng)
+            t_recv = pkt[1]
+            reply = self._udp_reply(ways[k][8], pkt[2], pkt[3], pkt[8],
+                                    t_recv, rng)
             if reply is not None:
-                write(pkt.t_recv + reply[0], ways, 1 - k, "UDP", reply[1], "")
+                write(t_recv + reply[0], ways, 1 - k, "UDP", reply[1], "")
 
         count = min(rng.randint(*self.config.noise_flows),
                     len(self.supernodes))

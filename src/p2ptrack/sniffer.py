@@ -59,11 +59,11 @@ def _within(gap: float, nominal: float, tol: float) -> bool:
 def _score_syn_udp(entries, tol: float) -> float:
     """Kind I/III shape: outbound SYN triple (3 s then 1 s timeouts) and an
     outbound 59/58-byte UDP triple with 2 s and 4 s gaps."""
-    syn_t = [t for t, outbound, p in entries
-             if outbound and p.proto == "TCP"
-             and "SYN" in p.tcp_flags and "ACK" not in p.tcp_flags]
-    mark_t = [t for t, outbound, p in entries
-              if outbound and p.proto == "UDP" and p.size in MARKER_SIZES]
+    syn_t = [t for t, outbound, proto, flags, _, _ in entries
+             if outbound and proto == "TCP"
+             and "SYN" in flags and "ACK" not in flags]
+    mark_t = [t for t, outbound, proto, _, size, _ in entries
+              if outbound and proto == "UDP" and size in MARKER_SIZES]
     checks = (
         len(syn_t) >= 3,
         len(syn_t) >= 2 and _within(syn_t[1] - syn_t[0], SYN_TIMEOUT_FIRST,
@@ -82,18 +82,18 @@ def _score_syn_udp(entries, tol: float) -> float:
 def _score_nated(entries, tol: float) -> float:
     """Kind II shape: inbound 28-byte first contact, echoed 28-byte reply,
     varying-size exchange, inbound 3-byte keepalives ~10 s in."""
-    t0, first_outbound, first_pkt = entries[0]
-    c_first = (not first_outbound and first_pkt.proto == "UDP"
-               and first_pkt.size == NAT_FIRST_SIZE)
-    c_echo = any(outbound and p.proto == "UDP" and p.size == NAT_FIRST_SIZE
+    t0, first_outbound, first_proto, _, first_size, _ = entries[0]
+    c_first = (not first_outbound and first_proto == "UDP"
+               and first_size == NAT_FIRST_SIZE)
+    c_echo = any(outbound and proto == "UDP" and size == NAT_FIRST_SIZE
                  and t0 < t <= t0 + ECHO_WINDOW
-                 for t, outbound, p in entries)
-    varying = sum(1 for t, _, p in entries
-                  if p.proto == "UDP"
-                  and p.size not in (NAT_FIRST_SIZE, NAT_TAIL_SIZE))
-    tail_t = [t for t, outbound, p in entries
-              if not outbound and p.proto == "UDP"
-              and p.size == NAT_TAIL_SIZE]
+                 for t, outbound, proto, _, size, _ in entries)
+    varying = sum(1 for _, _, proto, _, size, _ in entries
+                  if proto == "UDP"
+                  and size not in (NAT_FIRST_SIZE, NAT_TAIL_SIZE))
+    tail_t = [t for t, outbound, proto, _, size, _ in entries
+              if not outbound and proto == "UDP"
+              and size == NAT_TAIL_SIZE]
     c_tail_delay = any(_within(t - t0, NAT_TAIL_DELAY, tol) for t in tail_t)
     c_tail_series = (len(tail_t) >= 3
                      and _within(tail_t[1] - tail_t[0], NAT_TAIL_GAP, tol)
@@ -105,20 +105,23 @@ def _score_nated(entries, tol: float) -> float:
 def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
     """One match per remote address scoring at least cfg.min_score, for a
     trace captured at the host whose address is observer_ip; ranked by
-    score, then earliest first packet, then address."""
+    score, then earliest first packet, then address.  trace holds tap
+    records or SimPackets; each is unpacked once, into a flow entry
+    (observation time, outbound, proto, flags, size, IP-ID)."""
     flows: dict = {}
-    for pkt in trace:
-        outbound = pkt.src_ip == observer_ip
-        remote = pkt.dst_ip if outbound else pkt.src_ip
-        obs_t = pkt.t_send if outbound else pkt.t_recv
-        flows.setdefault(remote, []).append((obs_t, outbound, pkt))
+    for t_send, t_recv, src_ip, _, dst_ip, _, proto, flags, size, ip_id \
+            in trace:
+        if src_ip == observer_ip:
+            remote, entry = dst_ip, (t_send, True, proto, flags, size, ip_id)
+        else:
+            remote, entry = src_ip, (t_recv, False, proto, flags, size, ip_id)
+        flows.setdefault(remote, []).append(entry)
 
     tol = cfg.timing_tolerance
     matches = []
     for remote in sorted(flows):
         entries = sorted(flows[remote], key=lambda e: e[0])
-        first_in = next((p for _, outbound, p in entries if not outbound),
-                        None)
+        first_in = next((e for e in entries if not e[1]), None)
         if first_in is None:
             scored = ((KIND_OFFLINE, _score_syn_udp(entries, tol)),)
         else:
@@ -128,7 +131,7 @@ def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
         if score >= cfg.min_score:
             matches.append(PatternMatch(
                 kind, remote, entries[0][0], score,
-                None if first_in is None else first_in.ip_id))
+                None if first_in is None else first_in[5]))
     matches.sort(key=lambda m: (-m.score, m.t_first_packet, m.candidate_ip))
     return matches
 
@@ -153,13 +156,14 @@ class FlowIndex:
     def take(self, until: float) -> None:
         """Index the packets the tap observed at or before until.  The loop
         has run to until, so no packet observed by then is recorded
-        later."""
+        later.  A record is read by position: t_send, t_recv, src_ip, and
+        dst_ip at 4."""
         obs, flows = self.observer_ip, self._flows
         for pkt in self.tap.take(until):
-            if pkt.src_ip == obs:
-                remote, obs_t = pkt.dst_ip, pkt.t_send
+            if pkt[2] == obs:
+                remote, obs_t = pkt[4], pkt[0]
             else:
-                remote, obs_t = pkt.src_ip, pkt.t_recv
+                remote, obs_t = pkt[2], pkt[1]
             flow = flows.get(remote)
             if flow is None:
                 flow = flows[remote] = ([], [])

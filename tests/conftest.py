@@ -2,9 +2,15 @@ import random
 
 import pytest
 
-from p2ptrack.netsim import Simulator
+from p2ptrack.netsim import SimPacket, Simulator
 from p2ptrack.rtcdir import (Directory, PresenceBook, RtcConfig, RtcOverlay,
                              UserProfile)
+
+
+def named(records) -> list:
+    """Tap records, exact tuples in SimPacket's field order, as SimPackets,
+    so that a test reads their fields by name."""
+    return [SimPacket._make(r) for r in records]
 
 
 @pytest.fixture

@@ -4,11 +4,13 @@ import warnings
 import pytest
 
 from p2ptrack.btswarm.bencode import bdecode, bencode
-from p2ptrack.btswarm.dht import (KRPC_CLIENT_PORT, PROTOCOL_ERROR,
+from p2ptrack.btswarm.dht import (KRPC_CLIENT_PORT, KRPC_PORT,
+                                  MAX_LOOKUP_QUERIES, PROTOCOL_ERROR,
                                   DhtError, DhtNetwork, KrpcClient,
                                   LookupTask, announce, krpc_query,
-                                  krpc_response, pack_peer, parse_krpc,
-                                  unpack_nodes, unpack_peers, xor_distance)
+                                  krpc_response, pack_nodes, pack_peer,
+                                  parse_krpc, unpack_nodes, unpack_peers,
+                                  xor_distance)
 from p2ptrack.netsim import Simulator, parse_ip
 
 
@@ -133,6 +135,47 @@ def test_unresponsive_responsible_fails_lookup():
         node.responsive = False
     result = lookup(client, dht, target)
     assert result.failed
+
+
+@pytest.mark.parametrize("bootstrap_answers", [False, True])
+def test_lookup_sends_at_most_its_query_cap(bootstrap_answers):
+    # 40 nodes closer to the target than the bootstrap, at addresses no
+    # host owns, so none of them ever answers and each is retried.  With
+    # no answer at all (the nodes known from the start) every node takes
+    # two queries; when only the bootstrap answers, with the nodes, the
+    # last node's first query is the cap-th, and its retry would pass it
+    sim = Simulator(seed=3)
+    client = KrpcClient(sim, sim.add_host("client", "10.9.0.1").host_id)
+    silent = [((k + 1).to_bytes(20, "big"), parse_ip(f"10.7.0.{k + 1}"),
+               KRPC_PORT) for k in range(40)]
+    boot_id, boot_ip = b"\xff" * 20, parse_ip("10.8.0.1")
+    sim.add_host("boot", boot_ip)
+    if bootstrap_answers:
+        def answer(sim, host_id, pkt, payload):
+            body = {"id": boot_id, "nodes": pack_nodes(silent)}
+            sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "UDP", 100,
+                              src_port=KRPC_PORT, payload=krpc_response(
+                                  parse_krpc(payload)[b"t"], body))
+        sim.set_port_handler("boot", KRPC_PORT, answer)
+    done, methods, send = [], [], client.send_query
+
+    def counted_send(ip, port, method, *args):
+        methods.append(method)
+        send(ip, port, method, *args)
+
+    client.send_query = counted_send
+    task = LookupTask(client, (boot_id, boot_ip, KRPC_PORT), b"\x00" * 20,
+                      done.append)
+    if not bootstrap_answers:
+        task.candidates.update((nid, (ip, port)) for nid, ip, port in silent)
+    task.start()
+    while not done:
+        sim.advance(sim.now + 0.5)
+    (result,) = done
+    assert methods.count("find_node") == MAX_LOOKUP_QUERIES
+    assert result.queries == len(methods)
+    assert result.failed != bootstrap_answers
+    assert methods[MAX_LOOKUP_QUERIES:] == ["get_peers"] * bootstrap_answers
 
 
 def test_empty_dht_lookup_is_error():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from p2ptrack.netsim import (IPID_MOD, IPID_RANDOM,
                              IPID_SEQUENTIAL_PER_FLOW, LATENCY, NetsimError,
                              SimPacket, Simulator, ip_str, parse_ip)
+from tests.conftest import named
 
 
 def test_ipid_sequential_from_start(sim):
@@ -19,7 +20,7 @@ def test_ipid_sequential_from_start(sim):
         sim.schedule_send("a", "10.0.0.2", 80, "UDP", 10, at=float(k),
                           src_port=1000)
     sim.advance(5.0)
-    assert [p.ip_id for p in tap.take()] == [7, 8, 9]
+    assert [p.ip_id for p in named(tap.take())] == [7, 8, 9]
 
 
 def test_ipid_wraps_mod_2_16(sim):
@@ -84,7 +85,7 @@ def test_nat_rewrites_source_to_public(sim):
     sim.schedule_send("inside", "10.0.0.9", 80, "UDP", 10, at=0.0,
                       src_port=4000)
     sim.advance(1.0)
-    pkt = tap.take()[0]
+    pkt = named(tap.take())[0]
     assert ip_str(pkt.src_ip) == "5.5.5.5"
     assert pkt.src_port != 4000 or pkt.src_port >= 40000
 
@@ -117,7 +118,7 @@ def test_nat_binding_allows_reply_and_restricts_strangers(sim):
     sim.schedule_send("stranger", pub_ip, pub_port, "UDP", 12, at=1.0,
                       src_port=80)
     sim.advance(2.0)
-    sizes = [p.size for p in inside_tap.take() if p.dst_port == 4000]
+    sizes = [p.size for p in named(inside_tap.take()) if p.dst_port == 4000]
     assert 11 in sizes and 12 not in sizes
     assert sim.drops == {"nat_unsolicited:n1": 1}   # the stranger's 12
 
@@ -132,8 +133,8 @@ def test_nat_preserves_ipid(sim):
         sim.schedule_send("inside", "10.0.0.9", 80, "UDP", 10, at=float(k),
                           src_port=4000)
     sim.advance(10.0)
-    inner = [p.ip_id for p in private.take()]
-    received = received.take()
+    inner = [p.ip_id for p in named(private.take())]
+    received = named(received.take())
     assert inner == [p.ip_id for p in received] == [100, 101, 102, 103, 104]
     # b saw the packets after the NAT rewrote their source
     assert {p.src_ip for p in received} == {parse_ip("5.5.5.5")}
@@ -157,7 +158,7 @@ def test_trace_ties_in_event_order():
     sim.schedule_send("high", "10.0.0.2", 80, "UDP", 10, at=1.0, src_port=1)
     sim.schedule_send("low", "10.0.0.2", 80, "UDP", 10, at=1.0, src_port=1)
     sim.advance(2.0)
-    assert [ip_str(p.src_ip) for p in tap.take(1.05)] == \
+    assert [ip_str(p.src_ip) for p in named(tap.take(1.05))] == \
         ["10.0.0.9", "10.0.0.1"]
     assert len(tap) == 0
 
@@ -188,14 +189,14 @@ def test_tap_merges_written_entries_with_loop_records():
     assert len(tap) == 8
     # equal observation times keep their recording order
     order = [21, 10, 23, 22, 10, 20, 10, 24]
-    trace = tap.take(0.5) + tap.take(3.0 + LATENCY)
+    trace = named(tap.take(0.5) + tap.take(3.0 + LATENCY))
     assert [p.size for p in trace] == order[:7]
     assert [p.t_recv for p in trace] == sorted(p.t_recv for p in trace)
     assert len(tap) == 1            # the record at 9.0 stays
-    assert [p.size for p in tap.take()] == order[7:]
+    assert [p.size for p in named(tap.take())] == order[7:]
     assert len(tap) == 0 and tap.take() == []
     write(0.5, 25)                  # earlier than anything taken
-    assert [p.size for p in tap.take()] == [25]
+    assert [p.size for p in named(tap.take())] == [25]
 
 
 def test_drops_count_packets_per_reason(sim):
@@ -224,7 +225,7 @@ def test_delivery_time_is_send_plus_latency(sim):
     tap = sim.tap("b")
     sim.schedule_send("a", "10.0.0.2", 80, "UDP", 10, at=3.0, src_port=1)
     sim.advance(4.0)
-    assert tap.take()[0].t_recv == pytest.approx(3.05)
+    assert named(tap.take())[0].t_recv == pytest.approx(3.05)
 
 
 def test_advance_rejects_past_and_schedule_rejects_past(sim):
@@ -407,7 +408,8 @@ def test_sequential_global_ipids_step_one_in_send_order(times):
         dst = "10.0.0.2" if i % 2 else "10.0.0.3"
         sim.schedule_send("a", dst, 80, "UDP", 10, at=t, src_port=1000 + i % 3)
     sim.advance(200.0)
-    sent = [p.ip_id for p in tap.take() if p.src_ip == parse_ip("10.0.0.1")]
+    sent = [p.ip_id for p in named(tap.take())
+            if p.src_ip == parse_ip("10.0.0.1")]
     assert len(sent) == len(times)
     for prev, cur in zip(sent, sent[1:]):
         assert (cur - prev) % IPID_MOD == 1
@@ -421,7 +423,7 @@ def test_capture_ordering_nondecreasing(mini):
     mini.sim.advance(80.0)
     own_ip = mini.sim.hosts[mini.tracker_host].ip
     times = [p.t_send if p.src_ip == own_ip else p.t_recv
-             for p in mini.tap.take()]
+             for p in named(mini.tap.take())]
     assert times == sorted(times)
 
 
@@ -433,12 +435,12 @@ def test_take_is_the_inclusive_head_of_the_trace(sim):
         sim.schedule_send("a", "10.0.0.2", 80, "UDP", 10, at=t, src_port=1)
     sim.advance(10.0)
     assert tap.take(1.0) == []
-    head = tap.take(2.05)                           # the bound is inclusive
+    head = named(tap.take(2.05))                    # the bound is inclusive
     assert [p.t_send for p in head] == [1.0, 2.0, 2.0]
     assert tap.take(2.05) == []
-    assert [p.t_send for p in tap.take(3.05)] == [3.0]
+    assert [p.t_send for p in named(tap.take(3.05))] == [3.0]
     assert len(tap) == 1
-    assert [p.t_send for p in tap.take(100.0)] == [4.0]
+    assert [p.t_send for p in named(tap.take(100.0))] == [4.0]
 
 
 # a tap operation: record at a time (few values, so that times tie), or

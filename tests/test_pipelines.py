@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import math
@@ -15,6 +16,7 @@ from p2ptrack.netsim import CaptureTap
 from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
                                 scan_privacy, write_report)
 from p2ptrack.scenario import load_scenario, scenario_from_dict
+from tests.conftest import named
 
 SMOKE = "scenarios/smoke.yaml"
 
@@ -455,7 +457,8 @@ def test_module_entry_point_validates_smoke():
 
 def test_tapped_packets_hold_plain_values(monkeypatch):
     # every packet that leaves a calling tap, all through CaptureTap.take
-    # (the hook of scripts/check_digests.py)
+    # (the hook of scripts/check_digests.py); each is an exact tuple of
+    # atomic values, which the collector stops tracking
     packets, take = [], CaptureTap.take
 
     def collecting_take(tap, until=math.inf):
@@ -467,7 +470,11 @@ def test_tapped_packets_hold_plain_values(monkeypatch):
     run(load_scenario(SMOKE), "all")
     assert packets
     assert {type(v) for p in packets for v in p} == {int, float, str}
-    assert {p.tcp_flags for p in packets} <= {"", "ACK", "SYN", "ACK,SYN"}
+    assert {p.tcp_flags for p in named(packets)} <= {"", "ACK", "SYN",
+                                                     "ACK,SYN"}
+    assert all(type(p) is tuple for p in packets)
+    gc.collect()
+    assert not any(map(gc.is_tracked, packets))
 
 
 def test_noise_never_reaches_a_report(monkeypatch):

@@ -8,6 +8,7 @@ from p2ptrack.rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC,
                              NAT_TAIL_SIZE, CallError, CallRequest,
                              Directory, DirectoryError, PresenceBook,
                              UserProfile, harvest_ids)
+from tests.conftest import named
 
 
 # -- directory search ---------------------------------------------------------
@@ -188,7 +189,8 @@ def test_public_callee_pattern_timing(mini):
         CallRequest(mini.tracker_user, user, 100.0))
     mini.sim.advance(130.0)
     callee_ip = mini.sim.hosts[host].ip
-    trace = [p for p in mini.tap.take() if callee_ip in (p.src_ip, p.dst_ip)]
+    trace = [p for p in named(mini.tap.take())
+             if callee_ip in (p.src_ip, p.dst_ip)]
     syns = [p.t_send for p in trace
             if p.proto == "TCP" and p.tcp_flags == "SYN"
             and p.src_ip != callee_ip]
@@ -214,7 +216,7 @@ def test_nated_callee_pattern_shape(mini):
         CallRequest(mini.tracker_user, user, 200.0))
     mini.sim.advance(240.0)
     callee_ip = placed.targets[0].expect_ip
-    trace = mini.tap.take()
+    trace = named(mini.tap.take())
     inbound = [p for p in trace if p.src_ip == callee_ip]
     assert inbound[0].size == 28 and inbound[0].proto == "UDP"
     tails = [p for p in inbound if p.size == 3]
@@ -259,7 +261,7 @@ def test_offline_callee_never_responds(mini):
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 3000.0))
     mini.sim.advance(3030.0)
     callee_ip = mini.sim.hosts[host].ip
-    inbound = [p for p in mini.tap.take() if p.src_ip == callee_ip]
+    inbound = [p for p in named(mini.tap.take()) if p.src_ip == callee_ip]
     assert inbound == []
 
 
@@ -277,7 +279,7 @@ def test_privacy_settings_do_not_change_emission():
         w.overlay.place_call(CallRequest(w.tracker_user, user, 50.0))
         w.sim.advance(90.0)
         return sorted((p.t_send, p.src_ip, p.dst_ip, p.proto, p.size)
-                      for p in w.tap.take())
+                      for p in named(w.tap.take()))
 
     assert emission_multiset(False) == emission_multiset(True)
 
@@ -329,7 +331,7 @@ def test_reveal_after_accept_unanswered_only_noise(mini):
     w.sim.advance(140.0)
     assert placed.targets == []
     infra = {w.sim.public_ip_of(h) for h in w.overlay.supernodes}
-    dests = {p.dst_ip for p in w.tap.take()
+    dests = {p.dst_ip for p in named(w.tap.take())
              if p.src_ip == w.sim.hosts[w.tracker_host].ip}
     assert dests <= infra
     # answered calls do reveal
@@ -350,7 +352,7 @@ def test_relay_all_hides_callee_ip():
     w.sim.advance(240.0)
     relay_ips = {w.sim.public_ip_of(h) for h in w.overlay.relays}
     assert all(t.expect_ip in relay_ips for t in p1.targets + p2.targets)
-    seen = {ip for p in w.tap.take() for ip in (p.src_ip, p.dst_ip)}
+    seen = {ip for p in named(w.tap.take()) for ip in (p.src_ip, p.dst_ip)}
     assert w.sim.hosts[phost].ip not in seen
     assert w.sim.public_ip_of(nhost) not in seen
 
@@ -477,9 +479,9 @@ def test_written_noise_equals_noise_through_the_loop():
                for sn in w.overlay.supernodes}
     placed, caller, plan = w.overlay.plan_call(req)
     assert plan == [] and placed.targets == [] and caller == w.tracker_host
-    noise = w.overlay._write_noise(placed, caller)
+    noise = named(w.overlay._write_noise(placed, caller))
     w.sim.advance(90.0)
-    written = w.tap.take()
+    written = named(w.tap.take())
     # every send is caller <-> supernode; 28-byte and marker noise each
     # way
     caller = w.sim.hosts[w.tracker_host].ip
@@ -498,7 +500,7 @@ def test_written_noise_equals_noise_through_the_loop():
         w.sim.schedule_send(host[p.src_ip], p.dst_ip, p.dst_port, p.proto,
                             p.size, p.tcp_flags, p.t_send, p.src_port)
     w.sim.advance(90.0)
-    looped = w.tap.take()
+    looped = named(w.tap.take())
     # the noise triggers echoes, re-echoes and marker replies
     planned = {(p.t_send, p.src_ip) for p in noise}
     replies = [p for p in looped if (p.t_send, p.src_ip) not in planned]

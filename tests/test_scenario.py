@@ -1,5 +1,7 @@
 import copy
+import json
 import math
+import tempfile
 from collections import Counter
 from dataclasses import fields, is_dataclass
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from p2ptrack.pipelines import run, write_report
 from p2ptrack.scenario import (MAX_TIME, Scenario, ScenarioError,
                                load_scenario, scenario_from_dict)
 from p2ptrack.worldgen import (BT_DISTINCT_HOST, BT_SAME_HOST,
@@ -323,6 +326,24 @@ def test_every_valid_scenario_builds_with_its_state_counts(doc):
 
     world.sim.schedule = counted
     world.make_tracker().run_round(world.target_ids, world.base_t)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_scenarios())
+def test_every_valid_scenario_runs_to_a_report(doc):
+    # the whole run, as `p2ptrack run --pipeline all` makes it: a scenario
+    # that validates for all gives a report, and any other is refused
+    scn = scenario_from_dict(doc)
+    if scn.validate("all"):
+        with pytest.raises(ScenarioError, match="invalid scenario"):
+            run(scn, "all")
+        return
+    report = run(scn, "all")
+    with tempfile.TemporaryDirectory() as out:
+        path = write_report(report, out)["report"]
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["scenario"] == scn.name
 
 
 def test_validation_mobility_needs_rounds():

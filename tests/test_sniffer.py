@@ -16,6 +16,7 @@ from p2ptrack.scenario import scenario_from_dict
 from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
                               FlowIndex, classify_trace)
 from p2ptrack.worldgen import build_world
+from tests.conftest import named
 CFG = ClassifierConfig()
 OBSERVER = parse_ip("10.0.0.1")
 
@@ -32,7 +33,7 @@ def _obs_t(pkt, observer_ip):
 
 def _window(mini, t_call, span=25.0):
     obs_ip = _observer(mini)
-    return [p for p in mini.tap.take()
+    return [p for p in named(mini.tap.take())
             if t_call <= _obs_t(p, obs_ip) <= t_call + span]
 
 
@@ -118,7 +119,7 @@ def test_noise_only_windows_never_match(mini):
         # every window's noise (12 s span) completes within its 20 s slot
         mini.sim.advance(base + 20.0 * batch)
         trace = mini.tap.take()
-        times = [_obs_t(p, obs_ip) for p in trace]
+        times = [_obs_t(p, obs_ip) for p in named(trace)]
         for k in range(batch):
             t0 = base + 20.0 * k
             window = trace[bisect.bisect_left(times, t0):
@@ -159,7 +160,7 @@ def test_classify_ranks_by_score_then_time_then_address():
     assert [m.t_first_packet for m in ranked] == [1.0, 5.0, 5.0, 0.0]
     # each online match carries its remote's first inbound IP-ID
     first_in = {}
-    for p in trace:
+    for p in named(trace):
         first_in.setdefault(p.src_ip, p.ip_id)
     assert [m.ip_id for m in ranked] == [None] + [first_in[ip]
                                                   for ip in (a, d, c)]
@@ -207,9 +208,11 @@ def test_slot_trace_half_open_slot():
         (30.0, c),     # at t + window: still in c's window
         (30.5, c)))
     index = _whole_index(tap, OBSERVER)
-    assert [(p.t_recv, p.src_ip) for p in index.slot_trace(10.0, 5.0, 20.0)] \
+    assert [(p.t_recv, p.src_ip)
+            for p in named(index.slot_trace(10.0, 5.0, 20.0))] \
         == [(10.0, c), (30.0, c), (14.999, d), (12.5, e)]
-    assert [(p.t_recv, p.src_ip) for p in index.slot_trace(15.0, 5.0, 20.0)] \
+    assert [(p.t_recv, p.src_ip)
+            for p in named(index.slot_trace(15.0, 5.0, 20.0))] \
         == [(15.0, b)]
     assert index.slot_trace(40.0, 5.0, 20.0) == []
     assert _whole_index(CaptureTap(), OBSERVER).slot_trace(
@@ -242,7 +245,7 @@ def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
         now += gap
         rows.append((now, parse_ip(f"10.0.1.{host}"), outbound, proto, flags,
                      size))
-    whole = [p for p in _host_tap(rows).take()
+    whole = [p for p in named(_host_tap(rows).take())
              if t - window <= _obs_t(p, OBSERVER) <= t + window]
     want = [m for m in classify_trace(whole, cfg, OBSERVER)
             if t <= m.t_first_packet < t + length]
@@ -253,7 +256,7 @@ def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
     # a match carries the IP-ID of the first packet its remote sent in the
     # slot trace, and has none exactly when it is stale
     for m in got:
-        assert m.ip_id == next((p.ip_id for p in slot
+        assert m.ip_id == next((p.ip_id for p in named(slot)
                                 if p.src_ip == m.candidate_ip), None)
         assert (m.ip_id is None) == m.stale
 
@@ -302,7 +305,7 @@ def test_caller_pool_read_is_each_slot_trace():
     got = pool.read(slots, length, window)
     assert got == want
     assert all(got)
-    assert any(p.size == 200 for p in got[2])
+    assert any(p.size == 200 for p in named(got[2]))
     assert sim.now == end
     assert [len(tap) for tap in pool.taps] == [0, 0]
     assert [index._flows for index in pool.indexes] == [{}, {}]
@@ -406,7 +409,7 @@ def test_filter_drops_syns_passes_udp_and_established():
                       src_port=80)
     sim.advance(60.0)
     delivered = [(p.proto, p.tcp_flags, p.size)
-                 for p in tap_b.take()
+                 for p in named(tap_b.take())
                  if p.src_ip == sim.hosts["a"].ip]
     assert ("TCP", "SYN", 44) in delivered[:1]        # pre-window SYN passed
     assert ("TCP", "ACK", 52) in delivered             # established traffic
@@ -428,7 +431,7 @@ def test_filter_window_bounds():
                           src_port=500 + k)
     sim.advance(1e6 + 1.0)
     # the filter starts at its time and never ends
-    assert [p.t_send for p in tap_b.take()] == [5.0, 9.5]
+    assert [p.t_send for p in named(tap_b.take())] == [5.0, 9.5]
 
 
 def test_filtered_calls_leave_no_syn_at_callee(mini):
@@ -438,12 +441,12 @@ def test_filtered_calls_leave_no_syn_at_callee(mini):
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0))
     mini.sim.advance(140.0)
     tracker_ip = mini.sim.hosts[mini.tracker_host].ip
-    inbound_syn = [p for p in callee_tap.take()
+    inbound_syn = [p for p in named(callee_tap.take())
                    if p.src_ip == tracker_ip and "SYN" in p.tcp_flags]
     assert inbound_syn == []
     # but the caller-side capture still shows the SYN triple (the filter
     # sits between the capture point and the wire)
-    caller_syns = [p for p in mini.tap.take()
+    caller_syns = [p for p in named(mini.tap.take())
                    if p.src_ip == tracker_ip and "SYN" in p.tcp_flags]
     assert len(caller_syns) == 3
 
