@@ -156,8 +156,8 @@ class FlowIndex:
     def take(self, until: float) -> None:
         """Index the packets the tap observed at or before until.  The loop
         has run to until, so no packet observed by then is recorded
-        later.  A record is read by position: t_send, t_recv, src_ip, and
-        dst_ip at 4."""
+        later.  Records are read by position, in SimPacket's field
+        order."""
         obs, flows = self.observer_ip, self._flows
         for pkt in self.tap.take(until):
             if pkt[2] == obs:

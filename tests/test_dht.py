@@ -145,7 +145,8 @@ def test_lookup_sends_at_most_its_query_cap(bootstrap_answers):
     # two queries; when only the bootstrap answers, with the nodes, the
     # last node's first query is the cap-th, and its retry would pass it
     sim = Simulator(seed=3)
-    client = KrpcClient(sim, sim.add_host("client", "10.9.0.1").host_id)
+    sim.add_host("client", "10.9.0.1")
+    client = KrpcClient(sim, "client")
     silent = [((k + 1).to_bytes(20, "big"), parse_ip(f"10.7.0.{k + 1}"),
                KRPC_PORT) for k in range(40)]
     boot_id, boot_ip = b"\xff" * 20, parse_ip("10.8.0.1")
