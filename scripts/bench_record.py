@@ -24,9 +24,9 @@ Python version, `nproc`, the pair count and run
 length, every run's end-to-end metrics on both sides, each metric's median
 and quartiles per side and the number of pairs the change won, the report
 sha256 of every workload and seed on both sides, both sides' report and
-trace digests of each pinned run (`null` for a side without the gate),
-and the line count of each side's `src/` Python files.  Exits 1
-if a benchmark run fails or is not correct.
+trace digests of each pinned run and whether its pipeline checks passed
+(`null` for a side without the gate), and the line count of each side's
+`src/` Python files.  Exits 1 if a benchmark run fails or is not correct.
 """
 
 import argparse
@@ -71,18 +71,19 @@ def bench(checkout: str, workload: str, seed: int, seconds: float) -> tuple:
             sha)
 
 
-# prints {run name: {"report": sha256, "trace": sha256}} of every run the
-# digest gate pins
+# prints {run name: {"report": sha256, "trace": sha256, "checks_ok": bool}}
+# of every run the digest gate pins
 GATE_DIGESTS = (
     "import json, runpy\n"
     "g = runpy.run_path('scripts/check_digests.py')\n"
-    "print(json.dumps({name: dict(zip(('report', 'trace'),\n"
+    "print(json.dumps({name: dict(zip(('report', 'trace', 'checks_ok'),\n"
     "    g['digests'](*g['pinned_run'](name)))) for name in g['PINNED']}))\n")
 
 
 def gate_digests(checkout: str):
-    """{run name: {"report": sha256, "trace": sha256}} of every run the
-    checkout's digest gate pins, or None if it has no gate."""
+    """{run name: {"report": sha256, "trace": sha256, "checks_ok": whether
+    its pipeline checks passed}} of every run the checkout's digest gate
+    pins, or None if it has no gate."""
     if not os.path.isfile(os.path.join(checkout, "scripts",
                                        "check_digests.py")):
         return None

@@ -330,9 +330,9 @@ class PlacedCall:
     true_session_ips: frozenset
 
 
-# A planned send's role, its last field: None for a pattern packet, the
-# _TcpAttempt a SYN opens, or (attempt, last) for a SYN re-sent unless a
-# SYN-ACK came; last marks the attempt's final SYN.
+# A planned send's role, its last field: None for a plain send, the
+# _TcpAttempt a SYN opens, or (attempt,) for a SYN re-sent unless a SYN-ACK
+# established that attempt.  A SYN no SYN-ACK can reach is plain.
 
 
 @dataclass
@@ -346,16 +346,14 @@ class RtcConfig:
 
 
 class _TcpAttempt:
-    """A call's SYNs from one host to a peer host, the first at t_syn."""
-    __slots__ = ("call_id", "callee", "callee_host", "peer", "t_syn",
-                 "established")
+    """A call's SYNs from one host to a peer host that a SYN-ACK can still
+    reach; the first SYN-ACK establishes it and rings callee, if any."""
+    __slots__ = ("call_id", "callee", "callee_host", "established")
 
     def __init__(self, call_id, callee, callee_host):
         self.call_id = call_id
         self.callee = callee
         self.callee_host = callee_host
-        self.peer = None
-        self.t_syn = None
         self.established = False
 
 
@@ -378,7 +376,7 @@ class RtcOverlay:
         self._pending_tcp: dict = {}    # (host, peer_ip, peer_port, lport)
         self._sent28: dict = {}         # (host, peer_ip, peer_port) -> t
         self._echoed: dict = {}         # same key -> t of last echo
-        self._resp_rng: dict = {}       # host_id -> RNG for probe responses
+        self._resp_rng: dict = {}       # host_id -> RNG for marker replies
         self._next_call = 0
         self._port_rng = random.Random(f"{seed}:rtcport")
 
@@ -530,13 +528,20 @@ class RtcOverlay:
         return nominal * (1.0 + rng.uniform(-j, j)) if j else nominal
 
     def _syn_plan(self, plan, rng, src, dst, t, attempt) -> None:
-        """A SYN plus two conditional retransmits (3 s then 1 s timeouts)."""
-        attempt.peer, attempt.t_syn = dst, t
+        """A SYN plus two retransmits (3 s then 1 s timeouts).  A host's
+        SYN filter only ever starts, so from either end's filter time on no
+        SYN-ACK can reach attempt, and the three SYNs are plain sends.
+        Before it, the first opens attempt, and each retransmit is sent
+        unless a SYN-ACK established attempt."""
         t1 = t + self._jit(rng, SYN_TIMEOUT_FIRST)
         t2 = t1 + self._jit(rng, SYN_TIMEOUT_SECOND)
+        hosts = self.sim.hosts
+        if t >= min(hosts[src].syn_filter_from, hosts[dst].syn_filter_from):
+            attempt = None
+        retry = None if attempt is None else (attempt,)
         plan += ((t, src, dst, "TCP", SYN_SIZE, "SYN", attempt),
-                 (t1, src, dst, "TCP", SYN_SIZE, "SYN", (attempt, False)),
-                 (t2, src, dst, "TCP", SYN_SIZE, "SYN", (attempt, True)))
+                 (t1, src, dst, "TCP", SYN_SIZE, "SYN", retry),
+                 (t2, src, dst, "TCP", SYN_SIZE, "SYN", retry))
 
     def _public_plan(self, plan, rng, caller, remote, base, attempt) -> None:
         """Case (i)/(iii): the caller's SYNs and three 59/58-byte markers;
@@ -585,7 +590,7 @@ class RtcOverlay:
             ip, port = self._endpoint(dst)
             if role is None:
                 send(src, ip, port, proto, size, flags, t, ports[src])
-            elif type(role) is tuple:   # a retransmit
+            elif type(role) is tuple:   # a retransmit of role's attempt
                 sim.schedule(t, self._retry_syn, (src, ip, port, ports[src]),
                              *role)
             else:   # a SYN, and the _TcpAttempt it opens
@@ -669,22 +674,12 @@ class RtcOverlay:
             answer(*heapq.heappop(echoes)[1:])
         return sends
 
-    def _retry_syn(self, key, own: _TcpAttempt, last: bool) -> None:
-        """Re-send the SYN of key's attempt unless it was established.
-        After own's last SYN, drop own once no SYN-ACK can still reach it:
-        its host drops every SYN-ACK from now on, or its peer dropped every
-        SYN since the first."""
-        attempt = self._pending_tcp.get(key)
-        if attempt is None or attempt.established:
-            return
-        src_host, dst_ip, dst_port, lport = key
-        self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
-                               SYN_SIZE, flags="SYN", src_port=lport)
-        hosts = self.sim.hosts
-        if last and attempt is own and (
-                self.sim.now >= hosts[src_host].syn_filter_from
-                or own.t_syn >= hosts[own.peer].syn_filter_from):
-            del self._pending_tcp[key]
+    def _retry_syn(self, key, attempt: _TcpAttempt) -> None:
+        """Re-send key's SYN unless a SYN-ACK established attempt."""
+        if not attempt.established:
+            src_host, dst_ip, dst_port, lport = key
+            self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
+                                   SYN_SIZE, flags="SYN", src_port=lport)
 
     # -- client behavior ------------------------------------------------------
 
@@ -713,22 +708,20 @@ class RtcOverlay:
                                 attempt.callee, attempt.callee_host, now,
                                 kind, attempt.call_id))
             return
-        if host_id not in self._resp_rng:   # built when it first answers
-            self._resp_rng[host_id] = random.Random(
-                f"{self.seed}:resp:{host_id}")
         reply = self._udp_reply(host_id, pkt.src_ip, pkt.src_port, pkt.size,
-                                now, self._resp_rng[host_id])
+                                now)
         if reply is not None:
             self.sim.schedule_send(host_id, pkt.src_ip, pkt.src_port, "UDP",
                                    reply[1], at=now + reply[0],
                                    src_port=pkt.dst_port)
 
-    def _udp_reply(self, host_id, peer_ip, peer_port, size, now, rng):
+    def _udp_reply(self, host_id, peer_ip, peer_port, size, now, rng=None):
         """(delay, size) of host_id's answer to a size-byte UDP datagram
         from (peer_ip, peer_port) arriving at now, or None.  A 28-byte
         packet is echoed once per 30 s unless host_id sent the first one; a
-        59/58-byte marker draws a varying-size reply from rng while the host
-        is active."""
+        59/58-byte marker draws a varying-size reply while the host is
+        active, from rng or else from the host's own reply stream, built
+        when it first draws."""
         if size == NAT_FIRST_SIZE:
             key = (host_id, peer_ip, peer_port)
             if now - self._sent28.get(key, -1e9) < 30.0:
@@ -738,6 +731,11 @@ class RtcOverlay:
             self._echoed[key] = now
             return (0.08, NAT_FIRST_SIZE)
         if size in MARKER_SIZES and self._host_active(host_id, now):
+            if rng is None:
+                if host_id not in self._resp_rng:
+                    self._resp_rng[host_id] = random.Random(
+                        f"{self.seed}:resp:{host_id}")
+                rng = self._resp_rng[host_id]
             lo, hi = VARYING_SIZES
             size = rng.randint(lo, hi)
             while size in (NAT_FIRST_SIZE, NAT_TAIL_SIZE) or \

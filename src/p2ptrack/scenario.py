@@ -317,6 +317,12 @@ class Scenario:
                 bad.append("mobility movers need at least 2 rounds")
         return bad
 
+    def check(self, pipeline: Optional[str] = None) -> None:
+        """Raise a ScenarioError listing validate(pipeline)'s violations."""
+        bad = self.validate(pipeline)
+        if bad:
+            raise ScenarioError("invalid scenario:\n  " + "\n  ".join(bad))
+
 
 def scenario_from_dict(data: dict) -> Scenario:
     return _section(Scenario, data)
@@ -329,7 +335,5 @@ def load_scenario(path) -> Scenario:
     except (OSError, yaml.YAMLError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     scn = scenario_from_dict(data or {})
-    problems = scn.validate()
-    if problems:
-        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
+    scn.check()
     return scn

@@ -141,9 +141,7 @@ def away_city(city: int, scale: str, cities: int) -> int:
 
 
 def build_world(scenario: Scenario) -> World:
-    problems = scenario.validate()
-    if problems:
-        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
+    scenario.check()
     seed = scenario.seed
     rng = random.Random(f"{seed}:worldgen")
     pop = scenario.population

@@ -12,9 +12,10 @@ import pytest
 import p2ptrack
 from p2ptrack.btswarm.swarm import HandshakeClient
 from p2ptrack.cli import main
-from p2ptrack.netsim import CaptureTap
+from p2ptrack.netsim import CaptureTap, Simulator
 from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
                                 scan_privacy, write_report)
+from p2ptrack.rtcdir import RtcOverlay
 from p2ptrack.scenario import load_scenario, scenario_from_dict
 from tests.conftest import named
 
@@ -493,6 +494,30 @@ def test_noise_never_reaches_a_report(monkeypatch):
     resalted = gate.digests(load_scenario(SMOKE), "all")
     assert resalted[0] == plain[0] and resalted[2] is plain[2] is True
     assert resalted[1] != plain[1]
+
+
+def test_no_pipeline_call_stores_a_tcp_attempt(monkeypatch):
+    # a pipeline calls only after its caller's SYN filter starts, so no
+    # SYN-ACK can reach a call's SYNs: each is a plain send, with no
+    # attempt stored and no retransmit left to decide
+    stored, retries = [], []
+    place_call, schedule = RtcOverlay.place_call, Simulator.schedule
+
+    def counted_place_call(overlay, *args, **kwargs):
+        call = place_call(overlay, *args, **kwargs)
+        stored.append(len(overlay._pending_tcp))
+        return call
+
+    def counted_schedule(sim, at, fn, *args):
+        if getattr(fn, "__func__", None) is RtcOverlay._retry_syn:
+            retries.append(at)
+        schedule(sim, at, fn, *args)
+
+    monkeypatch.setattr(RtcOverlay, "place_call", counted_place_call)
+    monkeypatch.setattr(Simulator, "schedule", counted_schedule)
+    assert run(load_scenario(SMOKE), "all").ok()
+    assert stored and set(stored) == {0}
+    assert retries == []
 
 
 def test_a_prober_holds_only_unanswered_probes(monkeypatch):

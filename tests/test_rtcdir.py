@@ -313,12 +313,41 @@ def test_filter_suppresses_all_notifications(mini):
     mini.start()
     mini.overlay.place_call(CallRequest(mini.tracker_user, pub, 100.0))
     mini.overlay.place_call(CallRequest(mini.tracker_user, nat, 200.0))
-    assert len(mini.overlay._pending_tcp) == 2
+    # the caller's SYNs and the NATed callee's all meet the filter, so no
+    # SYN-ACK could reach either attempt, and neither is stored
+    assert mini.overlay._pending_tcp == {}
     mini.sim.advance(240.0)
     assert mini.overlay.notifications == []
-    # the caller's SYNs and the NATed callee's both met the filter, so after
-    # its last SYN no SYN-ACK could reach either attempt
     assert mini.overlay._pending_tcp == {}
+
+
+def test_a_syn_is_resent_only_until_answered():
+    # at the caller's tap, a call to an online callee shows the SYN of the
+    # side that opens (the caller's to a public callee, the NATed callee's
+    # to the caller) and, without the filter, one SYN-ACK back, which
+    # stops the retransmits; with the filter, all three SYNs and no answer
+    from tests.conftest import MiniWorld
+    for filtered in (True, False):
+        w = MiniWorld(filtered=filtered)
+        pub, phost = w.add_public_user()
+        nat, nhost = w.add_nated_user()
+        w.start(at=30.0)
+        w.tap.take()
+        calls = [w.overlay.place_call(CallRequest(w.tracker_user, callee, t))
+                 for callee, t in ((pub, 100.0), (nat, 200.0))]
+        w.sim.advance(240.0)
+        packets = named(w.tap.take())
+        for call, host, opens in zip(calls, (phost, nhost), ("out", "in")):
+            peer = w.sim.public_ip_of(host)
+            syns = Counter(("out" if p.dst_ip == peer else "in", p.tcp_flags)
+                           for p in packets if peer in (p.src_ip, p.dst_ip)
+                           and "SYN" in p.tcp_flags)
+            answers = "in" if opens == "out" else "out"
+            assert syns == ({(opens, "SYN"): 3} if filtered else
+                            {(opens, "SYN"): 1, (answers, "ACK,SYN"): 1})
+            rung = sorted(n.kind for n in w.overlay.notifications
+                          if n.call_id == call.call_id)
+            assert rung == ([] if filtered else ["popup", "ring"])
 
 
 def test_reveal_after_accept_unanswered_only_noise(mini):
@@ -371,90 +400,108 @@ def _plan(w, callee, t, answered=False):
     return placed, plan
 
 
+def _syn_attempt(syns, remote):
+    """The attempt a SYN and its 2 retries open, or None when all three
+    are plain sends; each retry re-sends it unless it was established."""
+    attempt = syns[0][-1]
+    if attempt is None:
+        assert [s[-1] for s in syns] == [None] * 3
+    else:
+        assert attempt.callee_host == remote
+        assert [s[-1] for s in syns[1:]] == [(attempt,)] * 2
+    return attempt
+
+
 def _public_shape(pattern, caller, remote, base):
-    """A SYN plus 2 retries, then 3 markers, all caller -> remote."""
+    """A SYN plus 2 retries, then 3 markers, all caller -> remote; returns
+    the SYNs' attempt."""
     assert [s[1:3] for s in pattern] == [(caller, remote)] * 6
     syns, markers = pattern[:3], pattern[3:]
     assert [(s[3], s[4], s[5]) for s in syns] == [("TCP", 44, "SYN")] * 3
-    assert syns[0][0] == base and syns[0][-1].callee_host == remote
-    assert [s[-1] for s in syns[1:]] == [(syns[0][-1], False),
-                                         (syns[0][-1], True)]
+    assert syns[0][0] == base
     assert syns[1][0] - syns[0][0] == pytest.approx(3.0, rel=0.06)
     assert syns[2][0] - syns[1][0] == pytest.approx(1.0, rel=0.06)
     assert [(s[3], s[4] in (59, 58), s[-1]) for s in markers] == \
         [("UDP", True, None)] * 3
-    return syns[0][-1]
+    return _syn_attempt(syns, remote)
 
 
 def _nated_shape(pattern, caller, remote, base):
     """28 bytes first, a SYN plus 2 retries, 4-8 varying sizes in
-    alternating directions, then 3 x 3-byte tail, remote first."""
+    alternating directions, then 3 x 3-byte tail, remote first; returns
+    the SYNs' attempt."""
     first, syns, varying, tail = \
         pattern[0], pattern[1:4], pattern[4:-3], pattern[-3:]
     assert first[:5] == (base, remote, caller, "UDP", 28)
     assert [s[1:6] for s in syns] == \
         [(remote, caller, "TCP", 44, "SYN")] * 3
-    assert [s[-1] for s in syns[1:]] == [(syns[0][-1], False),
-                                         (syns[0][-1], True)]
     assert 4 <= len(varying) <= 8
     assert [s[1:3] for s in varying] == \
         [(remote, caller) if k % 2 == 0 else (caller, remote)
          for k in range(len(varying))]
     assert all(30 <= s[4] <= 120 and s[4] != 28 for s in varying)
     assert [s[1:5] for s in tail] == [(remote, caller, "UDP", 3)] * 3
-    return syns[0][-1]
+    return _syn_attempt(syns, remote)
 
 
-def test_call_plan_shapes(mini):
-    pub, phost = mini.add_public_user()
-    nat, nhost = mini.add_nated_user()
-    off, ohost = mini.add_public_user(online=(0.0, 20.0))
-    mini.start(at=30.0)
-    caller = mini.tracker_host
-    placed, pattern = _plan(mini, pub, 100.0)
-    base = placed.t_start + placed.start_delay
-    attempt = _public_shape(pattern, caller, phost, base)
-    assert attempt.callee == pub
-    assert [t.kind for t in placed.targets] == [KIND_PUBLIC]
-    placed, pattern = _plan(mini, nat, 200.0)
-    base = placed.t_start + placed.start_delay
-    attempt = _nated_shape(pattern, caller, nhost, base)
-    assert attempt.callee == nat
-    assert [t.kind for t in placed.targets] == [KIND_NATED]
-    # offline: the public pattern toward the last-seen host, nobody rung
-    placed, pattern = _plan(mini, off, 300.0)
-    base = placed.t_start + placed.start_delay
-    assert _public_shape(pattern, caller, ohost, base).callee is None
-    assert [t.kind for t in placed.targets] == [KIND_OFFLINE]
+def _rung(attempts) -> list:
+    """The callee each attempt would ring; a plain SYN opens none."""
+    return [a.callee for a in attempts if a is not None]
+
+
+def test_call_plan_shapes():
+    from tests.conftest import MiniWorld
+    for filtered in (True, False):
+        w = MiniWorld(filtered=filtered)
+        pub, phost = w.add_public_user()
+        nat, nhost = w.add_nated_user()
+        off, ohost = w.add_public_user(online=(0.0, 20.0))
+        w.start(at=30.0)
+        caller, attempts = w.tracker_host, []
+        # offline: the public pattern toward the last-seen host
+        for callee, t, shape, remote, kind in (
+                (pub, 100.0, _public_shape, phost, KIND_PUBLIC),
+                (nat, 200.0, _nated_shape, nhost, KIND_NATED),
+                (off, 300.0, _public_shape, ohost, KIND_OFFLINE)):
+            placed, pattern = _plan(w, callee, t)
+            base = placed.t_start + placed.start_delay
+            attempts.append(shape(pattern, caller, remote, base))
+            assert [t.kind for t in placed.targets] == [kind]
+        # behind the filter every SYN is plain; without it an attempt
+        # rings an online callee, and nobody for an offline one
+        assert _rung(attempts) == ([] if filtered else [pub, nat, None])
 
 
 def test_relayed_and_unanswered_call_plans():
     from tests.conftest import MiniWorld
-    w = MiniWorld(defense="relay_all")
-    pub, _ = w.add_public_user()
-    nat, _ = w.add_nated_user()
-    w.start()
-    # the relay is the remote of the pattern the callee would have shown
-    placed, pattern = _plan(w, pub, 100.0)
-    relay = pattern[0][2]
-    assert relay in w.overlay.relays
-    base = placed.t_start + placed.start_delay
-    assert _public_shape(pattern, w.tracker_host, relay, base).callee is None
-    placed, pattern = _plan(w, nat, 200.0)
-    relay = pattern[0][1]
-    assert relay in w.overlay.relays
-    base = placed.t_start + placed.start_delay
-    assert _nated_shape(pattern, w.tracker_host, relay, base).callee is None
-    # reveal-after-accept: only noise before an answer, then a pattern
-    w = MiniWorld(defense="reveal_after_accept")
-    user, host = w.add_public_user()
-    w.start()
-    placed, pattern = _plan(w, user, 100.0)
-    assert pattern == [] and placed.targets == []
-    placed, pattern = _plan(w, user, 300.0, answered=True)
-    base = pattern[0][0]
-    assert base - placed.t_start - placed.start_delay >= 1.0
-    assert _public_shape(pattern, w.tracker_host, host, base).callee == user
+    for filtered in (True, False):
+        w = MiniWorld(defense="relay_all", filtered=filtered)
+        pub, _ = w.add_public_user()
+        nat, _ = w.add_nated_user()
+        w.start()
+        # the relay is the remote of the pattern the callee would have
+        # shown, and rings nobody
+        placed, pattern = _plan(w, pub, 100.0)
+        relay = pattern[0][2]
+        assert relay in w.overlay.relays
+        base = placed.t_start + placed.start_delay
+        attempts = [_public_shape(pattern, w.tracker_host, relay, base)]
+        placed, pattern = _plan(w, nat, 200.0)
+        relay = pattern[0][1]
+        assert relay in w.overlay.relays
+        base = placed.t_start + placed.start_delay
+        attempts.append(_nated_shape(pattern, w.tracker_host, relay, base))
+        # reveal-after-accept: only noise before an answer, then a pattern
+        w = MiniWorld(defense="reveal_after_accept", filtered=filtered)
+        user, host = w.add_public_user()
+        w.start()
+        placed, pattern = _plan(w, user, 100.0)
+        assert pattern == [] and placed.targets == []
+        placed, pattern = _plan(w, user, 300.0, answered=True)
+        base = pattern[0][0]
+        assert base - placed.t_start - placed.start_delay >= 1.0
+        attempts.append(_public_shape(pattern, w.tracker_host, host, base))
+        assert _rung(attempts) == ([] if filtered else [None, None, user])
 
 
 # -- supernode noise -----------------------------------------------------------
