@@ -25,7 +25,9 @@ digests are taken of each run:
   answered.
 
 Prints one line per run and exits 1 if a digest differs from the pair
-pinned below or a pipeline check fails.  A change that alters a report or
+pinned below or a pipeline check fails.  A `FAIL` line names each digest
+that moved (`report`, `trace` or both), with its new and pinned values,
+and says if a pipeline check failed.  A change that alters a report or
 moves packets on purpose updates its digest here and says why.
 """
 
@@ -146,12 +148,15 @@ def main() -> int:
     failed = 0
     for name, pinned in PINNED.items():
         *got, ok = digests(*pinned_run(name))
-        if tuple(got) == pinned and ok:
-            print(f"ok   {name}: {got[0]} {got[1]}")
-        else:
-            print(f"FAIL {name}: {got[0]} {got[1]}, pinned {pinned[0]} "
-                  f"{pinned[1]}{'' if ok else ', a pipeline check failed'}")
+        faults = [f"{what} {now}, pinned {then}" for what, now, then
+                  in zip(("report", "trace"), got, pinned) if now != then]
+        if not ok:
+            faults.append("a pipeline check failed")
+        if faults:
+            print(f"FAIL {name}: {'; '.join(faults)}")
             failed += 1
+        else:
+            print(f"ok   {name}: {got[0]} {got[1]}")
     return 1 if failed else 0
 
 

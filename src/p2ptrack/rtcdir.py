@@ -491,11 +491,11 @@ class RtcOverlay:
         plan: list = []
         targets = []
         for kind, remote, notify in self._targets(req, rng, online):
-            attempt = _TcpAttempt(call_id, notify, remote)
+            opens = (call_id, notify, remote)
             if kind == KIND_NATED:
-                self._nated_plan(plan, rng, caller, remote, base, attempt)
+                self._nated_plan(plan, rng, caller, remote, base, opens)
             else:
-                self._public_plan(plan, rng, caller, remote, base, attempt)
+                self._public_plan(plan, rng, caller, remote, base, opens)
             targets.append(CallTarget(kind, self._endpoint(remote)[0]))
         return PlacedCall(call_id, req.t_start, start_delay, targets,
                           true_ips), caller, plan
@@ -527,40 +527,42 @@ class RtcOverlay:
         j = self.config.pattern_jitter
         return nominal * (1.0 + rng.uniform(-j, j)) if j else nominal
 
-    def _syn_plan(self, plan, rng, src, dst, t, attempt) -> None:
+    def _syn_plan(self, plan, rng, src, dst, t, opens) -> None:
         """A SYN plus two retransmits (3 s then 1 s timeouts).  A host's
         SYN filter only ever starts, so from either end's filter time on no
-        SYN-ACK can reach attempt, and the three SYNs are plain sends.
-        Before it, the first opens attempt, and each retransmit is sent
-        unless a SYN-ACK established attempt."""
+        SYN-ACK can reach them, and the three SYNs are plain sends.  Before
+        it, the first opens _TcpAttempt(*opens), and each retransmit is
+        sent unless a SYN-ACK established that attempt."""
         t1 = t + self._jit(rng, SYN_TIMEOUT_FIRST)
         t2 = t1 + self._jit(rng, SYN_TIMEOUT_SECOND)
         hosts = self.sim.hosts
         if t >= min(hosts[src].syn_filter_from, hosts[dst].syn_filter_from):
-            attempt = None
-        retry = None if attempt is None else (attempt,)
+            attempt = retry = None
+        else:
+            attempt = _TcpAttempt(*opens)
+            retry = (attempt,)
         plan += ((t, src, dst, "TCP", SYN_SIZE, "SYN", attempt),
                  (t1, src, dst, "TCP", SYN_SIZE, "SYN", retry),
                  (t2, src, dst, "TCP", SYN_SIZE, "SYN", retry))
 
-    def _public_plan(self, plan, rng, caller, remote, base, attempt) -> None:
+    def _public_plan(self, plan, rng, caller, remote, base, opens) -> None:
         """Case (i)/(iii): the caller's SYNs and three 59/58-byte markers;
         responses, if any, come from the remote client's handler."""
-        self._syn_plan(plan, rng, caller, remote, base, attempt)
+        self._syn_plan(plan, rng, caller, remote, base, opens)
         t = base + rng.uniform(0.05, 0.25)
         for gap in (0.0,) + MARKER_GAPS:
             t += self._jit(rng, gap) if gap else 0.0
             plan.append((t, caller, remote, "UDP", rng.choice(MARKER_SIZES),
                          "", None))
 
-    def _nated_plan(self, plan, rng, caller, remote, base, attempt) -> None:
+    def _nated_plan(self, plan, rng, caller, remote, base, opens) -> None:
         """Case (ii): the NATed remote initiates toward the public caller."""
         # first contact: 28-byte UDP; remember the remote initiated so the
         # caller's echo is not re-echoed
         self._sent28[(remote, *self._endpoint(caller))] = base
         plan.append((base, remote, caller, "UDP", NAT_FIRST_SIZE, "", None))
         self._syn_plan(plan, rng, remote, caller,
-                       base + self._jit(rng, 0.4), attempt)
+                       base + self._jit(rng, 0.4), opens)
 
         # varying-size exchange, alternating directions
         lo, hi = VARYING_SIZES

@@ -218,28 +218,29 @@ class CallerPool:
             CallRequest(self.clients[client][1], callee, t),
             start_delay=start_delay)
 
-    def read(self, slots, length: float, window: float) -> list:
-        """Run the round and return the slot trace of each (client, t) in
-        slots.  The loop runs slot time by slot time: once it has reached
-        t + max(length, window), everything a slot at t reads is final, so
-        the indexes take in what is new and read the slots at t, and then
-        everything observed before the next slot time's t - window leaves
-        the indexes.  So the indexes hold a few windows of packets, not the
-        round.  The round ends at max t + length + window + ROUND_TAIL,
-        with taps and indexes empty."""
+    def read(self, slots, length: float, window: float):
+        """Run the round, yielding (k, slot trace) for each (client, t) =
+        slots[k] as soon as that trace is final; the caller exhausts the
+        generator to end the round.  The loop runs slot time by slot time:
+        once it has reached t + max(length, window), everything a slot at t
+        reads is final, so the indexes take in what is new and the slots at
+        t are yielded, in slots order, and then everything observed before
+        the next slot time's t - window leaves the indexes.  So the indexes
+        hold a few windows of packets, not the round, and no trace is kept
+        past its yield.  The round ends at max t + length + window +
+        ROUND_TAIL, with taps and indexes empty."""
         by_t: dict = {}
         for k, (_, t) in enumerate(slots):
             by_t.setdefault(t, []).append(k)
         times = sorted(by_t)
-        traces = [None] * len(slots)
         reach = max(length, window)
         for i, t in enumerate(times):
             self.sim.advance(max(self.sim.now, t + reach))
             for index in self.indexes:
                 index.take(t + reach)
             for k in by_t[t]:
-                traces[k] = self.indexes[slots[k][0]].slot_trace(t, length,
-                                                                 window)
+                yield k, self.indexes[slots[k][0]].slot_trace(t, length,
+                                                              window)
             if i + 1 < len(times):
                 for index in self.indexes:
                     index.drop(times[i + 1] - window)
@@ -248,4 +249,3 @@ class CallerPool:
         for index in self.indexes:
             index.take(math.inf)
             index.drop(math.inf)
-        return traces

@@ -201,12 +201,15 @@ class Tracker:
                 calls.append(TrackedCall(c, t_call, callee, validation,
                                          placed))
 
-        traces = self.pool.read([(k.client, k.t) for k in calls], s,
-                                classifier.pattern_window)
+        observer_ips = self.pool.observer_ips
+        for k, trace in self.pool.read([(c.client, c.t) for c in calls], s,
+                                       classifier.pattern_window):
+            call = calls[k]
+            call.extracted = tuple(classify_trace(
+                trace, classifier, observer_ips[call.client]))
         samples: list = []
-        for call, trace in zip(calls, traces):
-            call.extracted = extracted = tuple(classify_trace(
-                trace, classifier, self.pool.observer_ips[call.client]))
+        for call in calls:
+            extracted = call.extracted
             ambiguous = len(extracted) > 1
             if not extracted:
                 samples.append(LocationSample(call.callee, call.t,

@@ -115,15 +115,20 @@ class Verifier:
                     res.candidate.infohash, at=t_call)
                 self.pool.call(j % pool, res.candidate.user, t_call)
                 probes.append((j, t_call, probe))
-            traces = self.pool.read([(j % pool, t) for j, t, _ in probes],
-                                    gap, window)
+            # slot j is candidate j's call; a probe's reply may come after
+            # its call's trace is final, so probes are read once the round
+            # has ended
+            ipids_rtc = [None] * len(probes)
+            for j, trace in self.pool.read(
+                    [(j % pool, t) for j, t, _ in probes], gap, window):
+                ipids_rtc[j] = next(
+                    (m.ip_id for m in classify_trace(
+                        trace, self.classifier,
+                        self.pool.observer_ips[j % pool])
+                     if m.candidate_ip == results[j].candidate.ip), None)
 
-            for (j, t_call, probe), trace in zip(probes, traces):
+            for (j, t_call, probe), ipid_rtc in zip(probes, ipids_rtc):
                 res = results[j]
-                matches = classify_trace(trace, self.classifier,
-                                         self.pool.observer_ips[j % pool])
-                ipid_rtc = next((m.ip_id for m in matches
-                                 if m.candidate_ip == res.candidate.ip), None)
                 if ipid_rtc is not None:
                     res.call_matches += 1
                 ipid_bt = None

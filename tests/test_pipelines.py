@@ -15,7 +15,7 @@ from p2ptrack.cli import main
 from p2ptrack.netsim import CaptureTap, Simulator
 from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
                                 scan_privacy, write_report)
-from p2ptrack.rtcdir import RtcOverlay
+from p2ptrack.rtcdir import RtcOverlay, _TcpAttempt
 from p2ptrack.scenario import load_scenario, scenario_from_dict
 from tests.conftest import named
 
@@ -499,9 +499,10 @@ def test_noise_never_reaches_a_report(monkeypatch):
 def test_no_pipeline_call_stores_a_tcp_attempt(monkeypatch):
     # a pipeline calls only after its caller's SYN filter starts, so no
     # SYN-ACK can reach a call's SYNs: each is a plain send, with no
-    # attempt stored and no retransmit left to decide
-    stored, retries = [], []
+    # attempt built or stored and no retransmit left to decide
+    stored, retries, built = [], [], []
     place_call, schedule = RtcOverlay.place_call, Simulator.schedule
+    attempt_init = _TcpAttempt.__init__
 
     def counted_place_call(overlay, *args, **kwargs):
         call = place_call(overlay, *args, **kwargs)
@@ -513,11 +514,17 @@ def test_no_pipeline_call_stores_a_tcp_attempt(monkeypatch):
             retries.append(at)
         schedule(sim, at, fn, *args)
 
+    def counted_attempt_init(attempt, *args):
+        built.append(args)
+        attempt_init(attempt, *args)
+
     monkeypatch.setattr(RtcOverlay, "place_call", counted_place_call)
     monkeypatch.setattr(Simulator, "schedule", counted_schedule)
+    monkeypatch.setattr(_TcpAttempt, "__init__", counted_attempt_init)
     assert run(load_scenario(SMOKE), "all").ok()
     assert stored and set(stored) == {0}
     assert retries == []
+    assert built == []
 
 
 def test_a_prober_holds_only_unanswered_probes(monkeypatch):
@@ -555,6 +562,24 @@ def test_smoke_trace_digest_is_pinned_and_sees_packets():
         scenario = load_scenario(SMOKE)
         setattr(scenario.rtc, key, value)
         assert gate.digests(scenario, "all")[1] != pinned[1], key
+
+
+def test_digest_gate_names_the_digest_that_moved(capsys):
+    gate = _trace_script()
+    report, trace, other = "a" * 64, "b" * 64, "0" * 64
+    for pinned, ok, faults in (
+            ((report, trace), True, []),
+            ((report, other), True, [f"trace {trace}, pinned {other}"]),
+            ((other, trace), True, [f"report {report}, pinned {other}"]),
+            ((other, other), True, [f"report {report}, pinned {other}",
+                                    f"trace {trace}, pinned {other}"]),
+            ((report, trace), False, ["a pipeline check failed"])):
+        gate.PINNED = {SMOKE_RUN: pinned}
+        gate.digests = lambda scenario, pipeline: (report, trace, ok)
+        assert gate.main() == (1 if faults else 0)
+        want = (f"FAIL {SMOKE_RUN}: {'; '.join(faults)}" if faults
+                else f"ok   {SMOKE_RUN}: {report} {trace}")
+        assert capsys.readouterr().out == want + "\n"
 
 
 def test_perfbench_hooks_resolve():

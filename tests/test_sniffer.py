@@ -1,6 +1,7 @@
 import bisect
 import math
 import runpy
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,8 +288,20 @@ def _late_packet(sim):
                       src_port=5000)
 
 
+_POOL_SLOTS = [(0, 1.0), (1, 4.0), (0, 7.0), (1, 7.0)]
+
+
+def _pool():
+    """A pool over _pool_sim's two callers, with the late flow scheduled."""
+    sim = _pool_sim()
+    pool = CallerPool(sim, RtcOverlay(sim, Directory(), PresenceBook()),
+                      [("c0", "u0"), ("c1", "u1")])
+    _late_packet(sim)
+    return pool
+
+
 def test_caller_pool_read_is_each_slot_trace():
-    slots, length, window = [(0, 1.0), (1, 4.0), (0, 7.0), (1, 7.0)], 3.0, 4.0
+    slots, length, window = _POOL_SLOTS, 3.0, 4.0
     end = 7.0 + length + window + ROUND_TAIL
     # the oracle: index each tap by hand once the round has run
     sim = _pool_sim()
@@ -298,11 +311,17 @@ def test_caller_pool_read_is_each_slot_trace():
     indexes = [_whole_index(taps[c], sim.hosts[f"c{c}"].ip) for c in (0, 1)]
     want = [indexes[c].slot_trace(t, length, window) for c, t in slots]
 
-    sim = _pool_sim()
-    pool = CallerPool(sim, RtcOverlay(sim, Directory(), PresenceBook()),
-                      [("c0", "u0"), ("c1", "u1")])
-    _late_packet(sim)
-    got = pool.read(slots, length, window)
+    pool = _pool()
+    sim = pool.sim
+    pairs, nows = [], []
+    for k, trace in pool.read(slots, length, window):
+        pairs.append((k, trace))
+        nows.append(sim.now)
+    # each slot once, in slot time order, as soon as the loop has run
+    # max(length, window) past it
+    assert [k for k, _ in pairs] == [0, 1, 2, 3]
+    assert nows == [t + max(length, window) for _, t in slots]
+    got = [trace for _, trace in pairs]
     assert got == want
     assert all(got)
     assert any(p.size == 200 for p in named(got[2]))
@@ -335,14 +354,18 @@ def test_streamed_read_equals_whole_round_read(monkeypatch):
     checked = []
 
     def checked_read(pool, slots, length, window):
-        traces = read(pool, slots, length, window)
+        pairs = []
+        for k, trace in read(pool, slots, length, window):
+            pairs.append((k, trace))
+            yield k, trace
+        assert sorted(k for k, _ in pairs) == list(range(len(slots)))
         wholes = {c: _whole_index(copies[pool.taps[c]], pool.observer_ips[c])
                   for c in {c for c, _ in slots}}
-        for (c, t), trace in zip(slots, traces):
+        for k, trace in pairs:
+            c, t = slots[k]
             assert trace == wholes[c].slot_trace(t, length, window)
-        checked.extend(traces)
+        checked.extend(trace for _, trace in pairs)
         copies.clear()
-        return traces
 
     monkeypatch.setattr(CaptureTap, "record", copying_record)
     monkeypatch.setattr(CallerPool, "read", checked_read)
@@ -353,6 +376,23 @@ def test_streamed_read_equals_whole_round_read(monkeypatch):
     late = [c for k, r in enumerate(rounds) for c in r.calls
             if (k, c.callee) in world.reorder_plan]
     assert len(late) == 1 and late[0].placed.start_delay > tracker.sched.s
+
+
+def test_no_slot_trace_outlives_its_read(monkeypatch):
+    # the pool keeps no trace it has yielded, so trace k is gone once the
+    # caller, holding only the trace in hand, takes trace k + 1
+    class Trace(list):
+        pass
+
+    slot_trace = FlowIndex.slot_trace
+    monkeypatch.setattr(FlowIndex, "slot_trace",
+                        lambda index, *args: Trace(slot_trace(index, *args)))
+    refs, sizes = [], []
+    for k, trace in _pool().read(_POOL_SLOTS, 3.0, 4.0):
+        assert [ref() for ref in refs] == [None] * k
+        refs.append(weakref.ref(trace))
+        sizes.append(len(trace))
+    assert len(refs) == len(_POOL_SLOTS) and all(sizes)
 
 
 def test_streamed_read_holds_under_half_of_a_round(monkeypatch):
