@@ -52,31 +52,31 @@ from p2ptrack.scenario import load_scenario, scenario_from_dict  # noqa: E402
 PINNED = {
     "smoke --pipeline all": (
         "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c",
-        "17a92b8cc0fce2dcebb1b557408116a52f4519983db181316910581be0cb2486"),
+        "76c1b51e33b9f0c72077d4ad55fcb18829ca34a73847b7e0d2ee93b8798f6429"),
     "mobility --pipeline all": (
         "2ca087b2bdc5f3ec4d392def516c0f7f68e6505508823ff0d868db94a68ab313",
-        "1ae9247cd5ec3d0c226d94341124bc150820c49499ec232c035a7d79a62ccca6"),
+        "244ec1af90aaa716a0eafbfef3ee31d056854ac8a9f5e7e2ea726c794ea847fa"),
     "flagship --pipeline linkage": (
         "e013fdb92d8e40111fa159daf559b929730a85af38cb6eb38ed833271541f5c5",
-        "9ef64a3e91de75827c0c7f49360ec3661b27d6a1b5f41d8be91dbeb2ffc5aa9d"),
+        "fc14ffc500e0cca71ccc14109f45ddac61407d77ea997522ff7cc3a4f73a2bf6"),
     "benchmark track seed 1": (
         "fb5ce2058e27cde87d1427fa14bf81e4ada2dccccbace907ff2832287e03f22e",
-        "174765f0fe49c2f61a731c8b854ee063b8b82b8bf944f79597fee848372fc668"),
+        "210bc002b3e458db8b27fb410adfe3a68a75218ea38de334b18067768f31a492"),
     "benchmark track seed 77": (
         "834153299ddeef3ccc2153fcd8ec34769c7efed65b0bed66babc7f0b8d381762",
-        "e1771ba2ea3365910ce97bfdb9ea0409de1f07b435349a52ea47c9a9891e9bc8"),
+        "7f1d596e77cea8fbc7beeb3d124472c67dc71062b1f438f2816115181a522b28"),
     "benchmark track seed 9173": (
         "f52c7d834bc5d8226149558e9679f00826976737738088f96616122c7670d38f",
-        "38e450092c0acbf3a692932bc328223337577697207967f15569e279dfd87217"),
+        "9fb2227e7f80a01ab8954e3ab360d8d08edaa009c4dcd256978a450369cd81d2"),
     "benchmark link seed 1": (
         "6af448f9b04d1342c178a908596ff7246f886ba04e21be46813967345cd5a05b",
-        "42201b8e0b462e2c811df6ff65bc150ae5cc431cabd2f6c8b6e444a793730f7b"),
+        "5dc20f0fbc46a5004a5cafe1da2964b12710600e36e99632e7a6a6e83f846862"),
     "benchmark link seed 77": (
         "a5302b8bf800f30e6e45dcc0e10789927cb6bc49b1205d1a98b5f4b6bca1e5a2",
-        "930bb68965833a2f50e1283530709fb5659db160597cb4f88ab434ba302c25a9"),
+        "b11cdcd89bff546fae46afdd4639602b74cd1caef2e291ffca6cf159d2747f44"),
     "benchmark link seed 9173": (
         "36f8f6e2e0249ceb23f404e3c4b5f88ee5887c2f7e1766c5f5949db50c93e7f5",
-        "3cccb65c2a8d82eb9ab272454149efe65cd90b76efdd92f7921702ce26de99ae"),
+        "e8b4f62ca810457cf7cc30f15d88ef48522f8a798aa4a53586632926e417b0e0"),
 }
 
 

@@ -23,6 +23,7 @@ order, so a given (topology, seed) always produces byte-identical traces.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import random
@@ -61,6 +62,16 @@ def parse_ip(text: str) -> int:
             raise NetsimError(f"bad IPv4 address {text!r}")
         value = (value << 8) | octet
     return value
+
+
+def keyed_draw(seed, purpose: str, key: str, count: int) -> int:
+    """The count-th 64-bit draw of the stream keyed by (seed, purpose,
+    key): an 8-byte blake2b digest, so a stream holds no generator, does
+    not hang on any other stream's draws, and, unlike hash(), does not
+    change with PYTHONHASHSEED."""
+    return int.from_bytes(hashlib.blake2b(
+        f"{seed}:{purpose}:{key}:{count}".encode(), digest_size=8).digest(),
+        "big")
 
 
 class SimPacket(NamedTuple):

@@ -18,9 +18,10 @@ import heapq
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
-from .netsim import Simulator
+from .netsim import Simulator, keyed_draw
 
 DEFENSE_NONE = "none"
 DEFENSE_REVEAL_AFTER_ACCEPT = "reveal_after_accept"
@@ -376,7 +377,7 @@ class RtcOverlay:
         self._pending_tcp: dict = {}    # (host, peer_ip, peer_port, lport)
         self._sent28: dict = {}         # (host, peer_ip, peer_port) -> t
         self._echoed: dict = {}         # same key -> t of last echo
-        self._resp_rng: dict = {}       # host_id -> RNG for marker replies
+        self._replies: dict = {}        # host_id -> reply draws so far
         self._next_call = 0
         self._port_rng = random.Random(f"{seed}:rtcport")
 
@@ -722,8 +723,8 @@ class RtcOverlay:
         from (peer_ip, peer_port) arriving at now, or None.  A 28-byte
         packet is echoed once per 30 s unless host_id sent the first one; a
         59/58-byte marker draws a varying-size reply while the host is
-        active, from rng or else from the host's own reply stream, built
-        when it first draws."""
+        active, from rng or else from the host's keyed reply stream, so a
+        host's n-th loop reply hangs only on (seed, host, n)."""
         if size == NAT_FIRST_SIZE:
             key = (host_id, peer_ip, peer_port)
             if now - self._sent28.get(key, -1e9) < 30.0:
@@ -733,15 +734,18 @@ class RtcOverlay:
             self._echoed[key] = now
             return (0.08, NAT_FIRST_SIZE)
         if size in MARKER_SIZES and self._host_active(host_id, now):
-            if rng is None:
-                if host_id not in self._resp_rng:
-                    self._resp_rng[host_id] = random.Random(
-                        f"{self.seed}:resp:{host_id}")
-                rng = self._resp_rng[host_id]
+            randint = partial(self._reply_randint, host_id) if rng is None \
+                else rng.randint
             lo, hi = VARYING_SIZES
-            size = rng.randint(lo, hi)
+            size = randint(lo, hi)
             while size in (NAT_FIRST_SIZE, NAT_TAIL_SIZE) or \
                     size in MARKER_SIZES:
-                size = rng.randint(lo, hi)
+                size = randint(lo, hi)
             return (0.05, size)
         return None
+
+    def _reply_randint(self, host_id, lo: int, hi: int) -> int:
+        """host_id's next draw in [lo, hi] from its keyed reply stream."""
+        n = self._replies.get(host_id, 0)
+        self._replies[host_id] = n + 1
+        return lo + keyed_draw(self.seed, "resp", host_id, n) % (hi - lo + 1)

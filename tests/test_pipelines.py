@@ -496,6 +496,22 @@ def test_noise_never_reaches_a_report(monkeypatch):
     assert resalted[1] != plain[1]
 
 
+def test_no_generator_is_built_for_a_reply(monkeypatch):
+    # the loop's marker replies come from keyed streams and the noise
+    # writer's from its own generator, so no reply has a generator
+    seeds = []
+
+    class Counted(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    assert run(load_scenario(SMOKE), "all").ok()
+    assert any(":noise:" in str(seed) for seed in seeds)
+    assert not any(":resp:" in str(seed) for seed in seeds)
+
+
 def test_no_pipeline_call_stores_a_tcp_attempt(monkeypatch):
     # a pipeline calls only after its caller's SYN filter starts, so no
     # SYN-ACK can reach a call's SYNs: each is a plain send, with no

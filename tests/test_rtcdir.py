@@ -5,10 +5,10 @@ import pytest
 
 from p2ptrack.rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC,
                              LAST_SEEN_WINDOW, MARKER_SIZES, NAT_FIRST_SIZE,
-                             NAT_TAIL_SIZE, CallError, CallRequest,
-                             Directory, DirectoryError, PresenceBook,
-                             UserProfile, harvest_ids)
-from tests.conftest import named
+                             NAT_TAIL_SIZE, VARYING_SIZES, CallError,
+                             CallRequest, Directory, DirectoryError,
+                             PresenceBook, UserProfile, harvest_ids)
+from tests.conftest import MiniWorld, named
 
 
 # -- directory search ---------------------------------------------------------
@@ -573,14 +573,39 @@ def test_written_noise_equals_noise_through_the_loop():
 def test_a_marker_reply_never_draws_another_answer(mini):
     # _write_noise writes a marker's reply at once and answers only 28-byte
     # arrivals in arrival order: that holds while no marker reply has a
-    # size that draws an answer, or a size of the call pattern
-    overlay, rng = mini.overlay, random.Random("marker replies")
+    # size that draws an answer, or a size of the call pattern; the loop's
+    # replies, from the host's keyed stream, keep the same rule
+    overlay = mini.overlay
     sn, peer = overlay.supernodes[0], mini.sim.hosts[mini.tracker_host].ip
-    drawing = {NAT_FIRST_SIZE, NAT_TAIL_SIZE, *MARKER_SIZES}
-    for k in range(10_000):
-        _, size = overlay._udp_reply(sn, peer, 20000, MARKER_SIZES[k % 2],
-                                     50.0, rng)
-        assert size not in drawing
+    lo, hi = VARYING_SIZES
+    allowed = set(range(lo, hi + 1)) - {NAT_FIRST_SIZE, NAT_TAIL_SIZE,
+                                        *MARKER_SIZES}
+    for rng in (random.Random("marker replies"), None):
+        assert {overlay._udp_reply(sn, peer, 20000, MARKER_SIZES[k % 2],
+                                   50.0, rng)[1]
+                for k in range(10_000)} == allowed
+
+
+def test_a_hosts_nth_reply_hangs_only_on_seed_host_and_n():
+    # the loop draws a host's marker replies from a stream keyed by (seed,
+    # host, n): two hosts answering in either order, between replies drawn
+    # from the noise writer's own generator, each get the same sizes
+    def replies(order, seed=5):
+        mini = MiniWorld(seed=seed)
+        overlay, rng = mini.overlay, random.Random("noise")
+        peer = mini.sim.hosts[mini.tracker_host].ip
+        sizes = {}
+        for host in order:
+            sn = overlay.supernodes[int(host)]
+            sizes.setdefault(host, []).append(overlay._udp_reply(
+                sn, peer, 20000, MARKER_SIZES[0], 50.0)[1])
+            overlay._udp_reply(sn, peer, 20000, MARKER_SIZES[1], 50.0, rng)
+        return sizes
+
+    first = replies("000000111111")
+    assert first == replies("101010101010") == replies("111111000000")
+    assert first["0"] != first["1"]
+    assert replies("000000111111", seed=6) != first
 
 
 def test_noise_to_a_supernode_behind_a_nat_is_refused(mini):
