@@ -218,6 +218,8 @@ class HandshakeClient:
         self.host_id = host_id
         self._next_port = PROBE_PORT_BASE
         self._pending: dict = {}    # src_port -> unanswered HandshakeProbe
+        # packets that answer no pending probe, or come from another address
+        self.rejected = 0
         self.peer_id = b"-SM0000-" + \
             random.Random(f"{seed}:probe:{host_id}").randbytes(12)
         sim.set_handler(host_id, self._on_packet)
@@ -225,6 +227,7 @@ class HandshakeClient:
     def _on_packet(self, sim, host_id, pkt, payload):
         probe = self._pending.get(pkt.dst_port)
         if probe is None or pkt.src_ip != probe.target_ip:
+            self.rejected += 1
             return
         del self._pending[pkt.dst_port]
         if "RST" in pkt.tcp_flags:

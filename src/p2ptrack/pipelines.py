@@ -197,9 +197,11 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
     crawl_failures = 0
     for r in range(scenario.tracker.rounds):
         t_round = world.base_t + r * scenario.tracker.round_period
-        result = tracker.run_round(world.target_ids, t_round, round_index=r)
+        # nothing keeps the round's result or calls past this line
         observations += [(call.callee, call.t, m.candidate_ip)
-                         for call in result.calls for m in call.extracted]
+                         for call in tracker.run_round(
+                             world.target_ids, t_round, round_index=r).calls
+                         for m in call.extracted]
         crawl = run_crawl(world.sim, bt.dht, bt.crawler_bots,
                           bt.top_infohashes, world.sim.now + CRAWL_DELAY)
         snapshots.extend(crawl.snapshots)

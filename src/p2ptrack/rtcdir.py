@@ -600,26 +600,26 @@ class RtcOverlay:
                 self._pending_tcp[(src, ip, port, ports[src])] = role
                 send(src, ip, port, proto, size, flags, t, ports[src])
 
-    def _write_noise(self, call: PlacedCall, caller: str) -> list:
+    def _write_noise(self, call: PlacedCall, caller: str) -> None:
         """Draw a call's supernode chatter from its own stream and write it
         into the taps of both ends, flow by flow (UDP each way to each of
-        its supernodes, then a keepalive each way to the home supernode);
-        return the packets drawn, as tap records.  place_call makes this
-        one loop event at the call's start, so every packet is written
-        ahead of the loop and none is observed before the loop reaches the
-        call; the IP-IDs are drawn then.  A marker's reply (_udp_reply) is
-        written right after it, as it never draws another answer; 28-byte
-        arrivals, whose answers hang on the 30 s echo state, wait on a heap
-        and are answered in arrival order.  The state spans calls but is
-        applied per call (on the track benchmark at seed 1 the classifier
-        reads 27,639 packets).  Noise has no SYN and supernodes are public
-        (add_supernode), so no NAT or SYN filter could touch it."""
+        its supernodes, then a keepalive each way to the home supernode),
+        as tap records.  place_call makes this one loop event at the call's
+        start, so every packet is written ahead of the loop and none is
+        observed before the loop reaches the call; the IP-IDs are drawn
+        then.  A marker's reply (_udp_reply) is written right after it, as
+        it never draws another answer; 28-byte arrivals, whose answers hang
+        on the 30 s echo state, wait on a heap and are answered in arrival
+        order.  The state spans calls but is applied per call (on the track
+        benchmark at seed 1 the classifier reads 27,639 packets).  Noise
+        has no SYN and supernodes are public (add_supernode), so no NAT or
+        SYN filter could touch it."""
         sim, hosts, ports = self.sim, self.sim.hosts, self._ports
         t0 = call.t_start
         c, cport = hosts[caller], ports[caller]
         rng = random.Random(f"{self.seed}:noise:{call.call_id}")
         draw, latency = rng.random, sim.latency
-        sends, echoes = [], []   # echoes: (t_recv, pkt, ways, k) heap
+        echoes = []   # (t_recv, pkt, ways, k) heap
 
         def flow(sn, proto):
             """Each way to sn: (src ip, port, dst ip, port, flow key, the
@@ -664,18 +664,17 @@ class RtcOverlay:
                 else:
                     size = NOISE_SIZES[int(draw() * len(NOISE_SIZES))]
                 k = draw() >= 0.5   # 0: caller -> sn, 1: sn -> caller
-                sends.append(write(t, ways, k, "UDP", size, ""))
+                pkt = write(t, ways, k, "UDP", size, "")
                 if size in MARKER_SIZES:
-                    answer(sends[-1], ways, k)
+                    answer(pkt, ways, k)
         home = self._home_supernode.get(caller)
         if home is not None:
             ways = flow(home, "TCP")
             t = t0 + rng.uniform(0.5, NOISE_WINDOW)
             for k, t in enumerate((t, t + rng.uniform(0.05, 0.4))):
-                sends.append(write(t, ways, k, "TCP", KEEPALIVE_SIZE, "ACK"))
+                write(t, ways, k, "TCP", KEEPALIVE_SIZE, "ACK")
         while echoes:
             answer(*heapq.heappop(echoes)[1:])
-        return sends
 
     def _retry_syn(self, key, attempt: _TcpAttempt) -> None:
         """Re-send key's SYN unless a SYN-ACK established attempt."""

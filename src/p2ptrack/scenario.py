@@ -18,7 +18,7 @@ import yaml
 
 from .btswarm.swarm import CRAWL_DELAY, crawl_span
 from .rtcdir import DEFENSES, RtcConfig
-from .sniffer import ROUND_TAIL
+from .sniffer import PATTERN_WINDOW, ROUND_TAIL
 from .tracker import SchedulerConfig
 from .verifier import RING_MODULUS, VerifierConfig
 
@@ -52,16 +52,13 @@ _BOUNDS = {
         "tracker.clients", "tracker.rounds",
         "bt.swarms", "bt.dht_nodes", "bt.crawler_bots",
         "verifier.min_rounds", "verifier.clients"), ((">", 0),)),
-    **dict.fromkeys((
-        "tracker.s", "tracker.round_period",
-        "tracker.classifier.pattern_window", "verifier.call_gap"),
-        ((">", math.ulp(MAX_TIME) / 2),)),
+    **dict.fromkeys(("tracker.s", "tracker.round_period"),
+                    ((">", math.ulp(MAX_TIME) / 2),)),
     **dict.fromkeys((
         "population.nat_fraction", "population.online_fraction",
         "population.stale_fraction", "population.blocked_fraction",
-        "population.whitelist_fraction", "population.random_ipid_fraction",
-        "tracker.classifier.min_score"), ((">=", 0), ("<=", 1))),
-    "tracker.classifier.timing_tolerance": ((">", 0), ("<", 0.5)),
+        "population.whitelist_fraction", "population.random_ipid_fraction"),
+        ((">=", 0), ("<=", 1))),
     # a jittered gap, nominal * (1 + uniform(-j, j)), stays positive
     "rtc.pattern_jitter": ((">=", 0), ("<", 1)),
     "verifier.threshold": ((">=", 0), ("<", RING_MODULUS // 2)),
@@ -197,19 +194,16 @@ class Scenario:
         volunteer call after each target call and one verifier candidate
         per user, and the keys of its largest term."""
         t = self.tracker
-        window = t.classifier.pattern_window
         terms = {"tracker.rounds * tracker.round_period":
                  t.rounds * t.round_period,
                  "tracker.s * a client's calls":
-                 2 * math.ceil(self.population.users / t.clients) * t.s,
-                 "tracker.classifier.pattern_window": window}
+                 2 * math.ceil(self.population.users / t.clients) * t.s}
         if self.bt is not None:
             v = self.verifier
             slots = math.ceil(self.population.users / v.clients)
             terms["verifier.min_rounds * (verifier.round_spacing or the "
-                  "verifier.call_gap slots)"] = v.min_rounds * v.stride(
-                slots, window)
-        return (BASE_T + sum(terms.values()) + ROUND_TAIL,
+                  "call slots)"] = v.min_rounds * v.stride(slots)
+        return (BASE_T + sum(terms.values()) + PATTERN_WINDOW + ROUND_TAIL,
                 max(terms, key=terms.get))
 
     def round_span(self, crawl: bool = False) -> float:
@@ -226,8 +220,7 @@ class Scenario:
         if pop.volunteers and every:
             volunteers = targets if every == 1 else \
                 min(targets, math.ceil(targets / (every - 1)))
-        span = (targets + volunteers) * t.s + t.classifier.pattern_window \
-            + ROUND_TAIL
+        span = (targets + volunteers) * t.s + PATTERN_WINDOW + ROUND_TAIL
         if crawl:
             span += CRAWL_DELAY + crawl_span(self.bt.swarms,
                                              self.bt.crawler_bots)
@@ -270,7 +263,7 @@ class Scenario:
         if pipeline in ("mobility", "linkage", "all") and t.rounds > 1 \
                 and not span + 8 * math.ulp(end) < t.round_period:
             terms = "tracker.s times a client's target and volunteer " \
-                "calls, tracker.classifier.pattern_window, the round tail"
+                "calls, the pattern window, the round tail"
             if crawl:
                 terms += " and the linkage crawl of bt.swarms by " \
                     "bt.crawler_bots"

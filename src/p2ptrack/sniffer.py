@@ -26,14 +26,10 @@ from .rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC, MARKER_GAPS,
                      SYN_TIMEOUT_SECOND, CallRequest, RtcOverlay)
 
 ECHO_WINDOW = 2.0
+TIMING_TOLERANCE = 0.25   # a gap matches within this fraction of nominal
+MIN_SCORE = 0.8           # a flow scoring at least this is a match
+PATTERN_WINDOW = 20.0     # a call's trace reaches this far around its slot
 ROUND_TAIL = 5.0    # a round runs this long past its last pattern window
-
-
-@dataclass
-class ClassifierConfig:
-    timing_tolerance: float = 0.25
-    min_score: float = 0.8
-    pattern_window: float = 20.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +98,8 @@ def _score_nated(entries, tol: float) -> float:
     return sum(checks) / len(checks)
 
 
-def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
-    """One match per remote address scoring at least cfg.min_score, for a
+def classify_trace(trace, observer_ip: int) -> list:
+    """One match per remote address scoring at least MIN_SCORE, for a
     trace captured at the host whose address is observer_ip; ranked by
     score, then earliest first packet, then address.  trace holds tap
     records or SimPackets; each is unpacked once, into a flow entry
@@ -117,7 +113,7 @@ def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
             remote, entry = src_ip, (t_recv, False, proto, flags, size, ip_id)
         flows.setdefault(remote, []).append(entry)
 
-    tol = cfg.timing_tolerance
+    tol = TIMING_TOLERANCE
     matches = []
     for remote in sorted(flows):
         entries = sorted(flows[remote], key=lambda e: e[0])
@@ -128,7 +124,7 @@ def classify_trace(trace, cfg: ClassifierConfig, observer_ip: int) -> list:
             scored = ((KIND_PUBLIC, _score_syn_udp(entries, tol)),
                       (KIND_NATED, _score_nated(entries, tol)))
         kind, score = max(scored, key=lambda ks: ks[1])
-        if score >= cfg.min_score:
+        if score >= MIN_SCORE:
             matches.append(PatternMatch(
                 kind, remote, entries[0][0], score,
                 None if first_in is None else first_in[5]))

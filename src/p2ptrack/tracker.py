@@ -17,11 +17,11 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .netsim import ip_str, parse_ip
-from .sniffer import CallerPool, ClassifierConfig, classify_trace
+from .sniffer import PATTERN_WINDOW, CallerPool, classify_trace
 
 STATUS_ONLINE = "online"
 STATUS_STALE = "stale"
@@ -37,7 +37,6 @@ class SchedulerConfig:
     validation_every: int = 100    # a volunteer call every N calls
     reorders: int = 0              # planted late-start calls, total
     salt: Optional[str] = None     # hex; derived from the seed if unset
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,6 @@ class Tracker:
     def run_round(self, ids, round_start: float,
                   round_index: int = 0) -> RoundResult:
         s = self.sched.s
-        classifier = self.sched.classifier
         n = len(self.pool.clients)
         per_client = [list(ids[i::n]) for i in range(n)]
         calls: list = []
@@ -203,10 +201,10 @@ class Tracker:
 
         observer_ips = self.pool.observer_ips
         for k, trace in self.pool.read([(c.client, c.t) for c in calls], s,
-                                       classifier.pattern_window):
+                                       PATTERN_WINDOW):
             call = calls[k]
             call.extracted = tuple(classify_trace(
-                trace, classifier, observer_ips[call.client]))
+                trace, observer_ips[call.client]))
         samples: list = []
         for call in calls:
             extracted = call.extracted

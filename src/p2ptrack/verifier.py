@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .btswarm.swarm import MatchCandidate
-from .sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
-                      classify_trace)
+from .sniffer import PATTERN_WINDOW, ROUND_TAIL, CallerPool, classify_trace
 
 RING_MODULUS = 1 << 16
+CALL_GAP = 3.0          # slot spacing when batching candidates
 
 VERDICT_VERIFIED = "verified"
 VERDICT_NOT_VERIFIED = "not_verified"
@@ -55,14 +55,13 @@ class VerifierConfig:
     threshold: int = 1000
     min_rounds: int = 10
     round_spacing: float = 60.0
-    call_gap: float = 3.0          # slot spacing when batching candidates
     clients: int = 10              # client pairs the world builds
 
-    def stride(self, slots: int, window: float) -> float:
+    def stride(self, slots: int) -> float:
         """Seconds from one round's start to the next: round_spacing, or
         what slots call slots, the pattern window and the tail need."""
         return max(self.round_spacing,
-                   slots * self.call_gap + window + ROUND_TAIL)
+                   slots * CALL_GAP + PATTERN_WINDOW + ROUND_TAIL)
 
 
 @dataclass(frozen=True)
@@ -84,23 +83,19 @@ class VerificationResult:
 
 
 class Verifier:
-    def __init__(self, pool: CallerPool, probers,
-                 classifier: ClassifierConfig, cfg: VerifierConfig):
+    def __init__(self, pool: CallerPool, probers, cfg: VerifierConfig):
         """pool: the SYN-filtered calling clients; probers: one plain
         public HandshakeClient per pool client, sharing the same clock."""
         if not pool.clients:
             raise VerifierError("verifier needs at least one client pair")
         self.pool = pool
         self.probers = list(probers)
-        self.classifier = classifier
         self.cfg = cfg
 
     def verify_candidates(self, candidates, t0: float) -> list:
         pool = len(self.pool.clients)
-        gap = self.cfg.call_gap
-        window = self.classifier.pattern_window
         slots = max(1, math.ceil(len(candidates) / pool))
-        stride = self.cfg.stride(slots, window)
+        stride = self.cfg.stride(slots)
         results = [VerificationResult(c, [], None, VERDICT_UNVERIFIABLE)
                    for c in candidates]
 
@@ -108,7 +103,7 @@ class Verifier:
             base = t0 + r * stride
             probes = []
             for j, res in enumerate(results):
-                t_call = base + (j // pool) * gap
+                t_call = base + (j // pool) * CALL_GAP
                 # the simultaneity contract: both sends at the same instant
                 probe = self.probers[j % pool].send(
                     res.candidate.ip, res.candidate.port,
@@ -120,11 +115,11 @@ class Verifier:
             # has ended
             ipids_rtc = [None] * len(probes)
             for j, trace in self.pool.read(
-                    [(j % pool, t) for j, t, _ in probes], gap, window):
+                    [(j % pool, t) for j, t, _ in probes], CALL_GAP,
+                    PATTERN_WINDOW):
                 ipids_rtc[j] = next(
                     (m.ip_id for m in classify_trace(
-                        trace, self.classifier,
-                        self.pool.observer_ips[j % pool])
+                        trace, self.pool.observer_ips[j % pool])
                      if m.candidate_ip == results[j].candidate.ip), None)
 
             for (j, t_call, probe), ipid_rtc in zip(probes, ipids_rtc):

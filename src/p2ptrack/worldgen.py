@@ -118,8 +118,7 @@ class World:
             raise ScenarioError("scenario has no bt section")
         return Verifier(CallerPool(self.sim, self.overlay,
                                    self.verifier_clients),
-                        self.probers, self.scenario.tracker.classifier,
-                        self.scenario.verifier)
+                        self.probers, self.scenario.verifier)
 
 
 def build_geo(cities: int) -> GeoTable:

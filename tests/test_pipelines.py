@@ -6,10 +6,12 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import p2ptrack
+from p2ptrack import pipelines
 from p2ptrack.btswarm.swarm import HandshakeClient
 from p2ptrack.cli import main
 from p2ptrack.netsim import CaptureTap, Simulator
@@ -17,6 +19,8 @@ from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
                                 scan_privacy, write_report)
 from p2ptrack.rtcdir import RtcOverlay, _TcpAttempt
 from p2ptrack.scenario import load_scenario, scenario_from_dict
+from p2ptrack.tracker import Tracker
+from p2ptrack.verifier import Verifier
 from tests.conftest import named
 
 SMOKE = "scenarios/smoke.yaml"
@@ -168,11 +172,10 @@ def test_cli_validate(tmp_path, capsys):
     # values a component rejects, or of the wrong type, fail both
     # commands before anything runs
     for text, section in (
-            ("tracker:\n  classifier:\n    timing_tolerance: 0.7\n",
-             "tracker.classifier"),
+            ("rtc:\n  pattern_jitter: 1.0\n", "rtc.pattern_jitter"),
             ("verifier:\n  threshold: 40000\n", "verifier"),
-            ("verifier:\n  call_gap: 0.0\n", "verifier"),
-            ("verifier:\n  call_gap: -3.0\n", "verifier"),
+            ("tracker:\n  s: 0.0\n", "tracker.s"),
+            ("verifier:\n  round_spacing: -3.0\n", "verifier"),
             ("verifier:\n  min_rounds: 0\n", "verifier"),
             ("tracker:\n  clients: two\n", "tracker.clients"),
             ("seed: two\n", "seed"),
@@ -199,6 +202,16 @@ def test_cli_validate(tmp_path, capsys):
             ("population:\n  hosts_per_nat: 1\n", "hosts_per_nat"),
             ("bt:\n  crawl_deadline: 3600\n", "crawl_deadline"),
             ("bt:\n  crawl_timeout: 1.0\n", "crawl_timeout"),
+            ("tracker:\n  classifier:\n    timing_tolerance: 0.25\n",
+             "unknown tracker keys ['classifier']"),
+            ("tracker:\n  classifier:\n    min_score: 0.8\n",
+             "unknown tracker keys ['classifier']"),
+            ("tracker:\n  classifier:\n    pattern_window: 20.0\n",
+             "unknown tracker keys ['classifier']"),
+            ("tracker:\n  classifier: {}\n",
+             "unknown tracker keys ['classifier']"),
+            ("verifier:\n  call_gap: 3.0\n",
+             "unknown verifier keys ['call_gap']"),
             (f"name: {'n' * 66}\n", "name"),
             (smoke_text.replace("rounds: 2", "rounds: 1\n  reorders: 2"),
              "tracker.reorders"),
@@ -214,8 +227,7 @@ def test_cli_validate(tmp_path, capsys):
             ("verifier:\n  round_spacing: .nan\n", "verifier.round_spacing"),
             ("population:\n  online_fraction: .nan\n",
              "population.online_fraction"),
-            ("tracker:\n  classifier:\n    min_score: 2\n",
-             "tracker.classifier.min_score"),
+            ("population:\n  nat_fraction: 2\n", "population.nat_fraction"),
             ("verifier:\n  threshold: -1\n", "verifier.threshold"),
             ("population:\n  volunteers: -1\n", "population.volunteers"),
             ("tracker:\n  validation_every: -1\n", "tracker.validation_every"),
@@ -510,6 +522,35 @@ def test_no_generator_is_built_for_a_reply(monkeypatch):
     assert run(load_scenario(SMOKE), "all").ok()
     assert any(":noise:" in str(seed) for seed in seeds)
     assert not any(":resp:" in str(seed) for seed in seeds)
+
+
+def test_no_round_result_outlives_its_round(monkeypatch):
+    # run_linkage copies a round's matches out and keeps nothing else of
+    # the round: neither its result nor its calls are alive at the round's
+    # crawl or when the verifier starts
+    refs, alive = [], []
+    run_round, verify = Tracker.run_round, Verifier.verify_candidates
+    run_crawl = pipelines.run_crawl
+
+    def noted_run_round(tracker, *args, **kwargs):
+        result = run_round(tracker, *args, **kwargs)
+        refs.append(weakref.ref(result))
+        refs.extend(weakref.ref(call) for call in result.calls)
+        return result
+
+    def counted(fn):
+        def wrapper(*args):
+            alive.append((fn.__name__, sum(ref() is not None
+                                           for ref in refs)))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Tracker, "run_round", noted_run_round)
+    monkeypatch.setattr(pipelines, "run_crawl", counted(run_crawl))
+    monkeypatch.setattr(Verifier, "verify_candidates", counted(verify))
+    assert run(load_scenario(SMOKE), "linkage").ok()
+    assert len(refs) > 20
+    assert alive == [("run_crawl", 0)] * 2 + [("verify_candidates", 0)]
 
 
 def test_no_pipeline_call_stores_a_tcp_attempt(monkeypatch):

@@ -520,15 +520,31 @@ def _dark_call(seed=12):
 
 
 def test_written_noise_equals_noise_through_the_loop():
-    # the writer's trace, and its sends as data; every supernode tapped
+    # the writer's trace, and its sends as data: what it wrote but the
+    # answers _udp_reply gave, each sent by the answering host at arrival
+    # plus delay; every supernode tapped
     w, req = _dark_call()
     sn_taps = {w.sim.hosts[sn].ip: w.sim.tap(sn)
                for sn in w.overlay.supernodes}
     placed, caller, plan = w.overlay.plan_call(req)
     assert plan == [] and placed.targets == [] and caller == w.tracker_host
-    noise = named(w.overlay._write_noise(placed, caller))
+    udp_reply, answers = w.overlay._udp_reply, set()
+
+    def noted_reply(host_id, peer_ip, peer_port, size, now, rng=None):
+        reply = udp_reply(host_id, peer_ip, peer_port, size, now, rng)
+        if reply is not None:
+            answers.add((now + reply[0], w.sim.hosts[host_id].ip))
+        return reply
+
+    w.overlay._udp_reply = noted_reply
+    assert w.overlay._write_noise(placed, caller) is None
+    del w.overlay._udp_reply
     w.sim.advance(90.0)
     written = named(w.tap.take())
+    noise = sorted((p for p in written
+                    if (p.t_send, p.src_ip) not in answers),
+                   key=lambda p: p.t_send)
+    assert answers and len(noise) + len(answers) == len(written)
     # every send is caller <-> supernode; 28-byte and marker noise each
     # way
     caller = w.sim.hosts[w.tracker_host].ip

@@ -42,15 +42,24 @@ def test_unknown_keys_rejected():
                      ({"rtc": {"noise_sizes": [20, 120]}}, "noise_sizes"),
                      ({"population": {"hosts_per_nat": 1}}, "hosts_per_nat"),
                      ({"bt": {"crawl_deadline": 3600.0}}, "crawl_deadline"),
-                     ({"bt": {"crawl_timeout": 1.0}}, "crawl_timeout")):
+                     ({"bt": {"crawl_timeout": 1.0}}, "crawl_timeout"),
+                     ({"tracker": {"classifier": {}}}, "classifier"),
+                     ({"tracker": {"classifier": None}}, "classifier"),
+                     ({"tracker": {"classifier": {"timing_tolerance": 0.25}}},
+                      "classifier"),
+                     ({"tracker": {"classifier": {"min_score": 0.8}}},
+                      "classifier"),
+                     ({"tracker": {"classifier": {"pattern_window": 20.0}}},
+                      "classifier"),
+                     ({"verifier": {"call_gap": 3.0}}, "call_gap")):
         with pytest.raises(ScenarioError, match=f"unknown.*{key}"):
             scenario_from_dict(doc)
     # a value out of its bounds is a scenario problem naming the key
-    cases = (({"tracker": {"classifier": {"timing_tolerance": 0.7}}},
-              "tracker.classifier.timing_tolerance"),
+    cases = (({"rtc": {"pattern_jitter": 1.0}}, "rtc.pattern_jitter"),
              ({"verifier": {"threshold": 40000}}, "verifier.threshold"),
-             ({"verifier": {"call_gap": 0.0}}, "verifier.call_gap"),
-             ({"verifier": {"call_gap": -3.0}}, "verifier.call_gap"),
+             ({"tracker": {"s": 0.0}}, "tracker.s"),
+             ({"verifier": {"round_spacing": -3.0}},
+              "verifier.round_spacing"),
              ({"verifier": {"min_rounds": 0}}, "verifier.min_rounds"),
              ({"rtc": {"defense_mode": "bogus"}}, "rtc.defense_mode"))
     for doc, key in cases:
@@ -91,16 +100,12 @@ def test_validation_catches_bad_fractions():
 # every int and float but the seed is finite and >= 0; these are > 0
 POSITIVE = {"population.users", "rtc.supernodes", "rtc.relays",
             "tracker.clients", "tracker.s", "tracker.round_period",
-            "tracker.rounds", "tracker.classifier.timing_tolerance",
-            "tracker.classifier.pattern_window", "bt.swarms", "bt.dht_nodes",
-            "bt.crawler_bots", "verifier.min_rounds", "verifier.call_gap",
-            "verifier.clients"}
+            "tracker.rounds", "bt.swarms", "bt.dht_nodes", "bt.crawler_bots",
+            "verifier.min_rounds", "verifier.clients"}
 # and these are bounded above: each (key, first value out of bounds)
 ABOVE = [(f"population.{name}_fraction", 1.5)
          for name in ("nat", "online", "stale", "blocked", "whitelist",
                       "random_ipid")] + [
-    ("tracker.classifier.min_score", 1.5),
-    ("tracker.classifier.timing_tolerance", 0.5),
     ("rtc.pattern_jitter", 1.0),
     ("verifier.threshold", 32768)]
 
@@ -126,7 +131,7 @@ def test_every_number_is_bounded():
     scn = scenario_from_dict({"mobility": {}, "bt": {}})
     assert scn.validate() == []
     keys = [k for k in _number_keys(scn) if k != "seed"]
-    assert len(keys) == 41 and POSITIVE <= set(keys)
+    assert len(keys) == 37 and POSITIVE <= set(keys)
     cases = [(k, v) for k in keys for v in (math.nan, math.inf, -1)]
     cases += [(k, 0) for k in sorted(POSITIVE)] + ABOVE
     for key, value in cases:
@@ -161,8 +166,7 @@ def test_run_ends_within_the_float_horizon():
     assert scn.validate()[0].startswith("verifier.min_rounds * (verifier."
                                         "round_spacing")
     # and every time step moves a time at the horizon
-    for key in ("tracker.s", "tracker.round_period",
-                "tracker.classifier.pattern_window", "verifier.call_gap"):
+    for key in ("tracker.s", "tracker.round_period"):
         for step, ok in ((1e-300, False), (2.0 ** -21, False),
                          (1e-6, True)):
             scn = scenario_from_dict({})
@@ -237,7 +241,7 @@ def small_scenarios(draw):
         "pattern_jitter": (st.floats(0.0, 0.99), st.sampled_from(out + [1.0])),
         "online_fraction": (st.floats(0.0, 1.0),
                             st.sampled_from(out + [2.0])),
-        "min_score": (st.floats(0.0, 1.0), st.sampled_from(out + [2.0])),
+        "nat_fraction": (st.floats(0.0, 1.0), st.sampled_from(out + [2.0])),
         # s up to 1e7 keeps a run of 40 users far inside MAX_TIME
         "s": (st.one_of(st.floats(0.5, 10.0), st.floats(1e6, 1e7)),
               st.one_of(st.sampled_from(out + [0.0]), st.floats(1e12, 1e308))),
@@ -257,10 +261,9 @@ def small_scenarios(draw):
                "online_fraction": online,
                "stale_fraction": draw(st.floats(
                    0.0, 1.0 - online if 0.0 <= online <= 1.0 else 1.0)),
-               "nat_fraction": draw(st.floats(0.0, 1.0))},
+               "nat_fraction": number("nat_fraction")},
            "tracker": {"clients": 1, "rounds": 2, "s": number("s"),
-                       "reorders": number("reorders"),
-                       "classifier": {"min_score": number("min_score")}}}
+                       "reorders": number("reorders")}}
     if draw(st.booleans()):
         doc["mobility"] = {
             key: draw(count) for key in (

@@ -2,6 +2,7 @@ import bisect
 import math
 import runpy
 import weakref
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,11 @@ from p2ptrack.rtcdir import (KEEPALIVE_SIZE, KIND_NATED, KIND_OFFLINE,
                              SYN_TIMEOUT_SECOND, VARYING_SIZES, CallRequest,
                              Directory, PresenceBook, RtcOverlay)
 from p2ptrack.scenario import scenario_from_dict
-from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, ClassifierConfig,
-                              FlowIndex, classify_trace)
+from p2ptrack import sniffer
+from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, FlowIndex,
+                              classify_trace)
 from p2ptrack.worldgen import build_world
 from tests.conftest import named
-CFG = ClassifierConfig()
 OBSERVER = parse_ip("10.0.0.1")
 
 
@@ -39,12 +40,11 @@ def _window(mini, t_call, span=25.0):
 
 
 def test_classifier_config_validation():
-    # the scenario states the classifier's bounds, and names a key it breaks
-    for key, value in (("timing_tolerance", 0.6), ("timing_tolerance", 0.0),
-                       ("pattern_window", 0.0)):
-        scn = scenario_from_dict({"tracker": {"classifier": {key: value}}})
-        assert any(p.startswith(f"tracker.classifier.{key}:")
-                   for p in scn.validate())
+    # the classifier's tolerance, score and window are constants, not
+    # scenario keys, and each lies in the bounds the keys had
+    assert 0 < sniffer.TIMING_TOLERANCE < 0.5
+    assert 0 <= sniffer.MIN_SCORE <= 1
+    assert sniffer.PATTERN_WINDOW > 0
 
 
 def test_case_i_classified_against_noise(mini):
@@ -52,11 +52,11 @@ def test_case_i_classified_against_noise(mini):
     mini.start()
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0))
     mini.sim.advance(140.0)
-    matches = classify_trace(_window(mini, 100.0), CFG, _observer(mini))
+    matches = classify_trace(_window(mini, 100.0), _observer(mini))
     assert len(matches) == 1
     assert matches[0].kind == KIND_PUBLIC
     assert matches[0].candidate_ip == mini.sim.hosts[host].ip
-    assert matches[0].score >= CFG.min_score
+    assert matches[0].score >= sniffer.MIN_SCORE
 
 
 def test_case_ii_and_dual_login(mini):
@@ -67,7 +67,7 @@ def test_case_ii_and_dual_login(mini):
     placed = mini.overlay.place_call(
         CallRequest(mini.tracker_user, "dualuser", 100.0))
     mini.sim.advance(140.0)
-    matches = classify_trace(_window(mini, 100.0), CFG, _observer(mini))
+    matches = classify_trace(_window(mini, 100.0), _observer(mini))
     assert sorted(m.kind for m in matches) == [KIND_PUBLIC, KIND_NATED]
     assert {m.candidate_ip for m in matches} == \
         {t.expect_ip for t in placed.targets}
@@ -79,7 +79,7 @@ def test_case_iii_no_responses(mini):
     mini.tap.take()
     mini.overlay.place_call(CallRequest(mini.tracker_user, user, 700.0))
     mini.sim.advance(740.0)
-    matches = classify_trace(_window(mini, 700.0), CFG, _observer(mini))
+    matches = classify_trace(_window(mini, 700.0), _observer(mini))
     assert [m.kind for m in matches] == [KIND_OFFLINE]
     assert matches[0].candidate_ip == mini.sim.hosts[host].ip
 
@@ -93,11 +93,11 @@ def test_kind_i_and_iii_mutually_exclusive(mini):
     callee_ip = mini.sim.hosts[host].ip
     flow = [p for p in window if callee_ip in (p.src_ip, p.dst_ip)]
     # with responses present the flow scores as I...
-    full = classify_trace(flow, CFG, _observer(mini))
+    full = classify_trace(flow, _observer(mini))
     assert [m.kind for m in full] == [KIND_PUBLIC]
     # ...and with callee packets removed, the same emission scores as III
     outbound_only = [p for p in flow if p.src_ip != callee_ip]
-    bare = classify_trace(outbound_only, CFG, _observer(mini))
+    bare = classify_trace(outbound_only, _observer(mini))
     assert [m.kind for m in bare] == [KIND_OFFLINE]
 
 
@@ -125,7 +125,7 @@ def test_noise_only_windows_never_match(mini):
             t0 = base + 20.0 * k
             window = trace[bisect.bisect_left(times, t0):
                            bisect.bisect_right(times, t0 + 20.0)]
-            hits += len(classify_trace(window, CFG, observer_ip=obs_ip))
+            hits += len(classify_trace(window, observer_ip=obs_ip))
     assert hits == 0
 
 
@@ -151,7 +151,7 @@ def test_classify_ranks_by_score_then_time_then_address():
             + _syn_udp_rows(0.0, c, syn_gap=3.0) + _syn_udp_rows(5.0, d))
     rows.sort(key=lambda r: r[0])
     trace = _host_tap(rows).take()
-    ranked = classify_trace(trace, CFG, OBSERVER)
+    ranked = classify_trace(trace, OBSERVER)
     # b, a and d score 1 and b starts first; d ties a on time and follows
     # it by address; c fails one of its six checks
     assert [m.candidate_ip for m in ranked] == [b, a, d, c]
@@ -168,7 +168,7 @@ def test_classify_ranks_by_score_then_time_then_address():
 
 
 def test_classify_empty_trace():
-    assert classify_trace([], CFG, parse_ip("10.0.0.1")) == []
+    assert classify_trace([], parse_ip("10.0.0.1")) == []
 
 
 def _host_tap(observations):
@@ -239,8 +239,7 @@ _observations = st.lists(st.tuples(
        st.floats(0.5, 30.0))
 def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
     # the oracle: classify the whole window, keep the flows that start in
-    # the slot; min_score 0 scores every flow
-    cfg = ClassifierConfig(min_score=0.0)
+    # the slot; a MIN_SCORE of 0 scores every flow
     rows, now = [], 0.0
     for gap, host, outbound, (proto, flags), size in obs:
         now += gap
@@ -248,11 +247,12 @@ def test_slot_trace_equals_slot_filtered_window(obs, t, length, window):
                      size))
     whole = [p for p in named(_host_tap(rows).take())
              if t - window <= _obs_t(p, OBSERVER) <= t + window]
-    want = [m for m in classify_trace(whole, cfg, OBSERVER)
-            if t <= m.t_first_packet < t + length]
     slot = _whole_index(_host_tap(rows), OBSERVER).slot_trace(t, length,
                                                               window)
-    got = classify_trace(slot, cfg, OBSERVER)
+    with mock.patch.object(sniffer, "MIN_SCORE", 0.0):
+        want = [m for m in classify_trace(whole, OBSERVER)
+                if t <= m.t_first_packet < t + length]
+        got = classify_trace(slot, OBSERVER)
     assert got == want
     # a match carries the IP-ID of the first packet its remote sent in the
     # slot trace, and has none exactly when it is stale
@@ -516,7 +516,7 @@ def test_soundness_extracted_equals_true_sessions(mini):
         placed = mini.overlay.place_call(
             CallRequest(mini.tracker_user, user, t))
         mini.sim.advance(t + 35.0)
-        matches = classify_trace(mini.tap.take(), CFG, observer_ip=obs_ip)
+        matches = classify_trace(mini.tap.take(), observer_ip=obs_ip)
         got = {m.candidate_ip for m in matches}
         want = {tt.expect_ip for tt in placed.targets}
         assert got == want

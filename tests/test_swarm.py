@@ -4,7 +4,8 @@ import pytest
 
 from p2ptrack.btswarm.bencode import bencode
 from p2ptrack.btswarm.dht import DhtNetwork, KrpcClient
-from p2ptrack.btswarm.swarm import (HandshakeClient, ScrapeEntry, SwarmError,
+from p2ptrack.btswarm.swarm import (PROBE_PORT_BASE, HandshakeClient,
+                                    ScrapeEntry, SwarmError,
                                     SwarmRegistry, build_handshake,
                                     build_scrape, match_ips, parse_handshake,
                                     parse_scrape, run_crawl, top_k)
@@ -155,6 +156,35 @@ def test_non_handshake_packets_rejected_without_reply():
                       client.external_ip, client.external_port, infohash)
     assert probe.response is not None
     assert registry.rejected == 4
+
+
+def test_stray_packets_to_a_prober_are_counted_and_the_probe_waits():
+    sim, dht, registry = _bt_world()
+    sim.add_host("peer", "10.1.0.1")
+    client = registry.add_client("peer")
+    infohash = b"\x11" * 20
+    registry.join("peer", infohash, t_join=0.5)
+    for host, ip in (("prober", "10.2.0.1"), ("stray", "10.2.0.9")):
+        sim.add_host(host, ip)
+    prober = HandshakeClient(sim, "prober", seed=1)
+    sim.advance(2.0)
+    probe = prober.send(client.external_ip, client.external_port, infohash,
+                        sim.now)
+    # ahead of the peer's reply: one from another address to the probe's
+    # port, and one to a port no probe waits on
+    for port in (PROBE_PORT_BASE, PROBE_PORT_BASE + 7):
+        sim.schedule_send("stray", "10.2.0.1", port, "TCP", 68,
+                          src_port=client.external_port)
+    sim.advance(sim.now + 2.0)
+    assert prober.rejected == 2
+    assert probe.response is not None and not probe.refused
+    assert probe.response.src_ip == client.external_ip
+    # a second reply comes after the probe stopped waiting
+    sim.schedule_send("peer", "10.2.0.1", PROBE_PORT_BASE, "TCP", 68,
+                      src_port=client.external_port)
+    sim.advance(sim.now + 2.0)
+    assert prober.rejected == 3
+    assert probe.response.src_ip == client.external_ip
 
 
 def test_nated_accepting_peer_reachable_nonaccepting_not():
