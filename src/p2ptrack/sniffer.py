@@ -48,11 +48,11 @@ class PatternMatch:
         return self.kind == KIND_OFFLINE
 
 
-def _within(gap: float, nominal: float, tol: float) -> bool:
-    return abs(gap - nominal) <= tol * nominal
+def _within(gap: float, nominal: float) -> bool:
+    return abs(gap - nominal) <= TIMING_TOLERANCE * nominal
 
 
-def _score_syn_udp(entries, tol: float) -> float:
+def _score_syn_udp(entries) -> float:
     """Kind I/III shape: outbound SYN triple (3 s then 1 s timeouts) and an
     outbound 59/58-byte UDP triple with 2 s and 4 s gaps."""
     syn_t = [t for t, outbound, proto, flags, _, _ in entries
@@ -62,20 +62,16 @@ def _score_syn_udp(entries, tol: float) -> float:
               if outbound and proto == "UDP" and size in MARKER_SIZES]
     checks = (
         len(syn_t) >= 3,
-        len(syn_t) >= 2 and _within(syn_t[1] - syn_t[0], SYN_TIMEOUT_FIRST,
-                                    tol),
-        len(syn_t) >= 3 and _within(syn_t[2] - syn_t[1], SYN_TIMEOUT_SECOND,
-                                    tol),
+        len(syn_t) >= 2 and _within(syn_t[1] - syn_t[0], SYN_TIMEOUT_FIRST),
+        len(syn_t) >= 3 and _within(syn_t[2] - syn_t[1], SYN_TIMEOUT_SECOND),
         len(mark_t) >= 3,
-        len(mark_t) >= 2 and _within(mark_t[1] - mark_t[0],
-                                     MARKER_GAPS[0], tol),
-        len(mark_t) >= 3 and _within(mark_t[2] - mark_t[1],
-                                     MARKER_GAPS[1], tol),
+        len(mark_t) >= 2 and _within(mark_t[1] - mark_t[0], MARKER_GAPS[0]),
+        len(mark_t) >= 3 and _within(mark_t[2] - mark_t[1], MARKER_GAPS[1]),
     )
     return sum(checks) / len(checks)
 
 
-def _score_nated(entries, tol: float) -> float:
+def _score_nated(entries) -> float:
     """Kind II shape: inbound 28-byte first contact, echoed 28-byte reply,
     varying-size exchange, inbound 3-byte keepalives ~10 s in."""
     t0, first_outbound, first_proto, _, first_size, _ = entries[0]
@@ -90,10 +86,10 @@ def _score_nated(entries, tol: float) -> float:
     tail_t = [t for t, outbound, proto, _, size, _ in entries
               if not outbound and proto == "UDP"
               and size == NAT_TAIL_SIZE]
-    c_tail_delay = any(_within(t - t0, NAT_TAIL_DELAY, tol) for t in tail_t)
+    c_tail_delay = any(_within(t - t0, NAT_TAIL_DELAY) for t in tail_t)
     c_tail_series = (len(tail_t) >= 3
-                     and _within(tail_t[1] - tail_t[0], NAT_TAIL_GAP, tol)
-                     and _within(tail_t[2] - tail_t[1], NAT_TAIL_GAP, tol))
+                     and _within(tail_t[1] - tail_t[0], NAT_TAIL_GAP)
+                     and _within(tail_t[2] - tail_t[1], NAT_TAIL_GAP))
     checks = (c_first, c_echo, varying >= 3, c_tail_delay, c_tail_series)
     return sum(checks) / len(checks)
 
@@ -113,16 +109,15 @@ def classify_trace(trace, observer_ip: int) -> list:
             remote, entry = src_ip, (t_recv, False, proto, flags, size, ip_id)
         flows.setdefault(remote, []).append(entry)
 
-    tol = TIMING_TOLERANCE
     matches = []
     for remote in sorted(flows):
         entries = sorted(flows[remote], key=lambda e: e[0])
         first_in = next((e for e in entries if not e[1]), None)
         if first_in is None:
-            scored = ((KIND_OFFLINE, _score_syn_udp(entries, tol)),)
+            scored = ((KIND_OFFLINE, _score_syn_udp(entries)),)
         else:
-            scored = ((KIND_PUBLIC, _score_syn_udp(entries, tol)),
-                      (KIND_NATED, _score_nated(entries, tol)))
+            scored = ((KIND_PUBLIC, _score_syn_udp(entries)),
+                      (KIND_NATED, _score_nated(entries)))
         kind, score = max(scored, key=lambda ks: ks[1])
         if score >= MIN_SCORE:
             matches.append(PatternMatch(
