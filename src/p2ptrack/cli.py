@@ -4,7 +4,8 @@
     p2ptrack series --report out/report.json --figure fig3-left --out out/
     p2ptrack validate --scenario s.yaml
 
-Exit status is 0 only when every pipeline invariant check passes.
+Exit status is 0 only when every pipeline invariant check passes: 1 when
+a check fails, 2 when the input is refused or the output cannot be written.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ def _cmd_run(args) -> int:
     except (ScenarioError, PipelineError) as exc:
         print(f"scenario cannot be run:\n{exc}", file=sys.stderr)
         return 2
-    paths = write_report(report, args.out)
+    try:
+        paths = write_report(report, args.out)
+    except OSError as exc:
+        print(f"cannot write to {args.out}: {exc}", file=sys.stderr)
+        return 2
     with open(paths["summary"]) as fh:
         print(fh.read(), end="")
     if not report.ok():
@@ -78,6 +83,9 @@ def _cmd_series(args) -> int:
             print(path)
     except PipelineError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write to {args.out}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -19,7 +19,8 @@ from .btswarm.swarm import CRAWL_DELAY, match_ips, run_crawl
 from .netsim import NetsimError, parse_ip
 from .rtcdir import DEFENSES
 from .scenario import Scenario
-from .tracker import disambiguate, ip_token, mobility_report
+from .tracker import (disambiguate, ip_token, location_samples,
+                      mobility_report)
 from .verifier import VERDICT_UNVERIFIABLE, VERDICT_VERIFIED
 from .worldgen import ADDRESS_PLAN, BT_SAME_HOST, build_world
 
@@ -119,17 +120,15 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
     rounds = tracker.run_study(world.target_ids, scenario.tracker.rounds,
                                world.base_t)
 
-    all_calls = [c for r in rounds for c in r.calls
-                 if not c.validation]
+    all_calls = [c for r in rounds for c in r if not c.validation]
     accuracy = _call_accuracy(all_calls)
-    validation_calls = [c for r in rounds for c in r.calls
-                        if c.validation]
+    validation_calls = [c for r in rounds for c in r if c.validation]
     accuracy["validation_calls"] = len(validation_calls)
     accuracy["validation_false_positives"] = _call_accuracy(
         validation_calls)["false_positive_calls"]
 
-    sample_rounds = [[s for s in r.samples if not s.validation]
-                     for r in rounds]
+    sample_rounds = [[s for s in location_samples(r, world.geo, world.salt)
+                      if not s.validation] for r in rounds]
     assignment = disambiguate(sample_rounds)
     accuracy["post_assignment_errors"] = _assignment_errors(world, assignment)
 
@@ -145,7 +144,7 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
         "assigned_ips": len(assignment.ip_to_user),
         "unassigned_ips": len(assignment.unassigned),
     }
-    placed = {c.client for c in rounds[0].calls}
+    placed = {c.client for c in rounds[0]}
     report.metrics["throughput_calls_per_hour"] = [
         round(3600 / scenario.tracker.s, 3) if c in placed else 0.0
         for c in range(scenario.tracker.clients)]
@@ -197,10 +196,10 @@ def run_linkage(scenario: Scenario, report: RunReport) -> None:
     crawl_failures = 0
     for r in range(scenario.tracker.rounds):
         t_round = world.base_t + r * scenario.tracker.round_period
-        # nothing keeps the round's result or calls past this line
+        # nothing keeps the round's calls past this line
         observations += [(call.callee, call.t, m.candidate_ip)
                          for call in tracker.run_round(
-                             world.target_ids, t_round, round_index=r).calls
+                             world.target_ids, t_round, round_index=r)
                          for m in call.extracted]
         crawl = run_crawl(world.sim, bt.dht, bt.crawler_bots,
                           bt.top_infohashes, world.sim.now + CRAWL_DELAY)
@@ -282,17 +281,18 @@ def run_defense_eval(scenario: Scenario, report: RunReport) -> None:
         scn.rtc.defense_mode = mode
         world = build_world(scn)
         tracker = world.make_tracker()
-        result = tracker.run_round(world.target_ids, world.base_t)
-        calls = [c for c in result.calls if not c.validation]
+        calls = [c for c in tracker.run_round(world.target_ids,
+                                              world.base_t)
+                 if not c.validation]
         notif = len(world.overlay.notifications)
         extracted_total = sum(len(c.extracted) for c in calls)
-        true_hits = 0
+        true_hits = online = 0
         for c in calls:
-            got = {m.candidate_ip for m in c.extracted}
-            if got & c.placed.true_session_ips:
+            true_ips = world.overlay.user_session_ips(c.callee, c.t)
+            if true_ips:
+                online += 1
+            if {m.candidate_ip for m in c.extracted} & true_ips:
                 true_hits += 1
-        online = sum(1 for c in calls
-                     if c.placed.true_session_ips)
         out[mode] = {
             "calls": len(calls),
             "online_callees": online,

@@ -328,7 +328,6 @@ class PlacedCall:
     t_start: float
     start_delay: float
     targets: list
-    true_session_ips: frozenset
 
 
 # A planned send's role, its last field: None for a plain send, the
@@ -369,7 +368,7 @@ class RtcOverlay:
         self.seed = seed
         self.supernodes: list = []
         self.relays: list = []
-        self.calls: list = []
+        self.calls = range(0)           # ids of the calls planned so far
         self.notifications: list = []
         self._ports: dict = {}          # host_id -> rtc port
         self._service_hosts: set = set()  # always-responding infrastructure
@@ -378,7 +377,6 @@ class RtcOverlay:
         self._sent28: dict = {}         # (host, peer_ip, peer_port) -> t
         self._echoed: dict = {}         # same key -> t of last echo
         self._replies: dict = {}        # host_id -> reply draws so far
-        self._next_call = 0
         self._port_rng = random.Random(f"{seed}:rtcport")
 
     # -- membership --------------------------------------------------------
@@ -459,7 +457,6 @@ class RtcOverlay:
         call, caller, plan = self.plan_call(req, start_delay)
         self._schedule(plan)
         self.sim.schedule(call.t_start, self._write_noise, call, caller)
-        self.calls.append(call)
         return call
 
     def plan_call(self, req: CallRequest,
@@ -477,13 +474,12 @@ class RtcOverlay:
         if self.sim.hosts[caller].nat is not None:
             raise CallError("tracking callers must not be behind a NAT")
 
-        call_id = self._next_call
-        self._next_call += 1
+        call_id = len(self.calls)
+        self.calls = range(call_id + 1)
         rng = random.Random(f"{self.seed}:call:{call_id}")
         if start_delay is None:
             start_delay = rng.uniform(*START_DELAY)
         online = self.presence.online_sessions(req.callee, req.t_start)
-        true_ips = self.user_session_ips(req.callee, req.t_start)
         base = req.t_start + start_delay
         if self.config.defense_mode == DEFENSE_REVEAL_AFTER_ACCEPT and \
                 req.answered:
@@ -498,8 +494,8 @@ class RtcOverlay:
             else:
                 self._public_plan(plan, rng, caller, remote, base, opens)
             targets.append(CallTarget(kind, self._endpoint(remote)[0]))
-        return PlacedCall(call_id, req.t_start, start_delay, targets,
-                          true_ips), caller, plan
+        return PlacedCall(call_id, req.t_start, start_delay,
+                          targets), caller, plan
 
     def _targets(self, req, rng, online) -> list:
         """(kind, remote host, callee to notify or None) of each pattern

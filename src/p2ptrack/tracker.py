@@ -7,9 +7,10 @@ packet; an IP designated by several users across rounds is assigned by
 majority vote, which removes the rare reordering false positives.
 
 Raw addresses live only in a round's calls, in memory: each TrackedCall's
-extracted matches.  Samples carry salted-hash tokens for the IP and its
-geo labels (city / AS / country), so equal locations compare equal within
-a run but nothing identifying is persisted.
+extracted matches.  location_samples turns calls into samples that carry
+salted-hash tokens for the IP and its geo labels (city / AS / country), so
+equal locations compare equal within a run but nothing identifying is
+persisted.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class TrackedCall:
     extracted: tuple = ()   # the call's sniffer.PatternMatch results
 
 
-@dataclass
-class RoundResult:
-    samples: list
-    calls: list
-
-
 # -- geo lookup and anonymization ------------------------------------------
 
 class GeoError(Exception):
@@ -102,19 +97,12 @@ class GeoTable:
                                                    int(asn))))
         parsed.sort(key=lambda r: (-r[0], r[2]))
         self._rows = parsed
-        self._cache: dict = {}
 
     def lookup(self, ip: int) -> Optional[GeoRow]:
-        hit = self._cache.get(ip, -1)
-        if hit != -1:
-            return hit
-        found = None
         for _, mask, net, row in self._rows:
             if ip & mask == net:
-                found = row
-                break
-        self._cache[ip] = found
-        return found
+                return row
+        return None
 
     def missing(self, ips) -> list:
         return sorted(ip for ip in ips if self.lookup(ip) is None)
@@ -147,19 +135,37 @@ def ip_token(ip: int, salt: bytes) -> str:
     return anonymize_token(f"ip:{ip_str(ip)}", salt)
 
 
+def location_samples(calls, geo: GeoTable, salt: bytes) -> list:
+    """One LocationSample per extracted match of each call, or one offline
+    sample for a call that extracted nothing."""
+    samples: list = []
+    for call in calls:
+        extracted = call.extracted
+        ambiguous = len(extracted) > 1
+        if not extracted:
+            samples.append(LocationSample(call.callee, call.t, STATUS_OFFLINE,
+                                          validation=call.validation))
+            continue
+        for m in extracted:
+            ip = m.candidate_ip
+            status = STATUS_STALE if m.stale else STATUS_ONLINE
+            city_h, as_h, country_h = geo_anonymize(ip, geo, salt)
+            samples.append(LocationSample(
+                call.callee, call.t, status, ip_token(ip, salt),
+                city_h, as_h, country_h, ambiguous, call.validation))
+    return samples
+
+
 # -- the scheduler -----------------------------------------------------------
 
 class Tracker:
     def __init__(self, pool: CallerPool, sched: SchedulerConfig,
-                 geo: GeoTable, salt: bytes, volunteers=(),
-                 reorder_plan=frozenset(), seed=0):
+                 volunteers=(), reorder_plan=frozenset(), seed=0):
         """pool: the tracking clients.  reorder_plan holds (round_index,
         callee) pairs whose pattern start is delayed past the slot, the
         parallel-calling failure mode the majority vote exists for."""
         self.pool = pool
         self.sched = sched
-        self.geo = geo
-        self.salt = salt
         self.volunteers = list(volunteers)
         self.reorder_plan = frozenset(reorder_plan)
         self._counts = [0] * len(pool.clients)   # calls so far, per client
@@ -182,7 +188,8 @@ class Tracker:
         return out
 
     def run_round(self, ids, round_start: float,
-                  round_index: int = 0) -> RoundResult:
+                  round_index: int = 0) -> list:
+        """The round's TrackedCalls, each with its extracted matches."""
         s = self.sched.s
         n = len(self.pool.clients)
         per_client = [list(ids[i::n]) for i in range(n)]
@@ -205,24 +212,7 @@ class Tracker:
             call = calls[k]
             call.extracted = tuple(classify_trace(
                 trace, observer_ips[call.client]))
-        samples: list = []
-        for call in calls:
-            extracted = call.extracted
-            ambiguous = len(extracted) > 1
-            if not extracted:
-                samples.append(LocationSample(call.callee, call.t,
-                                              STATUS_OFFLINE,
-                                              validation=call.validation))
-                continue
-            for m in extracted:
-                ip = m.candidate_ip
-                status = STATUS_STALE if m.stale else STATUS_ONLINE
-                city_h, as_h, country_h = geo_anonymize(ip, self.geo,
-                                                        self.salt)
-                samples.append(LocationSample(
-                    call.callee, call.t, status, ip_token(ip, self.salt),
-                    city_h, as_h, country_h, ambiguous, call.validation))
-        return RoundResult(samples, calls)
+        return calls
 
     def run_study(self, ids, rounds: int, t0: float) -> list:
         results = []

@@ -64,18 +64,10 @@ class VerifierConfig:
                    slots * CALL_GAP + PATTERN_WINDOW + ROUND_TAIL)
 
 
-@dataclass(frozen=True)
-class ProbeRound:
-    t: float
-    ipid_rtc: int
-    ipid_bt: int
-    distance: int
-
-
 @dataclass
 class VerificationResult:
     candidate: MatchCandidate
-    rounds: list
+    rounds: list            # each kept round's ring distance
     p90: Optional[int]
     verdict: str
     handshake_replies: int = 0
@@ -122,7 +114,7 @@ class Verifier:
                         trace, self.pool.observer_ips[j % pool])
                      if m.candidate_ip == results[j].candidate.ip), None)
 
-            for (j, t_call, probe), ipid_rtc in zip(probes, ipids_rtc):
+            for (j, _, probe), ipid_rtc in zip(probes, ipids_rtc):
                 res = results[j]
                 if ipid_rtc is not None:
                     res.call_matches += 1
@@ -132,15 +124,12 @@ class Verifier:
                     res.handshake_replies += 1
                 if ipid_rtc is None or ipid_bt is None:
                     continue   # round skipped
-                res.rounds.append(ProbeRound(
-                    t_call, ipid_rtc, ipid_bt,
-                    ring_distance(ipid_rtc, ipid_bt)))
+                res.rounds.append(ring_distance(ipid_rtc, ipid_bt))
 
         for res in results:
             if not res.rounds:
                 continue
-            res.p90 = percentile_nearest_rank(
-                [r.distance for r in res.rounds], 90)
+            res.p90 = percentile_nearest_rank(res.rounds, 90)
             if res.p90 < self.cfg.threshold and \
                     len(res.rounds) >= self.cfg.min_rounds:
                 res.verdict = VERDICT_VERIFIED

@@ -108,8 +108,7 @@ class World:
     def make_tracker(self) -> Tracker:
         return Tracker(CallerPool(self.sim, self.overlay,
                                   self.tracker_clients),
-                       self.scenario.tracker, self.geo, self.salt,
-                       volunteers=self.volunteers,
+                       self.scenario.tracker, volunteers=self.volunteers,
                        reorder_plan=self.reorder_plan,
                        seed=self.scenario.seed)
 

@@ -17,9 +17,9 @@ from p2ptrack.cli import main
 from p2ptrack.netsim import CaptureTap, Simulator
 from p2ptrack.pipelines import (PipelineError, RunReport, emit_series, run,
                                 scan_privacy, write_report)
-from p2ptrack.rtcdir import RtcOverlay, _TcpAttempt
+from p2ptrack.rtcdir import PlacedCall, RtcOverlay, _TcpAttempt
 from p2ptrack.scenario import load_scenario, scenario_from_dict
-from p2ptrack.tracker import Tracker
+from p2ptrack.tracker import TrackedCall, Tracker
 from p2ptrack.verifier import Verifier
 from tests.conftest import named
 
@@ -157,6 +157,38 @@ def test_cli_run_and_series(tmp_path, capsys):
     rc = main(["series", "--report", str(out / "report.json"),
                "--figure", "fig4", "--out", str(out)])
     assert rc == 2
+
+
+def _p2ptrack(*args) -> subprocess.CompletedProcess:
+    """`python -m p2ptrack` with args, in a fresh process."""
+    src = os.path.dirname(os.path.dirname(p2ptrack.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "p2ptrack", *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
+def test_cli_run_to_a_file_exits_2(tmp_path):
+    # --out names a directory: a regular file there is refused by name,
+    # with no traceback, and left as it was
+    out = tmp_path / "a-file"
+    out.write_text("kept\n")
+    proc = _p2ptrack("run", "--scenario", SMOKE, "--pipeline",
+                     "defense-eval", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+    assert out.read_text() == "kept\n"
+
+
+def test_cli_series_to_a_file_exits_2(smoke_report, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(smoke_report.to_json())
+    out = tmp_path / "a-file"
+    out.write_text("kept\n")
+    proc = _p2ptrack("series", "--report", str(report), "--figure", "fig4",
+                     "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+    assert out.read_text() == "kept\n"
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -460,10 +492,7 @@ def test_report_byte_identical_across_hash_seeds():
 
 
 def test_module_entry_point_validates_smoke():
-    src = os.path.dirname(os.path.dirname(p2ptrack.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "p2ptrack", "validate", "--scenario", SMOKE],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    proc = _p2ptrack("validate", "--scenario", SMOKE)
     assert proc.returncode == 0, proc.stderr
     assert "is valid" in proc.stdout
 
@@ -526,17 +555,16 @@ def test_no_generator_is_built_for_a_reply(monkeypatch):
 
 def test_no_round_result_outlives_its_round(monkeypatch):
     # run_linkage copies a round's matches out and keeps nothing else of
-    # the round: neither its result nor its calls are alive at the round's
-    # crawl or when the verifier starts
+    # the round: none of its calls is alive at the round's crawl or when
+    # the verifier starts
     refs, alive = [], []
     run_round, verify = Tracker.run_round, Verifier.verify_candidates
     run_crawl = pipelines.run_crawl
 
     def noted_run_round(tracker, *args, **kwargs):
-        result = run_round(tracker, *args, **kwargs)
-        refs.append(weakref.ref(result))
-        refs.extend(weakref.ref(call) for call in result.calls)
-        return result
+        calls = run_round(tracker, *args, **kwargs)
+        refs.extend(weakref.ref(call) for call in calls)
+        return calls
 
     def counted(fn):
         def wrapper(*args):
@@ -551,6 +579,50 @@ def test_no_round_result_outlives_its_round(monkeypatch):
     assert run(load_scenario(SMOKE), "linkage").ok()
     assert len(refs) > 20
     assert alive == [("run_crawl", 0)] * 2 + [("verify_candidates", 0)]
+
+
+def _kept_worlds(monkeypatch) -> list:
+    """The worlds the pipelines build from now on, kept alive."""
+    worlds = []
+    build_world = pipelines.build_world
+
+    def kept_build_world(scenario):
+        worlds.append(build_world(scenario))
+        return worlds[-1]
+
+    monkeypatch.setattr(pipelines, "build_world", kept_build_world)
+    return worlds
+
+
+def test_nothing_per_call_outlives_the_run(monkeypatch):
+    # the overlay keeps a count of its calls, not the calls: once the run
+    # is over no placed or tracked call is alive, though its world is
+    worlds = _kept_worlds(monkeypatch)
+    assert run(load_scenario(SMOKE), "linkage").ok()
+    gc.collect()
+    alive = [type(o).__name__ for o in gc.get_objects()
+             if isinstance(o, (PlacedCall, TrackedCall))]
+    assert len(worlds) == 1 and len(worlds[0].overlay.calls) > 20
+    assert alive == []
+
+
+def test_call_count_is_the_calls_placed(monkeypatch):
+    # perfbench divides by len(overlay.calls): the number of place_call
+    # invocations, summed over every world a run builds
+    worlds = _kept_worlds(monkeypatch)
+    placed = []
+    place_call = RtcOverlay.place_call
+
+    def counted_place_call(overlay, *args, **kwargs):
+        placed.append(overlay)
+        return place_call(overlay, *args, **kwargs)
+
+    monkeypatch.setattr(RtcOverlay, "place_call", counted_place_call)
+    assert run(load_scenario(SMOKE), "all").ok()
+    assert len(worlds) == 5
+    for world in worlds:
+        assert len(world.overlay.calls) == placed.count(world.overlay) > 0
+    assert sum(len(w.overlay.calls) for w in worlds) == len(placed)
 
 
 def test_no_pipeline_call_stores_a_tcp_attempt(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from p2ptrack.netsim import parse_ip
 from p2ptrack.tracker import (GeoError, GeoTable, LocationSample,
                               anonymize_token, disambiguate, geo_anonymize,
-                              ip_token, mobility_report)
+                              ip_token, location_samples, mobility_report)
 from p2ptrack.scenario import scenario_from_dict
 from p2ptrack.worldgen import build_world
 
@@ -182,9 +182,9 @@ def _tracking_world(users=6, clients=2, seed=91, **tracker_kw):
 def test_schedule_arithmetic_two_clients():
     world = _tracking_world(users=4, clients=2)
     tracker = world.make_tracker()
-    result = tracker.run_round(world.target_ids, world.base_t)
+    calls = tracker.run_round(world.target_ids, world.base_t)
     starts = {}
-    for call in result.calls:
+    for call in calls:
         starts.setdefault(call.client, []).append(call.t - world.base_t)
     assert starts == {0: [0.0, 3.0], 1: [0.0, 3.0]}
 
@@ -192,12 +192,14 @@ def test_schedule_arithmetic_two_clients():
 def test_round_extracts_all_online_users():
     world = _tracking_world(users=10, clients=2)
     tracker = world.make_tracker()
-    result = tracker.run_round(world.target_ids, world.base_t)
-    online_samples = [s for s in result.samples if s.status == "online"]
+    calls = tracker.run_round(world.target_ids, world.base_t)
+    online_samples = [s for s in location_samples(calls, world.geo,
+                                                  world.salt)
+                      if s.status == "online"]
     assert len(online_samples) == 10
     assert {s.user for s in online_samples} == set(world.target_ids)
     # the calls' matches carry the true addresses
-    for call in result.calls:
+    for call in calls:
         want = world.overlay.user_session_ips(call.callee, call.t)
         assert {m.candidate_ip for m in call.extracted} <= want
 
@@ -207,24 +209,24 @@ def test_validation_calls_inserted_every_n():
                             validation_every=5,
                             population={"volunteers": 2})
     tracker = world.make_tracker()
-    result = tracker.run_round(world.target_ids, world.base_t)
-    flags = [c.validation for c in result.calls]
+    calls = tracker.run_round(world.target_ids, world.base_t)
+    flags = [c.validation for c in calls]
     # after every 5 calls a volunteer call takes the next slot
     assert flags[5] is True and flags[10] is True
     assert sum(flags) == 2
     assert all(c.callee.startswith("volunteer")
-               for c in result.calls if c.validation)
+               for c in calls if c.validation)
 
 
 def test_throughput_exceeds_340_per_hour():
     world = _tracking_world(users=12, clients=1)
     tracker = world.make_tracker()
-    result = tracker.run_round(world.target_ids, world.base_t)
+    calls = tracker.run_round(world.target_ids, world.base_t)
     # calls whose every target address was extracted, per hour of the span
-    done = sum(1 for c in result.calls if c.placed.targets and
+    done = sum(1 for c in calls if c.placed.targets and
                {t.expect_ip for t in c.placed.targets}
                <= {m.candidate_ip for m in c.extracted})
-    span = result.calls[-1].t - result.calls[0].t + tracker.sched.s
+    span = calls[-1].t - calls[0].t + tracker.sched.s
     assert done * 3600.0 / span >= 340.0
 
 
@@ -243,18 +245,20 @@ def test_reorder_plant_causes_false_positive_then_vote_removes_it():
     tracker = world.make_tracker()
     rounds = tracker.run_study(world.target_ids, 3, world.base_t)
     fp = 0
-    for rnd in rounds:
-        for call in rnd.calls:
+    sample_rounds = [location_samples(r, world.geo, world.salt)
+                     for r in rounds]
+    for rnd, samples in zip(rounds, sample_rounds):
+        for call in rnd:
             want = {t.expect_ip for t in call.placed.targets}
             got = {m.candidate_ip for m in call.extracted}
             if got - want:
                 fp += 1
                 # the victim slot saw two pattern starts: flagged ambiguous
                 assert len(call.extracted) > 1
-                marked = [s for s in rnd.samples if s.user == call.callee]
+                marked = [s for s in samples if s.user == call.callee]
                 assert all(s.ambiguous for s in marked)
     assert fp == 1
-    assignment = disambiguate([r.samples for r in rounds])
+    assignment = disambiguate(sample_rounds)
     # every assigned token maps back to a user that truly owns the address
     truth = {}
     for user in world.target_ids:
