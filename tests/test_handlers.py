@@ -2,6 +2,8 @@
 aimed at each handler of a smoke linkage world while a crawl runs never
 escape `Simulator.advance`, and the crawl still completes."""
 
+import functools
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,15 @@ SMOKE = "scenarios/smoke.yaml"
 FUZZ_PORT = 4444          # the source port of every fuzz packet
 FUZZ_SPAN = 2.0           # fuzz packets leave in the crawl's first seconds
 TARGETS = ("krpc node", "krpc client", "bt port", "prober", "rtc client")
-SWARMS = build_world(load_scenario(SMOKE)).bt.top_infohashes
 
+
+@functools.cache
+def _swarms() -> list:
+    """The smoke world's swarm infohashes, built on first use."""
+    return build_world(load_scenario(SMOKE)).bt.top_infohashes
+
+
+_swarm = st.deferred(lambda: st.sampled_from(_swarms()))
 # guessed transaction ids: a crawler numbers its queries from 1
 _txns = st.integers(0, 40).map(lambda n: n.to_bytes(4, "big"))
 _atoms = (st.integers(-2, 1 << 17) | st.binary(max_size=30) | _txns
@@ -31,8 +40,8 @@ _values = st.recursive(
     max_leaves=8)
 _ids = st.binary(min_size=20, max_size=20)
 _query_args = st.fixed_dictionaries({}, optional={
-    b"id": _ids | _values, b"target": st.sampled_from(SWARMS) | _values,
-    b"info_hash": st.sampled_from(SWARMS) | _values,
+    b"id": _ids | _values, b"target": _swarm | _values,
+    b"info_hash": _swarm | _values,
     b"port": st.integers(0, 65535) | _values})
 _response_body = st.fixed_dictionaries({}, optional={
     b"id": _ids | _values, b"nodes": st.binary(max_size=60) | _values,
@@ -64,7 +73,7 @@ def _krpc(draw):
 def _near_handshake(draw):
     """A valid handshake for one of the world's swarms, then one byte
     changed, the end cut, or bytes appended (or kept whole)."""
-    data = bytearray(build_handshake(draw(st.sampled_from(SWARMS)),
+    data = bytearray(build_handshake(draw(_swarm),
                                      b"-FZ0000-" + bytes(12)))
     how = draw(st.sampled_from(["whole", "flip", "cut", "grow"]))
     if how == "flip":
