@@ -10,7 +10,9 @@ into two temporary directories, and runs `perfbench/run.py --trace 0` in
 both for every workload of BENCHMARK.json and every seed: `--pairs` pairs
 each, the parent first in odd pairs and the change first in even ones.
 Then makes every pinned run of `scripts/check_digests.py` on each side
-that has it.  The change is the tracked files of this working tree: a
+that has it, and 2 alternated pairs of fresh-process flagship runs,
+`python -m p2ptrack run --scenario scenarios/flagship.yaml --pipeline
+linkage`, each from its side's `src`.  The change is the tracked files of this working tree: a
 `git stash create` snapshot when they differ from HEAD, else HEAD itself;
 untracked files are left out.  Both sides thus run from the same kind of
 fresh directory.  An archive holds exactly the files of its commit and
@@ -25,11 +27,14 @@ length, every run's end-to-end metrics on both sides, each metric's median
 and quartiles per side and the number of pairs the change won, the report
 sha256 of every workload and seed on both sides, both sides' report and
 trace digests of each pinned run and whether its pipeline checks passed
-(`null` for a side without the gate), and the line count of each side's
-`src/` Python files.  Exits 1 if a benchmark run fails or is not correct.
+(`null` for a side without the gate), each flagship run's wall time, peak
+RSS (the child's own `ru_maxrss`, from `os.wait4`) and report sha256, and
+the line count of each side's `src/` Python files.  Exits 1 if a
+benchmark run or a flagship run fails or is not correct.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -38,6 +43,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_LINE = re.compile(r"^report sha256 .*: ([0-9a-f]{64}) ")
@@ -90,6 +96,34 @@ def gate_digests(checkout: str):
     return json.loads(subprocess.run(
         (sys.executable, "-c", GATE_DIGESTS), cwd=checkout, check=True,
         capture_output=True, text=True).stdout)
+
+
+def flagship(checkout: str) -> dict:
+    """Wall time, peak RSS and report sha256 of one flagship linkage run,
+    `p2ptrack run` in a fresh process from the checkout's src.  The RSS
+    is the rusage os.wait4 returns for that child alone, not
+    RUSAGE_CHILDREN's maximum over every child so far."""
+    with tempfile.TemporaryDirectory(prefix="bench-flagship-") as out:
+        env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+        with open(os.path.join(out, "stderr"), "w+") as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                (sys.executable, "-m", "p2ptrack", "run", "--scenario",
+                 "scenarios/flagship.yaml", "--pipeline", "linkage",
+                 "--out", os.path.join(out, "run")),
+                cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                err.seek(0)
+                raise SystemExit(f"flagship run failed in {checkout}:\n"
+                                 f"{err.read()[-2000:]}")
+        with open(os.path.join(out, "run", "report.json"), "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+            "report_sha256": sha}
 
 
 def src_lines(checkout: str) -> int:
@@ -172,6 +206,10 @@ def main(argv=None) -> int:
                     for name, better in metrics.items()}
         record["digests"] = {side: gate_digests(path)
                              for side, path in sides.items()}
+        record["flagship"] = {"parent": [], "change": []}
+        for order in (("parent", "change"), ("change", "parent")):
+            for side in order:
+                record["flagship"][side].append(flagship(sides[side]))
         record["src_lines"] = {side: src_lines(path)
                                for side, path in sides.items()}
 

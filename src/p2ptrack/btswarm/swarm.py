@@ -210,15 +210,17 @@ class HandshakeProbe:
 
 class HandshakeClient:
     """Active prober: one 68-byte handshake per probe, responses matched
-    by the probe's unique source port.  A probe keeps only its target's
-    first reply or RST, and stops waiting at it."""
+    by the probe's unique source port.  A probe keeps only the first TCP
+    reply or RST from its target's address and port, and stops waiting
+    at it."""
 
     def __init__(self, sim: Simulator, host_id: str, seed=0):
         self.sim = sim
         self.host_id = host_id
         self._next_port = PROBE_PORT_BASE
         self._pending: dict = {}    # src_port -> unanswered HandshakeProbe
-        # packets that answer no pending probe, or come from another address
+        # packets that answer no pending probe, or are not TCP from its
+        # target's address and port
         self.rejected = 0
         self.peer_id = b"-SM0000-" + \
             random.Random(f"{seed}:probe:{host_id}").randbytes(12)
@@ -226,7 +228,9 @@ class HandshakeClient:
 
     def _on_packet(self, sim, host_id, pkt, payload):
         probe = self._pending.get(pkt.dst_port)
-        if probe is None or pkt.src_ip != probe.target_ip:
+        if probe is None or pkt.proto != "TCP" \
+                or pkt.src_ip != probe.target_ip \
+                or pkt.src_port != probe.target_port:
             self.rejected += 1
             return
         del self._pending[pkt.dst_port]

@@ -13,6 +13,7 @@ import copy
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .btswarm.swarm import CRAWL_DELAY, match_ips, run_crawl
@@ -67,23 +68,28 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _call_accuracy(calls) -> dict:
-    """False positives (extracted address not the callee's), misses, and
-    totals over tracked calls, ground truth from the emission plans."""
-    total = fp = miss = extracted_online = online = 0
+def _call_counts(calls) -> Counter:
+    """Tracked calls, false positives (extracted address not the
+    callee's), misses, and online calls and those fully extracted, ground
+    truth from the emission plans."""
+    counts: Counter = Counter()
     for call in calls:
         expected = {t.expect_ip for t in call.placed.targets}
         got = {m.candidate_ip for m in call.extracted}
-        total += 1
-        if got - expected:
-            fp += 1
-        if expected - got:
-            miss += 1
+        counts["calls"] += 1
+        counts["false_positive_calls"] += bool(got - expected)
+        counts["miss_calls"] += bool(expected - got)
         if call.placed.targets and not any(t.stale
                                            for t in call.placed.targets):
-            online += 1
-            if expected and expected <= got:
-                extracted_online += 1
+            counts["online_calls"] += 1
+            counts["online_extracted"] += bool(expected and expected <= got)
+    return counts
+
+
+def _call_accuracy(counts) -> dict:
+    """The call counts and their rates."""
+    total, online = counts["calls"], counts["online_calls"]
+    fp, miss = counts["false_positive_calls"], counts["miss_calls"]
     return {
         "calls": total,
         "false_positive_calls": fp,
@@ -91,9 +97,9 @@ def _call_accuracy(calls) -> dict:
         "miss_calls": miss,
         "miss_rate": miss / total if total else 0.0,
         "online_calls": online,
-        "online_extracted": extracted_online,
+        "online_extracted": counts["online_extracted"],
         "online_extraction_rate":
-            extracted_online / online if online else 1.0,
+            counts["online_extracted"] / online if online else 1.0,
     }
 
 
@@ -117,18 +123,25 @@ def _assignment_errors(world, assignment) -> int:
 def run_mobility(scenario: Scenario, report: RunReport) -> None:
     world = build_world(scenario)
     tracker = world.make_tracker()
-    rounds = tracker.run_study(world.target_ids, scenario.tracker.rounds,
-                               world.base_t)
+    # each round is read into integer counts and samples as it ends, so no
+    # round's calls outlive it
+    counts, validation = Counter(), Counter()
+    sample_rounds: list = []
+    for calls in tracker.run_study(world.target_ids, scenario.tracker.rounds,
+                                   world.base_t):
+        counts += _call_counts(c for c in calls if not c.validation)
+        validation += _call_counts(c for c in calls if c.validation)
+        if not sample_rounds:
+            placed = {c.client for c in calls}
+        sample_rounds.append(
+            [s for s in location_samples(calls, world.geo, world.salt)
+             if not s.validation])
+        del calls
 
-    all_calls = [c for r in rounds for c in r if not c.validation]
-    accuracy = _call_accuracy(all_calls)
-    validation_calls = [c for r in rounds for c in r if c.validation]
-    accuracy["validation_calls"] = len(validation_calls)
-    accuracy["validation_false_positives"] = _call_accuracy(
-        validation_calls)["false_positive_calls"]
-
-    sample_rounds = [[s for s in location_samples(r, world.geo, world.salt)
-                      if not s.validation] for r in rounds]
+    accuracy = _call_accuracy(counts)
+    accuracy["validation_calls"] = validation["calls"]
+    accuracy["validation_false_positives"] = \
+        validation["false_positive_calls"]
     assignment = disambiguate(sample_rounds)
     accuracy["post_assignment_errors"] = _assignment_errors(world, assignment)
 
@@ -144,7 +157,6 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
         "assigned_ips": len(assignment.ip_to_user),
         "unassigned_ips": len(assignment.unassigned),
     }
-    placed = {c.client for c in rounds[0]}
     report.metrics["throughput_calls_per_hour"] = [
         round(3600 / scenario.tracker.s, 3) if c in placed else 0.0
         for c in range(scenario.tracker.clients)]

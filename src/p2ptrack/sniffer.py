@@ -135,14 +135,17 @@ class FlowIndex:
     order as the flow classify_trace builds from the tap's packets.
 
     The index grows and shrinks with the round: take(until) moves what the
-    tap observed up to until into the flows, and drop(before) forgets what
-    the flows hold from before that time."""
+    tap observed up to until into the flows, and drop(before, window)
+    forgets what the flows hold from before that time.  Of a remote's
+    forgotten packets a slot only asks whether one lies in its window, so
+    the index keeps the time of the last one."""
 
     def __init__(self, tap: CaptureTap, observer_ip: int):
         """An empty index over tap, which records at observer_ip."""
         self.tap = tap
         self.observer_ip = observer_ip
-        self._flows: dict = {}     # remote -> (observation times, packets)
+        # remote -> [last forgotten time, observation times, packets]
+        self._flows: dict = {}
 
     def take(self, until: float) -> None:
         """Index the packets the tap observed at or before until.  The loop
@@ -157,29 +160,36 @@ class FlowIndex:
                 remote, obs_t = pkt[2], pkt[1]
             flow = flows.get(remote)
             if flow is None:
-                flow = flows[remote] = ([], [])
-            flow[0].append(obs_t)
-            flow[1].append(pkt)
+                flow = flows[remote] = [-math.inf, [], []]
+            flow[1].append(obs_t)
+            flow[2].append(pkt)
 
-    def drop(self, before: float) -> None:
+    def drop(self, before: float, window: float) -> None:
         """Forget the packets observed before time before, which no later
-        slot_trace may reach back past."""
-        for remote, (times, pkts) in list(self._flows.items()):
+        slot_trace reads, keeping each remote's last forgotten time; a
+        remote goes once it holds no packet and that time lies more than
+        window before before, where no later slot's window reaches."""
+        for remote, flow in list(self._flows.items()):
+            times = flow[1]
             lo = bisect.bisect_left(times, before)
-            if lo == len(times):
+            if lo:
+                flow[0] = times[lo - 1]
+                del times[:lo], flow[2][:lo]
+            if not times and flow[0] < before - window:
                 del self._flows[remote]
-            elif lo:
-                del times[:lo], pkts[:lo]
 
     def slot_trace(self, t: float, length: float, window: float) -> list:
         """The packets in [t - window, t + window] of every remote whose
         first packet in that window lies in the slot [t, t + length): a
         pattern belongs to the call whose slot holds its first packet.
-        The index must have taken t + window, and dropped nothing from
-        t - window on."""
+        The index must have taken t + window, and dropped nothing from t
+        on; a remote whose last forgotten packet lies in [t - window, t)
+        started before the slot."""
         out = []
         for remote in sorted(self._flows):
-            times, pkts = self._flows[remote]
+            last, times, pkts = self._flows[remote]
+            if last >= t - window:
+                continue
             lo = bisect.bisect_left(times, t - window)
             if lo < len(times) and t <= times[lo] < t + length:
                 out += pkts[lo:bisect.bisect_right(times, t + window, lo)]
@@ -216,9 +226,9 @@ class CallerPool:
         once it has reached t + max(length, window), everything a slot at t
         reads is final, so the indexes take in what is new and the slots at
         t are yielded, in slots order, and then everything observed before
-        the next slot time's t - window leaves the indexes.  So the indexes
-        hold a few windows of packets, not the round, and no trace is kept
-        past its yield.  The round ends at max t + length + window +
+        the next slot time leaves the indexes.  So the indexes hold about
+        a window of packets, not the round, and no trace is kept past its
+        yield.  The round ends at max t + length + window +
         ROUND_TAIL, with taps and indexes empty."""
         by_t: dict = {}
         for k, (_, t) in enumerate(slots):
@@ -234,9 +244,9 @@ class CallerPool:
                                                               window)
             if i + 1 < len(times):
                 for index in self.indexes:
-                    index.drop(times[i + 1] - window)
+                    index.drop(times[i + 1], window)
         if slots:
             self.sim.advance(times[-1] + length + window + ROUND_TAIL)
         for index in self.indexes:
             index.take(math.inf)
-            index.drop(math.inf)
+            index.drop(math.inf, window)

@@ -214,12 +214,11 @@ class Tracker:
                 trace, observer_ips[call.client]))
         return calls
 
-    def run_study(self, ids, rounds: int, t0: float) -> list:
-        results = []
+    def run_study(self, ids, rounds: int, t0: float):
+        """Each round's TrackedCalls, one round at a time."""
         for r in range(rounds):
-            results.append(self.run_round(ids, t0 + r * self.sched.round_period,
-                                          round_index=r))
-        return results
+            yield self.run_round(ids, t0 + r * self.sched.round_period,
+                                 round_index=r)
 
 
 # -- majority-vote disambiguation --------------------------------------------

@@ -96,7 +96,7 @@ def test_criterion_3_inconspicuousness():
     whitelisted = sum(1 for u in world.target_ids
                       if world.directory.get(u).whitelist_only)
     tracker = world.make_tracker()
-    rounds = tracker.run_study(world.target_ids, 4, world.base_t)
+    rounds = list(tracker.run_study(world.target_ids, 4, world.base_t))
     calls = sum(map(len, rounds))
     notifications = len(world.overlay.notifications)
     online = extracted = 0
@@ -317,8 +317,8 @@ def test_criterion_7_defense_evaluation():
     raa = copy.deepcopy(scn)
     raa.rtc.defense_mode = "reveal_after_accept"
     world = build_world(raa)
-    rounds = world.make_tracker().run_study(world.target_ids, 4,
-                                            world.base_t)
+    rounds = list(world.make_tracker().run_study(world.target_ids, 4,
+                                                 world.base_t))
     raa_calls = sum(map(len, rounds))
     raa_extracted = sum(len(c.extracted) for r in rounds for c in r)
 

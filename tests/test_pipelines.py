@@ -581,6 +581,32 @@ def test_no_round_result_outlives_its_round(monkeypatch):
     assert alive == [("run_crawl", 0)] * 2 + [("verify_candidates", 0)]
 
 
+def test_no_mobility_round_outlives_its_round(monkeypatch):
+    # run_mobility reads each round into counts and samples as it ends:
+    # none of a round's calls is alive when the next round starts, or at
+    # the majority vote
+    refs, alive = [], []
+    run_round = Tracker.run_round
+    disambiguate = pipelines.disambiguate
+
+    def noted_run_round(tracker, *args, **kwargs):
+        alive.append(("run_round", sum(ref() is not None for ref in refs)))
+        calls = run_round(tracker, *args, **kwargs)
+        refs.extend(weakref.ref(call) for call in calls)
+        return calls
+
+    def counted_disambiguate(rounds):
+        alive.append(("disambiguate", sum(ref() is not None
+                                          for ref in refs)))
+        return disambiguate(rounds)
+
+    monkeypatch.setattr(Tracker, "run_round", noted_run_round)
+    monkeypatch.setattr(pipelines, "disambiguate", counted_disambiguate)
+    assert run(load_scenario(SMOKE), "mobility").ok()
+    assert len(refs) > 20
+    assert alive == [("run_round", 0)] * 2 + [("disambiguate", 0)]
+
+
 def _kept_worlds(monkeypatch) -> list:
     """The worlds the pipelines build from now on, kept alive."""
     worlds = []

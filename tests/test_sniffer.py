@@ -370,7 +370,7 @@ def test_streamed_read_equals_whole_round_read(monkeypatch):
     monkeypatch.setattr(CaptureTap, "record", copying_record)
     monkeypatch.setattr(CallerPool, "read", checked_read)
     tracker = world.make_tracker()
-    rounds = tracker.run_study(world.target_ids, 2, world.base_t)
+    rounds = list(tracker.run_study(world.target_ids, 2, world.base_t))
     assert len(checked) == sum(map(len, rounds)) > 200
     assert sum(map(bool, checked)) > 150
     late = [c for k, r in enumerate(rounds) for c in r
@@ -395,35 +395,39 @@ def test_no_slot_trace_outlives_its_read(monkeypatch):
     assert len(refs) == len(_POOL_SLOTS) and all(sizes)
 
 
-def test_streamed_read_holds_under_half_of_a_round(monkeypatch):
-    # the track benchmark's first round: taps and indexes together hold a
-    # few windows of packets at a time, not the round
+def test_streamed_read_holds_under_a_quarter_of_a_round(monkeypatch):
+    # the track benchmark's first round: taps and indexes together hold
+    # about a window of packets at a time, not the round, and an index
+    # keeps nothing observed before the next slot
     workloads = runpy.run_path("perfbench/workloads.py")
     world = build_world(scenario_from_dict(
         workloads["scenario_doc"]("track", 1)))
     tracker = world.make_tracker()
     pool = tracker.pool
-    counts = {"recorded": 0, "held": 0}
+    counts = {"recorded": 0, "held": 0, "drops": 0}
     record, drop = CaptureTap.record, FlowIndex.drop
 
     def counted_record(tap, obs_t, pkt):
         counts["recorded"] += 1
         record(tap, obs_t, pkt)
 
-    def measured_drop(index, before):
+    def measured_drop(index, before, window):
         # a take moves packets from a tap to its index and only a drop
         # lets them go, so taps and indexes hold the most just before one
         held = sum(map(len, pool.taps)) + sum(
             len(times) for each in pool.indexes
-            for times, _ in each._flows.values())
+            for _, times, _ in each._flows.values())
         counts["held"] = max(counts["held"], held)
-        drop(index, before)
+        drop(index, before, window)
+        assert all(times[0] >= before
+                   for _, times, _ in index._flows.values() if times)
+        counts["drops"] += 1
 
     monkeypatch.setattr(CaptureTap, "record", counted_record)
     monkeypatch.setattr(FlowIndex, "drop", measured_drop)
     tracker.run_round(world.target_ids, world.base_t)
-    assert counts["recorded"] > 40_000
-    assert counts["held"] < counts["recorded"] / 2
+    assert counts["recorded"] > 40_000 and counts["drops"] > 100
+    assert counts["held"] < counts["recorded"] / 4
 
 
 # -- SYN filter ----------------------------------------------------------------

@@ -171,19 +171,26 @@ def test_stray_packets_to_a_prober_are_counted_and_the_probe_waits():
     probe = prober.send(client.external_ip, client.external_port, infohash,
                         sim.now)
     # ahead of the peer's reply: one from another address to the probe's
-    # port, and one to a port no probe waits on
+    # port, one to a port no probe waits on, and from the target's address
+    # a 3-byte UDP packet and a TCP packet from another of its ports
     for port in (PROBE_PORT_BASE, PROBE_PORT_BASE + 7):
         sim.schedule_send("stray", "10.2.0.1", port, "TCP", 68,
                           src_port=client.external_port)
+    sim.schedule_send("peer", "10.2.0.1", PROBE_PORT_BASE, "UDP", 3,
+                      src_port=client.external_port)
+    sim.schedule_send("peer", "10.2.0.1", PROBE_PORT_BASE, "TCP", 68,
+                      src_port=client.external_port + 1)
     sim.advance(sim.now + 2.0)
-    assert prober.rejected == 2
+    assert prober.rejected == 4
     assert probe.response is not None and not probe.refused
-    assert probe.response.src_ip == client.external_ip
+    assert probe.response.proto == "TCP" and probe.response.size == 68
+    assert (probe.response.src_ip, probe.response.src_port) \
+        == (client.external_ip, client.external_port)
     # a second reply comes after the probe stopped waiting
     sim.schedule_send("peer", "10.2.0.1", PROBE_PORT_BASE, "TCP", 68,
                       src_port=client.external_port)
     sim.advance(sim.now + 2.0)
-    assert prober.rejected == 3
+    assert prober.rejected == 5
     assert probe.response.src_ip == client.external_ip
 
 

@@ -243,7 +243,7 @@ def test_reorder_plant_causes_false_positive_then_vote_removes_it():
     world = build_world(scn)
     assert len(world.reorder_plan) == 1
     tracker = world.make_tracker()
-    rounds = tracker.run_study(world.target_ids, 3, world.base_t)
+    rounds = list(tracker.run_study(world.target_ids, 3, world.base_t))
     fp = 0
     sample_rounds = [location_samples(r, world.geo, world.salt)
                      for r in rounds]
