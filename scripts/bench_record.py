@@ -12,12 +12,12 @@ each, the parent first in odd pairs and the change first in even ones.
 Then makes every pinned run of `scripts/check_digests.py` on each side
 that has it, and 2 alternated pairs of fresh-process flagship runs,
 `python -m p2ptrack run --scenario scenarios/flagship.yaml --pipeline
-linkage`, each from its side's `src`.  The change is the tracked files of this working tree: a
-`git stash create` snapshot when they differ from HEAD, else HEAD itself;
-untracked files are left out.  Both sides thus run from the same kind of
-fresh directory.  An archive holds exactly the files of its commit and
-leaves no state in the repository, so a killed run leaves nothing behind
-but its temporary directories.
+linkage`, each from its side's `src`.  The change is the tracked files
+of this working tree: a `git stash create` snapshot when they differ
+from HEAD, else HEAD itself; untracked files are left out.  Both sides
+thus run from the same kind of fresh directory.  An archive holds
+exactly the files of its commit and leaves no state in the repository,
+so a killed run leaves nothing behind but its temporary directories.
 
 Writes `BENCH_<label>.json` at the root of this checkout: the parent and
 change commits (`change` is HEAD; `dirty` says whether the working tree
