@@ -58,7 +58,7 @@ PINNED = {
         "244ec1af90aaa716a0eafbfef3ee31d056854ac8a9f5e7e2ea726c794ea847fa"),
     "flagship --pipeline linkage": (
         "e013fdb92d8e40111fa159daf559b929730a85af38cb6eb38ed833271541f5c5",
-        "fc14ffc500e0cca71ccc14109f45ddac61407d77ea997522ff7cc3a4f73a2bf6"),
+        "9335421307cbe94e1e95c7d3fe7133d6ea098b6d65b066b5cfc6b51a3b2e8bf2"),
     "benchmark track seed 1": (
         "fb5ce2058e27cde87d1427fa14bf81e4ada2dccccbace907ff2832287e03f22e",
         "210bc002b3e458db8b27fb410adfe3a68a75218ea38de334b18067768f31a492"),
@@ -70,13 +70,13 @@ PINNED = {
         "9fb2227e7f80a01ab8954e3ab360d8d08edaa009c4dcd256978a450369cd81d2"),
     "benchmark link seed 1": (
         "6af448f9b04d1342c178a908596ff7246f886ba04e21be46813967345cd5a05b",
-        "5dc20f0fbc46a5004a5cafe1da2964b12710600e36e99632e7a6a6e83f846862"),
+        "c06a5a9266a570d31b21acb7bbd725a7c9e24d9c10b1eec471c9bcfdee166396"),
     "benchmark link seed 77": (
         "a5302b8bf800f30e6e45dcc0e10789927cb6bc49b1205d1a98b5f4b6bca1e5a2",
-        "b11cdcd89bff546fae46afdd4639602b74cd1caef2e291ffca6cf159d2747f44"),
+        "ff3eaedea78a566d82d72f7bb34a32b52a4da825b6b9af3cddd71c9cb0a6ee70"),
     "benchmark link seed 9173": (
         "36f8f6e2e0249ceb23f404e3c4b5f88ee5887c2f7e1766c5f5949db50c93e7f5",
-        "e8b4f62ca810457cf7cc30f15d88ef48522f8a798aa4a53586632926e417b0e0"),
+        "15ec528a075180e1eabb53ca4a175fc5997cb333d3b2079ffa1cfffa6b1640a2"),
 }
 
 

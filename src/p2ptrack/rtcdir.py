@@ -453,18 +453,22 @@ class RtcOverlay:
     # -- the call ------------------------------------------------------------
 
     def place_call(self, req: CallRequest,
-                   start_delay: Optional[float] = None) -> PlacedCall:
-        call, caller, plan = self.plan_call(req, start_delay)
+                   start_delay: Optional[float] = None,
+                   call_id: Optional[int] = None) -> PlacedCall:
+        call, caller, plan = self.plan_call(req, start_delay, call_id)
         self._schedule(plan)
         self.sim.schedule(call.t_start, self._write_noise, call, caller)
         return call
 
     def plan_call(self, req: CallRequest,
-                  start_delay: Optional[float] = None) -> tuple:
+                  start_delay: Optional[float] = None,
+                  call_id: Optional[int] = None) -> tuple:
         """(PlacedCall, calling host, plan): the call's pattern sends in
         schedule order, each (t, src host, dst host, proto, size, flags,
         role); flags is in SimPacket.tcp_flags form.  Noise is not planned:
-        see _write_noise."""
+        see _write_noise.  call_id keys the call's streams: an id already
+        in calls (CallerPool.read reserves a round's ids), or by default
+        the next one, which extends calls."""
         if req.callee not in self.directory:
             raise CallError(f"unknown callee {req.callee!r}")
         caller_sessions = self.presence.online_sessions(req.caller, req.t_start)
@@ -474,8 +478,9 @@ class RtcOverlay:
         if self.sim.hosts[caller].nat is not None:
             raise CallError("tracking callers must not be behind a NAT")
 
-        call_id = len(self.calls)
-        self.calls = range(call_id + 1)
+        if call_id is None:
+            call_id = len(self.calls)
+            self.calls = range(call_id + 1)
         rng = random.Random(f"{self.seed}:call:{call_id}")
         if start_delay is None:
             start_delay = rng.uniform(*START_DELAY)

@@ -213,38 +213,59 @@ class CallerPool:
         self.indexes = [FlowIndex(tap, ip)
                         for tap, ip in zip(self.taps, self.observer_ips)]
 
-    def call(self, client: int, callee: str, t: float, start_delay=None):
+    def call(self, client: int, callee: str, t: float, start_delay=None,
+             call_id=None):
         """Place a call from client (an index into clients) at time t."""
         return self.overlay.place_call(
             CallRequest(self.clients[client][1], callee, t),
-            start_delay=start_delay)
+            start_delay=start_delay, call_id=call_id)
 
-    def read(self, slots, length: float, window: float):
+    def read(self, slots, length: float, window: float, place=None):
         """Run the round, yielding (k, slot trace) for each (client, t) =
         slots[k] as soon as that trace is final; the caller exhausts the
-        generator to end the round.  The loop runs slot time by slot time:
-        once it has reached t + max(length, window), everything a slot at t
-        reads is final, so the indexes take in what is new and the slots at
-        t are yielded, in slots order, and then everything observed before
-        the next slot time leaves the indexes.  So the indexes hold about
-        a window of packets, not the round, and no trace is kept past its
-        yield.  The round ends at max t + length + window +
-        ROUND_TAIL, with taps and indexes empty."""
+        generator to end the round.  place(k, call_id), if given, places
+        slot k's call: the round's ids are reserved up front in slots
+        order, slot k's being the overlay's next id plus k, and each call
+        is placed just before the loop first advances to its t or past,
+        so the loop holds the calls of about a window of slots, not the
+        round.  The loop runs slot time by slot time: once it has reached
+        t + max(length, window), everything a slot at t reads is final, so
+        the indexes take in what is new and the slots at t are yielded, in
+        slots order, and then everything observed before the next slot
+        time leaves the indexes.  So the indexes hold about a window of
+        packets, not the round, and no trace is kept past its yield.  The
+        round ends at max t + length + window + ROUND_TAIL, with taps and
+        indexes empty.  Closed early, the read leaves the overlay counting
+        only the calls it placed."""
         by_t: dict = {}
         for k, (_, t) in enumerate(slots):
             by_t.setdefault(t, []).append(k)
         times = sorted(by_t)
         reach = max(length, window)
-        for i, t in enumerate(times):
-            self.sim.advance(max(self.sim.now, t + reach))
-            for index in self.indexes:
-                index.take(t + reach)
-            for k in by_t[t]:
-                yield k, self.indexes[slots[k][0]].slot_trace(t, length,
-                                                              window)
-            if i + 1 < len(times):
+        overlay = self.overlay
+        first = placed = len(overlay.calls)
+        due = 0 if place else len(times)    # the first slot time to place
+        if place:
+            overlay.calls = range(first + len(slots))
+        try:
+            for i, t in enumerate(times):
+                while due < len(times) and times[due] <= t + reach:
+                    for k in by_t[times[due]]:
+                        place(k, first + k)
+                        placed += 1
+                    due += 1
+                self.sim.advance(max(self.sim.now, t + reach))
                 for index in self.indexes:
-                    index.drop(times[i + 1], window)
+                    index.take(t + reach)
+                for k in by_t[t]:
+                    yield k, self.indexes[slots[k][0]].slot_trace(t, length,
+                                                                  window)
+                if i + 1 < len(times):
+                    for index in self.indexes:
+                        index.drop(times[i + 1], window)
+        finally:
+            if place:
+                overlay.calls = range(placed)
         if slots:
             self.sim.advance(times[-1] + length + window + ROUND_TAIL)
         for index in self.indexes:

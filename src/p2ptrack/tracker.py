@@ -189,26 +189,33 @@ class Tracker:
 
     def run_round(self, ids, round_start: float,
                   round_index: int = 0) -> list:
-        """The round's TrackedCalls, each with its extracted matches."""
+        """The round's TrackedCalls, each with its extracted matches.  The
+        slots are planned here, client by client; CallerPool.read places
+        each call when the loop nears it."""
         s = self.sched.s
         n = len(self.pool.clients)
         per_client = [list(ids[i::n]) for i in range(n)]
         calls: list = []
+        delays: list = []
         for c in range(n):
             seq = self._client_sequence(c, per_client[c])
             for slot, (callee, validation) in enumerate(seq):
-                t_call = round_start + slot * s
                 delay = None
                 if (round_index, callee) in self.reorder_plan \
                         and slot < len(seq) - 1:
                     delay = s * self._reorder_rng.uniform(1.1, 1.6)
-                placed = self.pool.call(c, callee, t_call, start_delay=delay)
-                calls.append(TrackedCall(c, t_call, callee, validation,
-                                         placed))
+                calls.append(TrackedCall(c, round_start + slot * s, callee,
+                                         validation, None))
+                delays.append(delay)
+
+        def place(k, call_id):
+            call = calls[k]
+            call.placed = self.pool.call(call.client, call.callee, call.t,
+                                         delays[k], call_id)
 
         observer_ips = self.pool.observer_ips
         for k, trace in self.pool.read([(c.client, c.t) for c in calls], s,
-                                       PATTERN_WINDOW):
+                                       PATTERN_WINDOW, place):
             call = calls[k]
             call.extracted = tuple(classify_trace(
                 trace, observer_ips[call.client]))

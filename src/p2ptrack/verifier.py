@@ -85,37 +85,43 @@ class Verifier:
         self.cfg = cfg
 
     def verify_candidates(self, candidates, t0: float) -> list:
+        """One VerificationResult per candidate, over min_rounds rounds.  A
+        round gives candidate j slot j, CALL_GAP apart per client, and
+        CallerPool.read places each slot's call, with its handshake probe,
+        when the loop nears it."""
         pool = len(self.pool.clients)
-        slots = max(1, math.ceil(len(candidates) / pool))
-        stride = self.cfg.stride(slots)
+        stride = self.cfg.stride(max(1, math.ceil(len(candidates) / pool)))
         results = [VerificationResult(c, [], None, VERDICT_UNVERIFIABLE)
                    for c in candidates]
 
         for r in range(self.cfg.min_rounds):
             base = t0 + r * stride
-            probes = []
-            for j, res in enumerate(results):
-                t_call = base + (j // pool) * CALL_GAP
+            slots = [(j % pool, base + (j // pool) * CALL_GAP)
+                     for j in range(len(results))]
+            probes = [None] * len(results)
+
+            def place(j, call_id):
+                client, t_call = slots[j]
+                candidate = results[j].candidate
                 # the simultaneity contract: both sends at the same instant
-                probe = self.probers[j % pool].send(
-                    res.candidate.ip, res.candidate.port,
-                    res.candidate.infohash, at=t_call)
-                self.pool.call(j % pool, res.candidate.user, t_call)
-                probes.append((j, t_call, probe))
+                probes[j] = self.probers[client].send(
+                    candidate.ip, candidate.port, candidate.infohash,
+                    at=t_call)
+                self.pool.call(client, candidate.user, t_call,
+                               call_id=call_id)
+
             # slot j is candidate j's call; a probe's reply may come after
             # its call's trace is final, so probes are read once the round
             # has ended
-            ipids_rtc = [None] * len(probes)
-            for j, trace in self.pool.read(
-                    [(j % pool, t) for j, t, _ in probes], CALL_GAP,
-                    PATTERN_WINDOW):
+            ipids_rtc = [None] * len(results)
+            for j, trace in self.pool.read(slots, CALL_GAP, PATTERN_WINDOW,
+                                           place):
                 ipids_rtc[j] = next(
                     (m.ip_id for m in classify_trace(
                         trace, self.pool.observer_ips[j % pool])
                      if m.candidate_ip == results[j].candidate.ip), None)
 
-            for (j, _, probe), ipid_rtc in zip(probes, ipids_rtc):
-                res = results[j]
+            for res, probe, ipid_rtc in zip(results, probes, ipids_rtc):
                 if ipid_rtc is not None:
                     res.call_matches += 1
                 ipid_bt = None

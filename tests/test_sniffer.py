@@ -14,7 +14,8 @@ from p2ptrack.rtcdir import (KEEPALIVE_SIZE, KIND_NATED, KIND_OFFLINE,
                              NAT_TAIL_SIZE, SYN_SIZE, SYN_TIMEOUT_FIRST,
                              SYN_TIMEOUT_SECOND, VARYING_SIZES, CallRequest,
                              Directory, PresenceBook, RtcOverlay)
-from p2ptrack.scenario import scenario_from_dict
+from p2ptrack.pipelines import run
+from p2ptrack.scenario import load_scenario, scenario_from_dict
 from p2ptrack import sniffer
 from p2ptrack.sniffer import (ROUND_TAIL, CallerPool, FlowIndex,
                               classify_trace)
@@ -353,9 +354,9 @@ def test_streamed_read_equals_whole_round_read(monkeypatch):
 
     checked = []
 
-    def checked_read(pool, slots, length, window):
+    def checked_read(pool, slots, length, window, place=None):
         pairs = []
-        for k, trace in read(pool, slots, length, window):
+        for k, trace in read(pool, slots, length, window, place):
             pairs.append((k, trace))
             yield k, trace
         assert sorted(k for k, _ in pairs) == list(range(len(slots)))
@@ -428,6 +429,101 @@ def test_streamed_read_holds_under_a_quarter_of_a_round(monkeypatch):
     tracker.run_round(world.target_ids, world.base_t)
     assert counts["recorded"] > 40_000 and counts["drops"] > 100
     assert counts["held"] < counts["recorded"] / 4
+
+
+def test_a_round_places_a_window_of_calls_at_a_time(monkeypatch):
+    # the track benchmark's first round: a call is placed just before the
+    # loop can reach its slot, so the calls placed and not yet read are
+    # those of the slots within max(length, window) of the slot being
+    # read, at most clients x (max(length, window) // s + 1), not the round
+    workloads = runpy.run_path("perfbench/workloads.py")
+    world = build_world(scenario_from_dict(
+        workloads["scenario_doc"]("track", 1)))
+    tracker = world.make_tracker()
+    s = tracker.sched.s
+    bound = len(tracker.pool.clients) * (
+        math.floor(max(s, sniffer.PATTERN_WINDOW) / s) + 1)
+    counts = {"placed": 0, "read": 0, "most": 0}
+    place_call, read = RtcOverlay.place_call, CallerPool.read
+
+    def counted_place_call(overlay, *args, **kwargs):
+        counts["placed"] += 1
+        counts["most"] = max(counts["most"],
+                             counts["placed"] - counts["read"])
+        return place_call(overlay, *args, **kwargs)
+
+    def counted_read(pool, *args):
+        for k, trace in read(pool, *args):
+            counts["read"] += 1
+            yield k, trace
+
+    monkeypatch.setattr(RtcOverlay, "place_call", counted_place_call)
+    monkeypatch.setattr(CallerPool, "read", counted_read)
+    calls = tracker.run_round(world.target_ids, world.base_t)
+    assert counts["placed"] == counts["read"] == len(calls) > 5 * bound
+    assert counts["most"] <= bound
+
+
+def test_a_rounds_call_ids_are_its_slot_order(monkeypatch):
+    # every round of a smoke run: calls are placed in time order, but the
+    # read reserves the round's ids up front, so slot k's call has the
+    # round's first id plus k, the order in which a round once placed
+    # every call before the loop ran; the tracker's slots go client by
+    # client, so its calls are not placed in id order
+    reads = []
+    place_call, read = RtcOverlay.place_call, CallerPool.read
+
+    def noted_place_call(overlay, req, start_delay=None, call_id=None):
+        call = place_call(overlay, req, start_delay, call_id)
+        reads[-1]["placed"].append((call.call_id, req.caller, req.t_start))
+        return call
+
+    def noted_read(pool, slots, length, window, place=None):
+        noted = {"first": len(pool.overlay.calls), "placed": [],
+                 "slots": [(pool.clients[c][1], t) for c, t in slots]}
+        reads.append(noted)
+        yield from read(pool, slots, length, window, place)
+        assert len(pool.overlay.calls) == noted["first"] + len(slots)
+
+    monkeypatch.setattr(RtcOverlay, "place_call", noted_place_call)
+    monkeypatch.setattr(CallerPool, "read", noted_read)
+    assert run(load_scenario("scenarios/smoke.yaml"), "all").ok()
+    assert len(reads) > 10
+    for noted in reads:
+        ids = [call_id for call_id, _, _ in noted["placed"]]
+        assert sorted(ids) == list(range(noted["first"],
+                                         noted["first"] + len(ids)))
+        assert [noted["slots"][call_id - noted["first"]]
+                for call_id, _, _ in noted["placed"]] == \
+            [(caller, t) for _, caller, t in noted["placed"]]
+        assert len(ids) == len(noted["slots"])
+    assert any(ids != sorted(ids) for ids in
+               ([i for i, _, _ in noted["placed"]] for noted in reads))
+
+
+def test_a_read_closed_early_counts_only_the_calls_it_placed():
+    # a caller that stops reading, say on an exception in its
+    # classification, closes the read: the overlay then counts the calls
+    # placed, not the round's reserved ids
+    world = build_world(scenario_from_dict({
+        "name": "closed", "seed": 94,
+        "population": {"users": 12, "cities": 8},
+        "tracker": {"clients": 2, "s": 3.0, "rounds": 1}}))
+    pool = world.make_tracker().pool
+    first = len(world.overlay.calls)
+    ids = world.target_ids
+    slots = [(c, world.base_t + 3.0 * k) for k in range(12) for c in (0, 1)]
+    placed = []
+
+    def place(k, call_id):
+        c, t = slots[k]
+        placed.append(pool.call(c, ids[k % len(ids)], t, call_id=call_id))
+
+    reading = pool.read(slots, 3.0, sniffer.PATTERN_WINDOW, place)
+    assert [k for k, _ in (next(reading), next(reading))] == [0, 1]
+    reading.close()
+    assert 2 < len(placed) < len(slots)
+    assert len(world.overlay.calls) == first + len(placed)
 
 
 # -- SYN filter ----------------------------------------------------------------
