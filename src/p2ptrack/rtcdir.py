@@ -368,7 +368,7 @@ class RtcOverlay:
         self.seed = seed
         self.supernodes: list = []
         self.relays: list = []
-        self.calls = range(0)           # ids of the calls planned so far
+        self.calls = range(0)           # ids handed out so far
         self.notifications: list = []
         self._ports: dict = {}          # host_id -> rtc port
         self._service_hosts: set = set()  # always-responding infrastructure
@@ -447,28 +447,26 @@ class RtcOverlay:
         return ep
 
     def user_session_ips(self, user: str, t: float) -> frozenset:
-        return frozenset(self._endpoint(s.host_id)[0]
+        return frozenset(self.sim.public_ip_of(s.host_id)
                          for s in self.presence.online_sessions(user, t))
 
     # -- the call ------------------------------------------------------------
 
-    def place_call(self, req: CallRequest,
-                   start_delay: Optional[float] = None,
-                   call_id: Optional[int] = None) -> PlacedCall:
-        call, caller, plan = self.plan_call(req, start_delay, call_id)
+    def place_call(self, req: CallRequest, call_id: int,
+                   start_delay: Optional[float] = None) -> PlacedCall:
+        call, caller, plan = self.plan_call(req, call_id, start_delay)
         self._schedule(plan)
         self.sim.schedule(call.t_start, self._write_noise, call, caller)
         return call
 
-    def plan_call(self, req: CallRequest,
-                  start_delay: Optional[float] = None,
-                  call_id: Optional[int] = None) -> tuple:
+    def plan_call(self, req: CallRequest, call_id: int,
+                  start_delay: Optional[float] = None) -> tuple:
         """(PlacedCall, calling host, plan): the call's pattern sends in
         schedule order, each (t, src host, dst host, proto, size, flags,
         role); flags is in SimPacket.tcp_flags form.  Noise is not planned:
-        see _write_noise.  call_id keys the call's streams: an id already
-        in calls (CallerPool.read reserves a round's ids), or by default
-        the next one, which extends calls."""
+        see _write_noise.  call_id keys the call's streams; it is one of
+        the ids CallerPool.read took for its round, and no two calls share
+        one.  Planning reads addresses and binds no NAT port."""
         if req.callee not in self.directory:
             raise CallError(f"unknown callee {req.callee!r}")
         caller_sessions = self.presence.online_sessions(req.caller, req.t_start)
@@ -478,9 +476,6 @@ class RtcOverlay:
         if self.sim.hosts[caller].nat is not None:
             raise CallError("tracking callers must not be behind a NAT")
 
-        if call_id is None:
-            call_id = len(self.calls)
-            self.calls = range(call_id + 1)
         rng = random.Random(f"{self.seed}:call:{call_id}")
         if start_delay is None:
             start_delay = rng.uniform(*START_DELAY)
@@ -498,7 +493,7 @@ class RtcOverlay:
                 self._nated_plan(plan, rng, caller, remote, base, opens)
             else:
                 self._public_plan(plan, rng, caller, remote, base, opens)
-            targets.append(CallTarget(kind, self._endpoint(remote)[0]))
+            targets.append(CallTarget(kind, self.sim.public_ip_of(remote)))
         return PlacedCall(call_id, req.t_start, start_delay,
                           targets), caller, plan
 

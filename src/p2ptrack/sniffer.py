@@ -213,59 +213,51 @@ class CallerPool:
         self.indexes = [FlowIndex(tap, ip)
                         for tap, ip in zip(self.taps, self.observer_ips)]
 
-    def call(self, client: int, callee: str, t: float, start_delay=None,
-             call_id=None):
-        """Place a call from client (an index into clients) at time t."""
+    def call(self, client: int, callee: str, t: float, call_id: int,
+             start_delay=None):
+        """Place call call_id from client (an index into clients) at t."""
         return self.overlay.place_call(
-            CallRequest(self.clients[client][1], callee, t),
-            start_delay=start_delay, call_id=call_id)
+            CallRequest(self.clients[client][1], callee, t), call_id,
+            start_delay)
 
-    def read(self, slots, length: float, window: float, place=None):
+    def read(self, slots, length: float, window: float, place):
         """Run the round, yielding (k, slot trace) for each (client, t) =
         slots[k] as soon as that trace is final; the caller exhausts the
-        generator to end the round.  place(k, call_id), if given, places
-        slot k's call: the round's ids are reserved up front in slots
-        order, slot k's being the overlay's next id plus k, and each call
-        is placed just before the loop first advances to its t or past,
-        so the loop holds the calls of about a window of slots, not the
-        round.  The loop runs slot time by slot time: once it has reached
-        t + max(length, window), everything a slot at t reads is final, so
-        the indexes take in what is new and the slots at t are yielded, in
-        slots order, and then everything observed before the next slot
-        time leaves the indexes.  So the indexes hold about a window of
-        packets, not the round, and no trace is kept past its yield.  The
-        round ends at max t + length + window + ROUND_TAIL, with taps and
-        indexes empty.  Closed early, the read leaves the overlay counting
-        only the calls it placed."""
+        generator to end the round.  The read takes the overlay's next
+        len(slots) call ids for good, slot k's being the first plus k, and
+        place(k, call_id) places slot k's call just before the loop first
+        advances to its t or past, so the loop holds the calls of about a
+        window of slots, not the round.  A read closed early keeps its ids,
+        so no later call draws a placed call's streams again.  The loop
+        runs slot time by slot time: once it has reached t + max(length,
+        window), everything a slot at t reads is final, so the indexes take
+        in what is new and the slots at t are yielded, in slots order, and
+        then everything observed before the next slot time leaves the
+        indexes.  So the indexes hold about a window of packets, not the
+        round, and no trace is kept past its yield.  The round ends at max
+        t + length + window + ROUND_TAIL, with taps and indexes empty."""
         by_t: dict = {}
         for k, (_, t) in enumerate(slots):
             by_t.setdefault(t, []).append(k)
         times = sorted(by_t)
         reach = max(length, window)
-        overlay = self.overlay
-        first = placed = len(overlay.calls)
-        due = 0 if place else len(times)    # the first slot time to place
-        if place:
-            overlay.calls = range(first + len(slots))
-        try:
-            for i, t in enumerate(times):
-                while due < len(times) and times[due] <= t + reach:
-                    for k in by_t[times[due]]:
-                        place(k, first + k)
-                        placed += 1
-                    due += 1
-                self.sim.advance(max(self.sim.now, t + reach))
+        first = len(self.overlay.calls)
+        self.overlay.calls = range(first + len(slots))
+        due = 0                             # the first slot time to place
+        for i, t in enumerate(times):
+            while due < len(times) and times[due] <= t + reach:
+                for k in by_t[times[due]]:
+                    place(k, first + k)
+                due += 1
+            self.sim.advance(max(self.sim.now, t + reach))
+            for index in self.indexes:
+                index.take(t + reach)
+            for k in by_t[t]:
+                yield k, self.indexes[slots[k][0]].slot_trace(t, length,
+                                                              window)
+            if i + 1 < len(times):
                 for index in self.indexes:
-                    index.take(t + reach)
-                for k in by_t[t]:
-                    yield k, self.indexes[slots[k][0]].slot_trace(t, length,
-                                                                  window)
-                if i + 1 < len(times):
-                    for index in self.indexes:
-                        index.drop(times[i + 1], window)
-        finally:
-            if place:
-                overlay.calls = range(placed)
+                    index.drop(times[i + 1], window)
         if slots:
             self.sim.advance(times[-1] + length + window + ROUND_TAIL)
         for index in self.indexes:

@@ -211,7 +211,7 @@ class Tracker:
         def place(k, call_id):
             call = calls[k]
             call.placed = self.pool.call(call.client, call.callee, call.t,
-                                         delays[k], call_id)
+                                         call_id, delays[k])
 
         observer_ips = self.pool.observer_ips
         for k, trace in self.pool.read([(c.client, c.t) for c in calls], s,

@@ -107,8 +107,7 @@ class Verifier:
                 probes[j] = self.probers[client].send(
                     candidate.ip, candidate.port, candidate.infohash,
                     at=t_call)
-                self.pool.call(client, candidate.user, t_call,
-                               call_id=call_id)
+                self.pool.call(client, candidate.user, t_call, call_id)
 
             # slot j is candidate j's call; a probe's reply may come after
             # its call's trace is final, so probes are read once the round

@@ -419,7 +419,7 @@ def test_capture_ordering_nondecreasing(mini):
     user, _ = mini.add_public_user()
     mini.start()
     from p2ptrack.rtcdir import CallRequest
-    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 50.0))
+    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 50.0), 0)
     mini.sim.advance(80.0)
     own_ip = mini.sim.hosts[mini.tracker_host].ip
     times = [p.t_send if p.src_ip == own_ip else p.t_recv

@@ -8,6 +8,8 @@ from p2ptrack.rtcdir import (KIND_NATED, KIND_OFFLINE, KIND_PUBLIC,
                              NAT_TAIL_SIZE, VARYING_SIZES, CallError,
                              CallRequest, Directory, DirectoryError,
                              PresenceBook, UserProfile, harvest_ids)
+from p2ptrack.scenario import load_scenario
+from p2ptrack.worldgen import build_world
 from tests.conftest import MiniWorld, named
 
 
@@ -169,9 +171,10 @@ def test_call_errors(mini):
     user, _ = mini.add_public_user(online=None)   # exists, never online
     mini.start()
     with pytest.raises(CallError):
-        mini.overlay.place_call(CallRequest(mini.tracker_user, "ghost", 20.0))
+        mini.overlay.place_call(CallRequest(mini.tracker_user, "ghost", 20.0),
+                                0)
     with pytest.raises(CallError):
-        mini.overlay.place_call(CallRequest(user, mini.tracker_user, 20.0))
+        mini.overlay.place_call(CallRequest(user, mini.tracker_user, 20.0), 0)
 
 
 def test_nated_caller_rejected(mini):
@@ -179,14 +182,14 @@ def test_nated_caller_rejected(mini):
     caller, _ = mini.add_nated_user(user="natcaller")
     mini.start()
     with pytest.raises(CallError):
-        mini.overlay.place_call(CallRequest("natcaller", callee, 20.0))
+        mini.overlay.place_call(CallRequest("natcaller", callee, 20.0), 0)
 
 
 def test_public_callee_pattern_timing(mini):
     user, host = mini.add_public_user()
     mini.start()
     placed = mini.overlay.place_call(
-        CallRequest(mini.tracker_user, user, 100.0))
+        CallRequest(mini.tracker_user, user, 100.0), 0)
     mini.sim.advance(130.0)
     callee_ip = mini.sim.hosts[host].ip
     trace = [p for p in named(mini.tap.take())
@@ -213,7 +216,7 @@ def test_nated_callee_pattern_shape(mini):
     user, host = mini.add_nated_user()
     mini.start()
     placed = mini.overlay.place_call(
-        CallRequest(mini.tracker_user, user, 200.0))
+        CallRequest(mini.tracker_user, user, 200.0), 0)
     mini.sim.advance(240.0)
     callee_ip = placed.targets[0].expect_ip
     trace = named(mini.tap.take())
@@ -234,7 +237,7 @@ def test_dual_login_emits_both_patterns(mini):
     mini.presence.add_session("dualuser", nhost, 0.0, None)
     mini.start()
     placed = mini.overlay.place_call(
-        CallRequest(mini.tracker_user, "dualuser", 100.0))
+        CallRequest(mini.tracker_user, "dualuser", 100.0), 0)
     assert sorted(t.kind for t in placed.targets) == ["i", "ii"]
     assert len({t.expect_ip for t in placed.targets}) == 2
 
@@ -244,13 +247,13 @@ def test_72_hour_rule_boundary(mini):
     mini.start()
     t_in = 1000.0 + LAST_SEEN_WINDOW        # exactly 72 h: still served
     placed = mini.overlay.place_call(
-        CallRequest(mini.tracker_user, user, t_in))
+        CallRequest(mini.tracker_user, user, t_in), 0)
     assert [t.kind for t in placed.targets] == ["iii"]
     assert placed.targets[0].stale
     assert placed.targets[0].expect_ip == mini.sim.hosts[host].ip
     t_out = 1000.0 + LAST_SEEN_WINDOW + 0.5
     placed = mini.overlay.place_call(
-        CallRequest(mini.tracker_user, user, t_out))
+        CallRequest(mini.tracker_user, user, t_out), 1)
     assert placed.targets == []
 
 
@@ -258,7 +261,8 @@ def test_offline_callee_never_responds(mini):
     user, host = mini.add_public_user(online=(0.0, 1000.0))
     mini.start(at=2000.0)
     mini.tap.take()
-    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 3000.0))
+    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 3000.0),
+                            0)
     mini.sim.advance(3030.0)
     callee_ip = mini.sim.hosts[host].ip
     inbound = [p for p in named(mini.tap.take()) if p.src_ip == callee_ip]
@@ -276,7 +280,7 @@ def test_privacy_settings_do_not_change_emission():
             w.directory.get("victim99").whitelist_only = True
         w.start()
         w.tap.take()
-        w.overlay.place_call(CallRequest(w.tracker_user, user, 50.0))
+        w.overlay.place_call(CallRequest(w.tracker_user, user, 50.0), 0)
         w.sim.advance(90.0)
         return sorted((p.t_send, p.src_ip, p.dst_ip, p.proto, p.size)
                       for p in named(w.tap.take()))
@@ -291,9 +295,9 @@ def test_notifications_fire_only_without_filter():
     nat, _ = w.add_nated_user()
     off, _ = w.add_public_user(online=(0.0, 20.0))
     w.start(at=30.0)
-    c1 = w.overlay.place_call(CallRequest(w.tracker_user, pub, 100.0))
-    c2 = w.overlay.place_call(CallRequest(w.tracker_user, nat, 200.0))
-    c3 = w.overlay.place_call(CallRequest(w.tracker_user, off, 300.0))
+    c1 = w.overlay.place_call(CallRequest(w.tracker_user, pub, 100.0), 0)
+    c2 = w.overlay.place_call(CallRequest(w.tracker_user, nat, 200.0), 1)
+    c3 = w.overlay.place_call(CallRequest(w.tracker_user, off, 300.0), 2)
     w.sim.advance(340.0)
 
     def kinds(call):
@@ -311,8 +315,8 @@ def test_filter_suppresses_all_notifications(mini):
     pub, _ = mini.add_public_user()
     nat, _ = mini.add_nated_user()
     mini.start()
-    mini.overlay.place_call(CallRequest(mini.tracker_user, pub, 100.0))
-    mini.overlay.place_call(CallRequest(mini.tracker_user, nat, 200.0))
+    mini.overlay.place_call(CallRequest(mini.tracker_user, pub, 100.0), 0)
+    mini.overlay.place_call(CallRequest(mini.tracker_user, nat, 200.0), 1)
     # the caller's SYNs and the NATed callee's all meet the filter, so no
     # SYN-ACK could reach either attempt, and neither is stored
     assert mini.overlay._pending_tcp == {}
@@ -333,8 +337,10 @@ def test_a_syn_is_resent_only_until_answered():
         nat, nhost = w.add_nated_user()
         w.start(at=30.0)
         w.tap.take()
-        calls = [w.overlay.place_call(CallRequest(w.tracker_user, callee, t))
-                 for callee, t in ((pub, 100.0), (nat, 200.0))]
+        calls = [w.overlay.place_call(CallRequest(w.tracker_user, callee, t),
+                                      call_id)
+                 for call_id, (callee, t) in enumerate(((pub, 100.0),
+                                                        (nat, 200.0)))]
         w.sim.advance(240.0)
         packets = named(w.tap.take())
         for call, host, opens in zip(calls, (phost, nhost), ("out", "in")):
@@ -356,7 +362,8 @@ def test_reveal_after_accept_unanswered_only_noise(mini):
     user, host = w.add_public_user()
     w.start()
     w.tap.take()
-    placed = w.overlay.place_call(CallRequest(w.tracker_user, user, 100.0))
+    placed = w.overlay.place_call(CallRequest(w.tracker_user, user, 100.0),
+                                  0)
     w.sim.advance(140.0)
     assert placed.targets == []
     infra = {w.sim.public_ip_of(h) for h in w.overlay.supernodes}
@@ -365,7 +372,7 @@ def test_reveal_after_accept_unanswered_only_noise(mini):
     assert dests <= infra
     # answered calls do reveal
     placed = w.overlay.place_call(
-        CallRequest(w.tracker_user, user, 300.0, answered=True))
+        CallRequest(w.tracker_user, user, 300.0, answered=True), 1)
     assert len(placed.targets) == 1
 
 
@@ -376,8 +383,8 @@ def test_relay_all_hides_callee_ip():
     nat, nhost = w.add_nated_user()
     w.start()
     w.tap.take()
-    p1 = w.overlay.place_call(CallRequest(w.tracker_user, pub, 100.0))
-    p2 = w.overlay.place_call(CallRequest(w.tracker_user, nat, 200.0))
+    p1 = w.overlay.place_call(CallRequest(w.tracker_user, pub, 100.0), 0)
+    p2 = w.overlay.place_call(CallRequest(w.tracker_user, nat, 200.0), 1)
     w.sim.advance(240.0)
     relay_ips = {w.sim.public_ip_of(h) for h in w.overlay.relays}
     assert all(t.expect_ip in relay_ips for t in p1.targets + p2.targets)
@@ -386,14 +393,34 @@ def test_relay_all_hides_callee_ip():
     assert w.sim.public_ip_of(nhost) not in seen
 
 
+def test_reading_an_address_binds_no_nat_port():
+    # right after the world is built, before the loop has run the login of
+    # a NATed callee who is online at the first round, neither its session
+    # addresses nor a call plan to it bind a port at its NAT: both read
+    # the box's public address
+    world = build_world(load_scenario("scenarios/smoke.yaml"))
+    t = world.base_t
+    callee, box = next(
+        (user, box) for user in world.target_ids
+        for s in world.presence.online_sessions(user, t)
+        for box in [world.sim.nats.get(world.sim.hosts[s.host_id].nat)]
+        if box is not None and not box.port_map and s.t_login > world.sim.now)
+    assert world.overlay.user_session_ips(callee, t) == {box.public_ip}
+    assert box.port_map == {}
+    placed, _, _ = world.overlay.plan_call(
+        CallRequest(world.tracker_clients[0][1], callee, t), 0)
+    assert [target.expect_ip for target in placed.targets] == [box.public_ip]
+    assert box.port_map == {}
+
+
 # -- call plans ----------------------------------------------------------------
 
-def _plan(w, callee, t, answered=False):
-    """The call's (placed, pattern sends), planned without scheduling
+def _plan(w, callee, t, call_id, answered=False):
+    """Call call_id's (placed, pattern sends), planned without scheduling
     anything; a plan holds no supernode send, as the noise is not planned."""
     seq, now = w.sim._evseq, w.sim.now
     placed, _, plan = w.overlay.plan_call(
-        CallRequest(w.tracker_user, callee, t, answered=answered))
+        CallRequest(w.tracker_user, callee, t, answered=answered), call_id)
     assert (w.sim._evseq, w.sim.now) == (seq, now)
     supernodes = set(w.overlay.supernodes)
     assert not any({src, dst} & supernodes for _, src, dst, *_ in plan)
@@ -459,11 +486,11 @@ def test_call_plan_shapes():
         w.start(at=30.0)
         caller, attempts = w.tracker_host, []
         # offline: the public pattern toward the last-seen host
-        for callee, t, shape, remote, kind in (
+        for call_id, (callee, t, shape, remote, kind) in enumerate((
                 (pub, 100.0, _public_shape, phost, KIND_PUBLIC),
                 (nat, 200.0, _nated_shape, nhost, KIND_NATED),
-                (off, 300.0, _public_shape, ohost, KIND_OFFLINE)):
-            placed, pattern = _plan(w, callee, t)
+                (off, 300.0, _public_shape, ohost, KIND_OFFLINE))):
+            placed, pattern = _plan(w, callee, t, call_id)
             base = placed.t_start + placed.start_delay
             attempts.append(shape(pattern, caller, remote, base))
             assert [t.kind for t in placed.targets] == [kind]
@@ -481,12 +508,12 @@ def test_relayed_and_unanswered_call_plans():
         w.start()
         # the relay is the remote of the pattern the callee would have
         # shown, and rings nobody
-        placed, pattern = _plan(w, pub, 100.0)
+        placed, pattern = _plan(w, pub, 100.0, 0)
         relay = pattern[0][2]
         assert relay in w.overlay.relays
         base = placed.t_start + placed.start_delay
         attempts = [_public_shape(pattern, w.tracker_host, relay, base)]
-        placed, pattern = _plan(w, nat, 200.0)
+        placed, pattern = _plan(w, nat, 200.0, 1)
         relay = pattern[0][1]
         assert relay in w.overlay.relays
         base = placed.t_start + placed.start_delay
@@ -495,9 +522,9 @@ def test_relayed_and_unanswered_call_plans():
         w = MiniWorld(defense="reveal_after_accept", filtered=filtered)
         user, host = w.add_public_user()
         w.start()
-        placed, pattern = _plan(w, user, 100.0)
+        placed, pattern = _plan(w, user, 100.0, 0)
         assert pattern == [] and placed.targets == []
-        placed, pattern = _plan(w, user, 300.0, answered=True)
+        placed, pattern = _plan(w, user, 300.0, 1, answered=True)
         base = pattern[0][0]
         assert base - placed.t_start - placed.start_delay >= 1.0
         attempts.append(_public_shape(pattern, w.tracker_host, host, base))
@@ -526,7 +553,7 @@ def test_written_noise_equals_noise_through_the_loop():
     w, req = _dark_call()
     sn_taps = {w.sim.hosts[sn].ip: w.sim.tap(sn)
                for sn in w.overlay.supernodes}
-    placed, caller, plan = w.overlay.plan_call(req)
+    placed, caller, plan = w.overlay.plan_call(req, 0)
     assert plan == [] and placed.targets == [] and caller == w.tracker_host
     udp_reply, answers = w.overlay._udp_reply, set()
 
@@ -557,7 +584,7 @@ def test_written_noise_equals_noise_through_the_loop():
         assert (58, outbound) in udp or (59, outbound) in udp
     # the same sends put on the loop by hand, on an identical world
     w, req = _dark_call()
-    w.overlay.plan_call(req)
+    w.overlay.plan_call(req, 0)
     host = {h.ip: h.host_id for h in w.sim.hosts.values()}
     for p in noise:
         w.sim.schedule_send(host[p.src_ip], p.dst_ip, p.dst_port, p.proto,

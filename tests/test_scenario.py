@@ -400,7 +400,7 @@ def test_world_generation_deterministic():
     from p2ptrack.rtcdir import CallRequest
     for w, tap in ((w1, t1), (w2, t2)):
         w.overlay.place_call(CallRequest(w.tracker_clients[0][1],
-                                         w.target_ids[0], w.base_t))
+                                         w.target_ids[0], w.base_t), 0)
         w.sim.advance(w.base_t + 30.0)
     assert t1.take() == t2.take()
 
@@ -428,5 +428,5 @@ def test_directory_fixture_merged_into_world(tmp_path):
     # fixture identities never log in: a call toward them emits nothing
     from p2ptrack.rtcdir import CallRequest
     placed = world.overlay.place_call(CallRequest(
-        world.tracker_clients[0][1], "fixtureonly1", world.base_t))
+        world.tracker_clients[0][1], "fixtureonly1", world.base_t), 0)
     assert placed.targets == []

@@ -51,7 +51,7 @@ def test_classifier_config_validation():
 def test_case_i_classified_against_noise(mini):
     user, host = mini.add_public_user()
     mini.start()
-    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0))
+    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0), 0)
     mini.sim.advance(140.0)
     matches = classify_trace(_window(mini, 100.0), _observer(mini))
     assert len(matches) == 1
@@ -66,7 +66,7 @@ def test_case_ii_and_dual_login(mini):
     mini.presence.add_session("dualuser", nhost, 0.0, None)
     mini.start()
     placed = mini.overlay.place_call(
-        CallRequest(mini.tracker_user, "dualuser", 100.0))
+        CallRequest(mini.tracker_user, "dualuser", 100.0), 0)
     mini.sim.advance(140.0)
     matches = classify_trace(_window(mini, 100.0), _observer(mini))
     assert sorted(m.kind for m in matches) == [KIND_PUBLIC, KIND_NATED]
@@ -78,7 +78,7 @@ def test_case_iii_no_responses(mini):
     user, host = mini.add_public_user(online=(0.0, 500.0))
     mini.start(at=600.0)
     mini.tap.take()
-    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 700.0))
+    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 700.0), 0)
     mini.sim.advance(740.0)
     matches = classify_trace(_window(mini, 700.0), _observer(mini))
     assert [m.kind for m in matches] == [KIND_OFFLINE]
@@ -88,7 +88,7 @@ def test_case_iii_no_responses(mini):
 def test_kind_i_and_iii_mutually_exclusive(mini):
     user, host = mini.add_public_user()
     mini.start()
-    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0))
+    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0), 0)
     mini.sim.advance(140.0)
     window = _window(mini, 100.0)
     callee_ip = mini.sim.hosts[host].ip
@@ -117,7 +117,8 @@ def test_noise_only_windows_never_match(mini):
         base = 300100.0 + 20.0 * start
         for k in range(batch):
             mini.overlay.place_call(
-                CallRequest(mini.tracker_user, user, base + 20.0 * k))
+                CallRequest(mini.tracker_user, user, base + 20.0 * k),
+                start + k)
         # every window's noise (12 s span) completes within its 20 s slot
         mini.sim.advance(base + 20.0 * batch)
         trace = mini.tap.take()
@@ -315,7 +316,8 @@ def test_caller_pool_read_is_each_slot_trace():
     pool = _pool()
     sim = pool.sim
     pairs, nows = [], []
-    for k, trace in pool.read(slots, length, window):
+    for k, trace in pool.read(slots, length, window,
+                              lambda k, call_id: None):
         pairs.append((k, trace))
         nows.append(sim.now)
     # each slot once, in slot time order, as soon as the loop has run
@@ -354,7 +356,7 @@ def test_streamed_read_equals_whole_round_read(monkeypatch):
 
     checked = []
 
-    def checked_read(pool, slots, length, window, place=None):
+    def checked_read(pool, slots, length, window, place):
         pairs = []
         for k, trace in read(pool, slots, length, window, place):
             pairs.append((k, trace))
@@ -389,7 +391,8 @@ def test_no_slot_trace_outlives_its_read(monkeypatch):
     monkeypatch.setattr(FlowIndex, "slot_trace",
                         lambda index, *args: Trace(slot_trace(index, *args)))
     refs, sizes = [], []
-    for k, trace in _pool().read(_POOL_SLOTS, 3.0, 4.0):
+    for k, trace in _pool().read(_POOL_SLOTS, 3.0, 4.0,
+                                 lambda k, call_id: None):
         assert [ref() for ref in refs] == [None] * k
         refs.append(weakref.ref(trace))
         sizes.append(len(trace))
@@ -473,12 +476,12 @@ def test_a_rounds_call_ids_are_its_slot_order(monkeypatch):
     reads = []
     place_call, read = RtcOverlay.place_call, CallerPool.read
 
-    def noted_place_call(overlay, req, start_delay=None, call_id=None):
-        call = place_call(overlay, req, start_delay, call_id)
+    def noted_place_call(overlay, req, call_id, start_delay=None):
+        call = place_call(overlay, req, call_id, start_delay)
         reads[-1]["placed"].append((call.call_id, (req.caller, req.t_start)))
         return call
 
-    def noted_read(pool, slots, length, window, place=None):
+    def noted_read(pool, slots, length, window, place):
         noted = {"first": len(pool.overlay.calls), "placed": [],
                  "slots": [(pool.clients[c][1], t) for c, t in slots]}
         reads.append(noted)
@@ -500,10 +503,12 @@ def test_a_rounds_call_ids_are_its_slot_order(monkeypatch):
     assert any(ids != sorted(ids) for ids in orders)
 
 
-def test_a_read_closed_early_counts_only_the_calls_it_placed():
+def test_a_read_closed_early_reuses_no_call_id():
     # a caller that stops reading, say on an exception in its
-    # classification, closes the read: the overlay then counts the calls
-    # placed, not the round's reserved ids
+    # classification, closes the read; the read keeps every id it took,
+    # so no later call draws a placed call's streams again.  The slots go
+    # client by client, as the tracker's do, so the first read places
+    # ids from both halves of its range before it is closed
     world = build_world(scenario_from_dict({
         "name": "closed", "seed": 94,
         "population": {"users": 12, "cities": 8},
@@ -511,18 +516,25 @@ def test_a_read_closed_early_counts_only_the_calls_it_placed():
     pool = world.make_tracker().pool
     first = len(world.overlay.calls)
     ids = world.target_ids
-    slots = [(c, world.base_t + 3.0 * k) for k in range(12) for c in (0, 1)]
-    placed = []
 
-    def place(k, call_id):
-        c, t = slots[k]
-        placed.append(pool.call(c, ids[k % len(ids)], t, call_id=call_id))
+    def reading(t0, placed):
+        slots = [(c, t0 + 3.0 * k) for c in (0, 1) for k in range(12)]
 
-    reading = pool.read(slots, 3.0, sniffer.PATTERN_WINDOW, place)
-    assert [k for k, _ in (next(reading), next(reading))] == [0, 1]
-    reading.close()
-    assert 2 < len(placed) < len(slots)
-    assert len(world.overlay.calls) == first + len(placed)
+        def place(k, call_id):
+            c, t = slots[k]
+            placed.append(pool.call(c, ids[k % len(ids)], t, call_id).call_id)
+
+        return slots, pool.read(slots, 3.0, sniffer.PATTERN_WINDOW, place)
+
+    placed, later = [], []
+    slots, read = reading(world.base_t, placed)
+    assert [k for k, _ in (next(read), next(read))] == [0, 12]
+    read.close()
+    assert 2 < len(placed) < len(slots) and placed != sorted(placed)
+    assert len(world.overlay.calls) == first + len(slots)
+    for _ in reading(world.base_t + 600.0, later)[1]:
+        pass
+    assert min(later) >= first + len(slots)
 
 
 # -- SYN filter ----------------------------------------------------------------
@@ -577,7 +589,7 @@ def test_filtered_calls_leave_no_syn_at_callee(mini):
     user, host = mini.add_public_user()
     callee_tap = mini.sim.tap(host)
     mini.start()
-    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0))
+    mini.overlay.place_call(CallRequest(mini.tracker_user, user, 100.0), 0)
     mini.sim.advance(140.0)
     tracker_ip = mini.sim.hosts[mini.tracker_host].ip
     inbound_syn = [p for p in named(callee_tap.take())
@@ -596,7 +608,7 @@ def test_filter_implies_zero_notifications(mini):
     mini.start()
     for k, user in enumerate([pub, nat] * 10):
         mini.overlay.place_call(
-            CallRequest(mini.tracker_user, user, 100.0 + 30.0 * k))
+            CallRequest(mini.tracker_user, user, 100.0 + 30.0 * k), k)
     mini.sim.advance(100.0 + 30.0 * 20 + 40.0)
     assert mini.overlay.notifications == []
 
@@ -613,7 +625,7 @@ def test_soundness_extracted_equals_true_sessions(mini):
         t = 100.0 + 40.0 * k
         mini.tap.take()
         placed = mini.overlay.place_call(
-            CallRequest(mini.tracker_user, user, t))
+            CallRequest(mini.tracker_user, user, t), k)
         mini.sim.advance(t + 35.0)
         matches = classify_trace(mini.tap.take(), observer_ip=obs_ip)
         got = {m.candidate_ip for m in matches}
