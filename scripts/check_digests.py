@@ -52,13 +52,13 @@ from p2ptrack.scenario import load_scenario, scenario_from_dict  # noqa: E402
 PINNED = {
     "smoke --pipeline all": (
         "8a22e62dc91f88aaa6af6e2127dc84fc033c1c0128bdcc0cd53d5147c643901c",
-        "76c1b51e33b9f0c72077d4ad55fcb18829ca34a73847b7e0d2ee93b8798f6429"),
+        "146293caad96ec7b4c2195ddfc4d8b433443be43ca5503049583693141e88162"),
     "mobility --pipeline all": (
         "2ca087b2bdc5f3ec4d392def516c0f7f68e6505508823ff0d868db94a68ab313",
         "244ec1af90aaa716a0eafbfef3ee31d056854ac8a9f5e7e2ea726c794ea847fa"),
     "flagship --pipeline linkage": (
         "e013fdb92d8e40111fa159daf559b929730a85af38cb6eb38ed833271541f5c5",
-        "9335421307cbe94e1e95c7d3fe7133d6ea098b6d65b066b5cfc6b51a3b2e8bf2"),
+        "3a2942054d1498a7db0928ec485979da955ff4b8f080dbce53fbcb3c53b2d05a"),
     "benchmark track seed 1": (
         "fb5ce2058e27cde87d1427fa14bf81e4ada2dccccbace907ff2832287e03f22e",
         "210bc002b3e458db8b27fb410adfe3a68a75218ea38de334b18067768f31a492"),
@@ -70,13 +70,13 @@ PINNED = {
         "9fb2227e7f80a01ab8954e3ab360d8d08edaa009c4dcd256978a450369cd81d2"),
     "benchmark link seed 1": (
         "6af448f9b04d1342c178a908596ff7246f886ba04e21be46813967345cd5a05b",
-        "c06a5a9266a570d31b21acb7bbd725a7c9e24d9c10b1eec471c9bcfdee166396"),
+        "e08481d9358a055be16869ce81dfc5abfb0df56d14c6bd9ccddef51afe206c7f"),
     "benchmark link seed 77": (
         "a5302b8bf800f30e6e45dcc0e10789927cb6bc49b1205d1a98b5f4b6bca1e5a2",
-        "ff3eaedea78a566d82d72f7bb34a32b52a4da825b6b9af3cddd71c9cb0a6ee70"),
+        "4362ce4a903dcbf6d607d1548f464ffdeaa050f2dcf4b756dfe93be317cf1db8"),
     "benchmark link seed 9173": (
         "36f8f6e2e0249ceb23f404e3c4b5f88ee5887c2f7e1766c5f5949db50c93e7f5",
-        "15ec528a075180e1eabb53ca4a175fc5997cb333d3b2079ffa1cfffa6b1640a2"),
+        "572eccf3811100221485e96e9344e0afeeae74752af2a68639871c9cb9d3c45a"),
 }
 
 

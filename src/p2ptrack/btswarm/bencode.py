@@ -123,7 +123,15 @@ def _decode_int(data: bytes, i: int):
         raise BencodeError("leading zero in integer", i)
     if body == b"-0":
         raise BencodeError("negative zero", i)
-    return int(body), end + 1
+    return _int(body, i), end + 1
+
+
+def _int(text: bytes, i: int) -> int:
+    """int(text), or a BencodeError at offset i past int()'s digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BencodeError("number too long", i) from None
 
 
 def _decode_bytes(data: bytes, i: int):
@@ -135,7 +143,7 @@ def _decode_bytes(data: bytes, i: int):
         raise BencodeError(f"bad string length {length_digits!r}", i)
     if length_digits != b"0" and length_digits[:1] == b"0":
         raise BencodeError("leading zero in string length", i)
-    length = int(length_digits)
+    length = _int(length_digits, i)
     start = colon + 1
     end = start + length
     if end > len(data):

@@ -344,7 +344,7 @@ class Simulator:
             dst_ip = parse_ip(dst_ip)
         if at is None:
             at = self.now
-        self.schedule(at, self._emit, src, src_port, dst_ip, dst_port,
+        self.schedule(at, self.emit, src, src_port, dst_ip, dst_port,
                       proto, size, flags, payload)
 
     def advance(self, until: float) -> None:
@@ -379,9 +379,12 @@ class Simulator:
         # rng.uniform(-j, j), bit for bit, without its call
         return LATENCY + (-j + (j + j) * rng.random()) if j else LATENCY
 
-    def _emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
-              proto: str, size: int, flags: str,
-              payload: Optional[bytes]) -> None:
+    def emit(self, src: str, src_port: int, dst_ip: int, dst_port: int,
+             proto: str, size: int, flags: str,
+             payload: Optional[bytes]) -> None:
+        """Send a packet from src now: tap, filter, and rewrite it at src's
+        NAT, which binds a port for it if it has none.  Only this and
+        NatBox.forward (configuration) bind NAT ports."""
         host = self.hosts[src]
         now = self.now
         flow_key = (src_port, dst_ip, dst_port, proto)

@@ -186,11 +186,12 @@ def run_mobility(scenario: Scenario, report: RunReport) -> None:
             "movers_country": len(truth.movers_country),
             "online_ever": n,
         }
+        planted = tuple(len(movers) / n if n else 0.0 for movers in (
+            truth.movers_city, truth.movers_as, truth.movers_country))
         report.check(
             "planted_fractions_reproduced",
-            mob.changed_city_frac == len(truth.movers_city) / n
-            and mob.changed_as_frac == len(truth.movers_as) / n
-            and mob.changed_country_frac == len(truth.movers_country) / n,
+            (mob.changed_city_frac, mob.changed_as_frac,
+             mob.changed_country_frac) == planted,
             f"got {mob.changed_city_frac:.4f}/{mob.changed_as_frac:.4f}"
             f"/{mob.changed_country_frac:.4f}")
         report.check("planted_coverage_reached",

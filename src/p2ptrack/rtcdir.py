@@ -431,20 +431,7 @@ class RtcOverlay:
                     "UDP", LOGIN_SIZE, at=max(s.t_login, self.sim.now),
                     src_port=self._ports[host])
 
-    # -- presence-derived endpoints -----------------------------------------
-
-    def _endpoint(self, host_id: str) -> tuple:
-        """Public (ip, port) of a host's RTC socket as seen from outside."""
-        host = self.sim.hosts[host_id]
-        port = self._ports[host_id]
-        if host.nat is None:
-            return (host.ip, port)
-        box = self.sim.nats[host.nat]
-        ep = box.public_endpoint(host.ip, port, "UDP")
-        if ep is None:
-            # no binding yet: report the address the login will establish
-            return (box.public_ip, box.bind(host.ip, port, "UDP"))
-        return ep
+    # -- presence-derived addresses -----------------------------------------
 
     def user_session_ips(self, user: str, t: float) -> frozenset:
         return frozenset(self.sim.public_ip_of(s.host_id)
@@ -455,8 +442,10 @@ class RtcOverlay:
     def place_call(self, req: CallRequest, call_id: int,
                    start_delay: Optional[float] = None) -> PlacedCall:
         call, caller, plan = self.plan_call(req, call_id, start_delay)
-        self._schedule(plan)
-        self.sim.schedule(call.t_start, self._write_noise, call, caller)
+        schedule = self.sim.schedule
+        for t, *send in plan:
+            schedule(t, self._send, *send)
+        schedule(call.t_start, self._write_noise, call, caller)
         return call
 
     def plan_call(self, req: CallRequest, call_id: int,
@@ -466,7 +455,8 @@ class RtcOverlay:
         role); flags is in SimPacket.tcp_flags form.  Noise is not planned:
         see _write_noise.  call_id keys the call's streams; it is one of
         the ids CallerPool.read took for its round, and no two calls share
-        one.  Planning reads addresses and binds no NAT port."""
+        one.  Planning changes no state: each send is resolved and decided
+        when the loop emits it (_send)."""
         if req.callee not in self.directory:
             raise CallError(f"unknown callee {req.callee!r}")
         caller_sessions = self.presence.online_sessions(req.caller, req.t_start)
@@ -554,9 +544,7 @@ class RtcOverlay:
 
     def _nated_plan(self, plan, rng, caller, remote, base, opens) -> None:
         """Case (ii): the NATed remote initiates toward the public caller."""
-        # first contact: 28-byte UDP; remember the remote initiated so the
-        # caller's echo is not re-echoed
-        self._sent28[(remote, *self._endpoint(caller))] = base
+        # first contact: 28-byte UDP
         plan.append((base, remote, caller, "UDP", NAT_FIRST_SIZE, "", None))
         self._syn_plan(plan, rng, remote, caller,
                        base + self._jit(rng, 0.4), opens)
@@ -579,22 +567,28 @@ class RtcOverlay:
             plan.append((t, remote, caller, "UDP", NAT_TAIL_SIZE, "", None))
             t += self._jit(rng, NAT_TAIL_GAP)
 
-    def _schedule(self, plan) -> None:
-        """Put a plan's sends on the loop in its order.  Each send leaves
-        from its source host's RTC port; a SYN registers the attempt it
-        opens."""
+    def _send(self, src, dst, proto, size, flags, role) -> None:
+        """Emit a planned send now, from src's RTC port to dst's RTC socket
+        as dst's NAT shows it now; a NATed dst with no binding gets the
+        NAT's address and port 0, which the NAT drops (nat_no_binding), as
+        only packets bind.  A retransmit ((attempt,)) is skipped once a
+        SYN-ACK established its attempt; a SYN stores the _TcpAttempt it
+        opens; a 28-byte first contact is remembered, so that its echo is
+        not re-echoed."""
+        if type(role) is tuple and role[0].established:
+            return
         sim, ports = self.sim, self._ports
-        send = sim.schedule_send
-        for t, src, dst, proto, size, flags, role in plan:
-            ip, port = self._endpoint(dst)
-            if role is None:
-                send(src, ip, port, proto, size, flags, t, ports[src])
-            elif type(role) is tuple:   # a retransmit of role's attempt
-                sim.schedule(t, self._retry_syn, (src, ip, port, ports[src]),
-                             *role)
-            else:   # a SYN, and the _TcpAttempt it opens
-                self._pending_tcp[(src, ip, port, ports[src])] = role
-                send(src, ip, port, proto, size, flags, t, ports[src])
+        host, port = sim.hosts[dst], ports[dst]
+        ip = host.ip
+        if host.nat is not None:
+            box = sim.nats[host.nat]
+            ip, port = box.public_endpoint(ip, port, "UDP") or \
+                (box.public_ip, 0)
+        if isinstance(role, _TcpAttempt):
+            self._pending_tcp[(src, ip, port, ports[src])] = role
+        elif size == NAT_FIRST_SIZE:
+            self._sent28[(src, ip, port)] = sim.now
+        sim.emit(src, ports[src], ip, port, proto, size, flags, None)
 
     def _write_noise(self, call: PlacedCall, caller: str) -> None:
         """Draw a call's supernode chatter from its own stream and write it
@@ -671,13 +665,6 @@ class RtcOverlay:
                 write(t, ways, k, "TCP", KEEPALIVE_SIZE, "ACK")
         while echoes:
             answer(*heapq.heappop(echoes)[1:])
-
-    def _retry_syn(self, key, attempt: _TcpAttempt) -> None:
-        """Re-send key's SYN unless a SYN-ACK established attempt."""
-        if not attempt.established:
-            src_host, dst_ip, dst_port, lport = key
-            self.sim.schedule_send(src_host, dst_ip, dst_port, "TCP",
-                                   SYN_SIZE, flags="SYN", src_port=lport)
 
     # -- client behavior ------------------------------------------------------
 

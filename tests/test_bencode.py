@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,18 @@ def test_leading_zero_length_rejected():
     with pytest.raises(BencodeError):
         bdecode(b"04:spam")
     assert bdecode(b"0:") == b""
+
+
+def test_a_number_too_long_to_convert_is_a_bencode_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits; an
+    # integer or a string length that long is the decoder's own error, at
+    # the number's offset
+    digits = b"1" * (sys.get_int_max_str_digits() + 1)
+    for data, offset in ((b"i" + digits + b"e", 0),
+                         (b"l" + digits + b":xe", 1)):
+        with pytest.raises(BencodeError) as err:
+            bdecode(data)
+        assert err.value.offset == offset
 
 
 def test_truncated_string():

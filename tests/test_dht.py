@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 
 import pytest
@@ -300,18 +301,23 @@ def test_client_counts_every_packet_that_is_not_a_response():
 
 
 def test_unsorted_krpc_is_rejected_and_counted():
-    # keys out of order (y before t before q): BEP 3 forbids it, so both
-    # ends drop the datagram, count it, and the loop runs on to its end
+    # keys out of order (y before t before q): BEP 3 forbids it, and a
+    # transaction id whose length has more digits than int() converts;
+    # both ends drop each datagram, count it, and the loop runs on to its
+    # end
     sim, dht, client = build_dht(10)
     sim.add_host("probe", "10.9.0.2")
     unsorted = b"d1:y1:q1:t2:aa1:q4:pinge"
+    too_long = b"d1:t%s:aae" % (b"1" * (sys.get_int_max_str_digits() + 1))
     node = dht.bootstrap_node()
-    for ip, port in ((node.ip, node.port), ("10.9.0.1", KRPC_CLIENT_PORT)):
-        sim.schedule_send("probe", ip, port, "UDP", len(unsorted), at=0.0,
-                          src_port=5000, payload=unsorted)
+    for payload in (unsorted, too_long):
+        for ip, port in ((node.ip, node.port),
+                         ("10.9.0.1", KRPC_CLIENT_PORT)):
+            sim.schedule_send("probe", ip, port, "UDP", len(payload),
+                              at=0.0, src_port=5000, payload=payload)
     with warnings.catch_warnings(record=True) as caught:
         sim.advance(1.0)
     assert caught == []
     assert sim.now == 1.0
-    assert dht.rejected == 1
-    assert client.rejected == 1
+    assert dht.rejected == 2
+    assert client.rejected == 2

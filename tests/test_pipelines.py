@@ -665,7 +665,8 @@ def test_no_pipeline_call_stores_a_tcp_attempt(monkeypatch):
         return call
 
     def counted_schedule(sim, at, fn, *args):
-        if getattr(fn, "__func__", None) is RtcOverlay._retry_syn:
+        if getattr(fn, "__func__", None) is RtcOverlay._send and \
+                type(args[-1]) is tuple:
             retries.append(at)
         schedule(sim, at, fn, *args)
 

@@ -396,21 +396,49 @@ def test_relay_all_hides_callee_ip():
 def test_reading_an_address_binds_no_nat_port():
     # right after the world is built, before the loop has run the login of
     # a NATed callee who is online at the first round, neither its session
-    # addresses nor a call plan to it bind a port at its NAT: both read
-    # the box's public address
+    # addresses, nor a call plan to it, nor placing that call binds a port
+    # at its NAT or writes overlay state: only the login's packet, when the
+    # loop emits it, binds the callee's port
     world = build_world(load_scenario("scenarios/smoke.yaml"))
-    t = world.base_t
-    callee, box = next(
-        (user, box) for user in world.target_ids
+    t, overlay = world.base_t, world.overlay
+    callee, session, box = next(
+        (user, s, box) for user in world.target_ids
         for s in world.presence.online_sessions(user, t)
         for box in [world.sim.nats.get(world.sim.hosts[s.host_id].nat)]
         if box is not None and not box.port_map and s.t_login > world.sim.now)
-    assert world.overlay.user_session_ips(callee, t) == {box.public_ip}
+    assert overlay.user_session_ips(callee, t) == {box.public_ip}
     assert box.port_map == {}
-    placed, _, _ = world.overlay.plan_call(
-        CallRequest(world.tracker_clients[0][1], callee, t), 0)
+    req = CallRequest(world.tracker_clients[0][1], callee, t)
+    placed, _, _ = overlay.plan_call(req, 0)
     assert [target.expect_ip for target in placed.targets] == [box.public_ip]
+    overlay.place_call(req, 0)
+    assert box.port_map == overlay._sent28 == overlay._pending_tcp == {}
+    world.sim.advance(session.t_login)
+    host = world.sim.hosts[session.host_id]
+    assert list(box.port_map) == [(host.ip, overlay._ports[host.host_id],
+                                   "UDP")]
+
+
+def test_a_send_to_an_unbound_nat_is_dropped_not_bound(mini):
+    # a stale callee whose NATed last-seen host never sent a login: the
+    # caller's sends to it find no binding when they are emitted, so they
+    # go to the NAT's port 0 and are dropped there, and nothing is bound
+    user, host = mini.add_nated_user(online=None)
+    mini.start()
+    mini.presence.add_session(user, host, 0.0, 5.0)   # no login sent
+    nat = mini.sim.hosts[host].nat
+    box = mini.sim.nats[nat]
+    placed = mini.overlay.place_call(
+        CallRequest(mini.tracker_user, user, 100.0), 0)
+    assert [(t.kind, t.expect_ip) for t in placed.targets] == \
+        [(KIND_OFFLINE, box.public_ip)]
+    mini.sim.advance(130.0)
+    # the three markers; the caller's SYNs meet its own filter first
+    assert {r: n for r, n in mini.sim.drops.items() if r.endswith(nat)} == \
+        {f"nat_no_binding:{nat}": 3}
     assert box.port_map == {}
+    sent = [p for p in named(mini.tap.take()) if p.dst_ip == box.public_ip]
+    assert len(sent) == 6 and {p.dst_port for p in sent} == {0}
 
 
 # -- call plans ----------------------------------------------------------------

@@ -334,6 +334,8 @@ def test_every_valid_scenario_builds_with_its_state_counts(doc):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_scenarios())
+@example({"population": {"users": 1, "online_fraction": 0.0},
+          "mobility": {"never_online_dark": 1}})
 def test_every_valid_scenario_runs_to_a_report(doc):
     # the whole run, as `p2ptrack run --pipeline all` makes it: a scenario
     # that validates for all gives a report, and any other is refused

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -46,6 +47,8 @@ def test_scrape_rejects_non_scrape_blob():
         parse_scrape(bencode({"not-files": {}}))
     with pytest.raises(SwarmError):
         parse_scrape(b"garbage")
+    with pytest.raises(SwarmError):
+        parse_scrape(b"i%se" % (b"1" * (sys.get_int_max_str_digits() + 1)))
 
 
 def test_top_k_larger_than_entry_count():
